@@ -76,19 +76,23 @@ def _tiny_setup(seed: int):
     return ensemble, batch, labels, weights, hp
 
 
+# Each expansion loss as a function of (ensemble, batch, weights, hp), for model 0.
+_EXPANSION_LOSSES = {
+    "bias": lambda ens, batch, w, hp: expansion.bias_loss(ens, 0, batch, hp.temperature),
+    "preservation": lambda ens, batch, w, hp: expansion.preservation_loss(
+        ens, 0, batch, hp.temperature
+    ),
+    "overall": lambda ens, batch, w, hp: expansion.overall_loss(ens, 0, batch, w, hp),
+}
+
+
 def _analytic(loss_name: str, ensemble, batch, labels, weights, hp, corruption: float):
     model = ensemble.updated[0]
     if loss_name == "cross_entropy":
         logits, cache = nn.forward_logits(model, batch)
         grads = nn.backward(model, cache, nn.cross_entropy_gradient(logits, labels))
-    elif loss_name == "bias":
-        _, grads = expansion.bias_loss(ensemble, 0, batch, hp.temperature)
-    elif loss_name == "preservation":
-        _, grads = expansion.preservation_loss(ensemble, 0, batch, hp.temperature)
-    elif loss_name == "overall":
-        _, grads = expansion.overall_loss(ensemble, 0, batch, weights, hp)
     else:
-        raise InputError(f"unknown loss {loss_name!r}; expected one of {CHECKED_LOSSES}")
+        _, grads = _EXPANSION_LOSSES[loss_name](ensemble, batch, weights, hp)
     if corruption:
         grads.weight_grads[0] = grads.weight_grads[0] + corruption
     return grads
@@ -97,34 +101,13 @@ def _analytic(loss_name: str, ensemble, batch, labels, weights, hp, corruption: 
 def _loss_fn(loss_name: str, ensemble, batch, labels, weights, hp):
     if loss_name == "cross_entropy":
         return lambda m: nn.cross_entropy(nn.forward_logits(m, batch)[0], labels)
-    if loss_name == "bias":
+    loss = _EXPANSION_LOSSES[loss_name]
 
-        def f(m):
-            probe = expansion.EnsembleState(
-                ensemble.originals, [m] + ensemble.updated[1:]
-            )
-            return expansion.bias_loss(probe, 0, batch, hp.temperature)[0]
+    def f(m):
+        probe = expansion.EnsembleState(ensemble.originals, [m] + ensemble.updated[1:])
+        return loss(probe, batch, weights, hp)[0]
 
-        return f
-    if loss_name == "preservation":
-
-        def f(m):
-            probe = expansion.EnsembleState(
-                ensemble.originals, [m] + ensemble.updated[1:]
-            )
-            return expansion.preservation_loss(probe, 0, batch, hp.temperature)[0]
-
-        return f
-    if loss_name == "overall":
-
-        def f(m):
-            probe = expansion.EnsembleState(
-                ensemble.originals, [m] + ensemble.updated[1:]
-            )
-            return expansion.overall_loss(probe, 0, batch, weights, hp)[0]
-
-        return f
-    raise InputError(f"unknown loss {loss_name!r}; expected one of {CHECKED_LOSSES}")
+    return f
 
 
 def check_loss_gradient(
@@ -135,6 +118,8 @@ def check_loss_gradient(
     corruption adds a constant to the analytic first-layer weight gradient;
     a nonzero value MUST make the check fail (the suite's negative control).
     """
+    if loss_name not in CHECKED_LOSSES:
+        raise InputError(f"unknown loss {loss_name!r}; expected one of {CHECKED_LOSSES}")
     ensemble, batch, labels, weights, hp = _tiny_setup(seed)
     grads = _analytic(loss_name, ensemble, batch, labels, weights, hp, corruption)
     loss_fn = _loss_fn(loss_name, ensemble, batch, labels, weights, hp)

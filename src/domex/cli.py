@@ -24,7 +24,6 @@ from . import __version__, checks, expansion, fusion, nn
 from .config import OutputLayout, RunConfig, load_config, write_manifest
 from .data import (
     DomainDataset,
-    apply_standardization,
     generate_domains,
     load_csv,
     split,
@@ -197,6 +196,8 @@ def cmd_evaluate(cfg: RunConfig, layout: OutputLayout, args) -> int:
         entropies, cfg.expansion.weight_temperature
     ).weights
 
+    # Shared by all methods: one forward per (model, test set).
+    outputs: dict = {}
     reports = {
         method: fusion.evaluate_expanded(
             method,
@@ -205,6 +206,7 @@ def cmd_evaluate(cfg: RunConfig, layout: OutputLayout, args) -> int:
             test_sets,
             entropies=entropies,
             weights=weights,
+            outputs=outputs,
         )
         for method in cfg.evaluate.methods
     }

@@ -10,7 +10,9 @@ pressure; that share is a softmax over per-model mean entropies.
 
 Models are updated strictly one at a time: while model i trains, every peer
 and every original is a frozen constant, so gradients reach only model i's
-parameters.
+parameters. Their probabilities on the new data are therefore computed once
+on the whole set and gathered per batch, and one SGD step costs one forward
+and one backward pass of model i.
 """
 
 from __future__ import annotations
@@ -137,6 +139,12 @@ def _check_index(i: int, m: int) -> None:
         raise InputError(f"model index {i} out of range for {m} models")
 
 
+def _mean_entropy_of(logits: np.ndarray, temperature: float) -> float:
+    probs = softmax_temperature(logits, temperature)
+    per_sample = -xlogy(probs, probs).sum(axis=1)
+    return float(per_sample.mean())
+
+
 def mean_entropy(
     model: MlpModel, new_data: np.ndarray, temperature: float = 1.0
 ) -> float:
@@ -146,10 +154,7 @@ def mean_entropy(
     terms that appear when a probability underflows are taken as 0.
     """
     new_data = _check_batch(new_data)
-    logits, _ = forward_logits(model, new_data)
-    probs = softmax_temperature(logits, temperature)
-    per_sample = -xlogy(probs, probs).sum(axis=1)
-    return float(per_sample.mean())
+    return _mean_entropy_of(forward_logits(model, new_data)[0], temperature)
 
 
 def compute_weights(entropies: np.ndarray, weight_temperature: float) -> WeightVector:
@@ -173,43 +178,60 @@ def compute_weights(entropies: np.ndarray, weight_temperature: float) -> WeightV
     return WeightVector(entropies, exps / exps.sum())
 
 
-def _softened_probs(model: MlpModel, batch: np.ndarray, temperature: float):
+def _softened_probs(model: MlpModel, data: np.ndarray, temperature: float) -> np.ndarray:
+    return softmax_temperature(forward_logits(model, data)[0], temperature)
+
+
+def _weighted_loss(
+    model: MlpModel,
+    batch: np.ndarray,
+    anchor: np.ndarray | None,
+    peers: Sequence[np.ndarray],
+    a_org: float,
+    a_bias: float,
+    temperature: float,
+) -> tuple[float, Gradients, float, float]:
+    """a_org * L_org + a_bias * L_bias on one batch, with its gradient for model.
+
+    anchor holds the original's softened probabilities on the batch and peers
+    each frozen peer's; a term left out (None, or no peers) contributes 0.
+    Runs one forward and one backward of model, whatever the coefficients.
+    Returns the total, its gradients, L_org and L_bias.
+    """
     logits, cache = forward_logits(model, batch)
-    return softmax_temperature(logits, temperature), cache
-
-
-def _bias_term(
-    updated: Sequence[MlpModel], i: int, batch: np.ndarray, temperature: float
-) -> tuple[float, Gradients]:
-    probs_i, cache = _softened_probs(updated[i], batch, temperature)
+    probs = softmax_temperature(logits, temperature)
     n = batch.shape[0]
-    loss = 0.0
-    dprobs = np.zeros_like(probs_i)
-    for j, peer in enumerate(updated):
-        if j == i:
-            continue
-        probs_j, _ = _softened_probs(peer, batch, temperature)
-        diff = probs_i - probs_j
-        loss += float((diff * diff).sum()) / n
-        dprobs += (2.0 / n) * diff
-    dlogits = softmax_temperature_backward(probs_i, dprobs, temperature)
-    return loss, backward(updated[i], cache, dlogits)
+    l_org = l_bias = 0.0
+    dprobs = np.zeros_like(probs)
+    if anchor is not None:
+        diff = probs - anchor
+        l_org = float((diff * diff).sum()) / n
+        dprobs += (2.0 * a_org / n) * diff
+    for peer in peers:
+        diff = probs - peer
+        l_bias += float((diff * diff).sum()) / n
+        dprobs += (2.0 * a_bias / n) * diff
+    dlogits = softmax_temperature_backward(probs, dprobs, temperature)
+    total = a_org * l_org + a_bias * l_bias
+    return total, backward(model, cache, dlogits), l_org, l_bias
 
 
-def _preservation_term(
-    updated: Sequence[MlpModel],
-    originals: Sequence[MlpModel],
+def _batch_loss(
+    ensemble: EnsembleState,
     i: int,
     batch: np.ndarray,
     temperature: float,
+    a_org: float,
+    a_bias: float,
 ) -> tuple[float, Gradients]:
-    probs_i, cache = _softened_probs(updated[i], batch, temperature)
-    anchor, _ = _softened_probs(originals[i], batch, temperature)
-    n = batch.shape[0]
-    diff = probs_i - anchor
-    loss = float((diff * diff).sum()) / n
-    dlogits = softmax_temperature_backward(probs_i, (2.0 / n) * diff, temperature)
-    return loss, backward(updated[i], cache, dlogits)
+    """_weighted_loss with the anchor and peers run on the batch, unless weighted 0."""
+    _check_index(i, ensemble.m)
+    batch = _check_batch(batch)
+    anchor = _softened_probs(ensemble.originals[i], batch, temperature) if a_org else None
+    others = ensemble.updated[:i] + ensemble.updated[i + 1 :] if a_bias else []
+    peers = [_softened_probs(peer, batch, temperature) for peer in others]
+    model = ensemble.updated[i]
+    return _weighted_loss(model, batch, anchor, peers, a_org, a_bias, temperature)[:2]
 
 
 def bias_loss(
@@ -220,33 +242,14 @@ def bias_loss(
     Averaged over samples only (not over peers); gradients flow into
     updated[i] alone, every peer is a constant.
     """
-    _check_index(i, ensemble.m)
-    batch = _check_batch(batch)
-    return _bias_term(ensemble.updated, i, batch, temperature)
+    return _batch_loss(ensemble, i, batch, temperature, 0.0, 1.0)
 
 
 def preservation_loss(
     ensemble: EnsembleState, i: int, batch: np.ndarray, temperature: float
 ) -> tuple[float, Gradients]:
     """Mean squared distance between model i's softened probabilities now and at init."""
-    _check_index(i, ensemble.m)
-    batch = _check_batch(batch)
-    return _preservation_term(ensemble.updated, ensemble.originals, i, batch, temperature)
-
-
-def _overall_term(
-    originals: Sequence[MlpModel],
-    updated: Sequence[MlpModel],
-    i: int,
-    batch: np.ndarray,
-    weight_i: float,
-    hp: Hyperparams,
-) -> tuple[float, Gradients, float, float]:
-    l_org, g_org = _preservation_term(updated, originals, i, batch, hp.temperature)
-    l_bias, g_bias = _bias_term(updated, i, batch, hp.temperature)
-    scale = hp.lam * weight_i
-    total = l_org + scale * l_bias
-    return total, g_org.plus(g_bias.scaled(scale)), l_org, l_bias
+    return _batch_loss(ensemble, i, batch, temperature, 1.0, 0.0)
 
 
 def overall_loss(
@@ -256,15 +259,12 @@ def overall_loss(
     weights: WeightVector,
     hp: Hyperparams,
 ) -> tuple[float, Gradients]:
-    """Preservation plus lam * w_i * bias, gradients combined linearly."""
+    """Preservation plus lam * w_i * bias, from one backward of the summed gradient."""
     _check_index(i, ensemble.m)
-    batch = _check_batch(batch)
     if weights.weights.shape[0] != ensemble.m:
         raise InputError("weight vector length does not match ensemble size")
-    total, grads, _, _ = _overall_term(
-        ensemble.originals, ensemble.updated, i, batch, float(weights.weights[i]), hp
-    )
-    return total, grads
+    scale = hp.lam * float(weights.weights[i])
+    return _batch_loss(ensemble, i, batch, hp.temperature, 1.0, scale)
 
 
 def ensemble_entropies(
@@ -273,11 +273,33 @@ def ensemble_entropies(
     return np.array([mean_entropy(m, new_data, temperature) for m in models])
 
 
+@dataclass
+class FullSetOutputs:
+    """Each original's softened probabilities and updated model's logits on the new set.
+
+    Batches gather their anchor and peer rows from these (N, C) arrays; no
+    forward cache is kept.
+    """
+
+    anchors: list[np.ndarray]
+    logits: list[np.ndarray]
+
+    @classmethod
+    def compute(
+        cls, ensemble: EnsembleState, new_data: np.ndarray, temperature: float
+    ) -> "FullSetOutputs":
+        return cls(
+            [_softened_probs(m, new_data, temperature) for m in ensemble.originals],
+            [forward_logits(m, new_data)[0] for m in ensemble.updated],
+        )
+
+
 def update_round(
     ensemble: EnsembleState,
     new_data: np.ndarray,
     hp: Hyperparams,
     rng: np.random.Generator | None = None,
+    outputs: FullSetOutputs | None = None,
 ) -> tuple[EnsembleState, WeightVector, list[dict]]:
     """One pass over all models: reweigh, then train each one in turn.
 
@@ -286,14 +308,22 @@ def update_round(
     mini-batch SGD on its combined loss while all other models stay at
     whatever parameters they have reached so far; originals never move.
 
+    outputs, computed when omitted, must belong to this ensemble and
+    new_data; model i's logits in it are refreshed after its epoch.
+
     Returns the new ensemble state, the weight vector used, and one record
     per model with the batch-mean loss terms seen during its epoch.
     """
     new_data = _check_batch(new_data)
     if rng is None:
         rng = np.random.default_rng(hp.seed)
-    entropies = ensemble_entropies(ensemble.updated, new_data, hp.entropy_temperature)
+    if outputs is None:
+        outputs = FullSetOutputs.compute(ensemble, new_data, hp.temperature)
+    entropies = np.array(
+        [_mean_entropy_of(z, hp.entropy_temperature) for z in outputs.logits]
+    )
     weights = compute_weights(entropies, hp.weight_temperature)
+    softened = [softmax_temperature(z, hp.temperature) for z in outputs.logits]
 
     n = new_data.shape[0]
     updated = list(ensemble.updated)
@@ -301,15 +331,26 @@ def update_round(
     for i in range(ensemble.m):
         opt = OptimizerState(hp.learning_rate, hp.momentum)
         order = rng.permutation(n)
+        scale = hp.lam * float(weights.weights[i])
+        anchor, others = outputs.anchors[i], softened[:i] + softened[i + 1 :]
         org_terms, bias_terms = [], []
         for start in range(0, n, hp.batch_size):
-            batch = new_data[order[start : start + hp.batch_size]]
-            _, grads, l_org, l_bias = _overall_term(
-                ensemble.originals, updated, i, batch, float(weights.weights[i]), hp
+            rows = order[start : start + hp.batch_size]
+            _, grads, l_org, l_bias = _weighted_loss(
+                updated[i],
+                new_data[rows],
+                anchor[rows],
+                [peer[rows] for peer in others],
+                1.0,
+                scale,
+                hp.temperature,
             )
             updated[i] = sgd_step(updated[i], grads, opt)
             org_terms.append(l_org)
             bias_terms.append(l_bias)
+        # Later models in this round see model i as a trained peer.
+        outputs.logits[i] = forward_logits(updated[i], new_data)[0]
+        softened[i] = softmax_temperature(outputs.logits[i], hp.temperature)
         records.append(
             {
                 "model_index": i,
@@ -333,19 +374,10 @@ def expand(
     """
     new_data = _check_batch(new_data)
     rng = np.random.default_rng(hp.seed)
+    outputs = FullSetOutputs.compute(ensemble, new_data, hp.temperature)
     log: list[dict] = []
     for round_index in range(1, hp.epochs + 1):
-        ensemble, _, records = update_round(ensemble, new_data, hp, rng)
+        ensemble, _, records = update_round(ensemble, new_data, hp, rng, outputs)
         for record in records:
             log.append({"round": round_index, **record})
     return ensemble, log
-
-
-def overall_log_total(log: list[dict], hp: Hyperparams, round_index: int) -> float:
-    """Sum of the combined per-model losses recorded for one round."""
-    rows = [r for r in log if r["round"] == round_index]
-    if not rows:
-        raise InputError(f"no log records for round {round_index}")
-    return float(
-        sum(r["mean_L_org"] + hp.lam * r["w_i"] * r["mean_L_bias"] for r in rows)
-    )

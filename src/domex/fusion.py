@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .data import DomainDataset
 from .errors import InputError
@@ -14,6 +13,8 @@ from .expansion import mean_entropy
 from .nn import MlpModel, forward_logits, softmax_temperature
 
 FUSION_METHODS = ("baseline", "m1", "m2")
+# The model outputs each method fuses.
+_FUSED_ROLES = {"baseline": ("originals",), "m1": ("updated",), "m2": ("originals", "updated")}
 
 
 @dataclass
@@ -50,20 +51,32 @@ class EvaluationReport:
         }
 
 
-def _model_probs(models: Sequence[MlpModel], batch: np.ndarray) -> list[np.ndarray]:
-    if not models:
-        raise InputError("need at least one model to fuse")
+def softmax_outputs(models: Sequence[MlpModel], batch: np.ndarray) -> list[np.ndarray]:
+    """Each model's (N, C) softmax matrix on the batch, one forward per model."""
     return [softmax_temperature(forward_logits(m, batch)[0], 1.0) for m in models]
 
 
-def fuse_m1(updated: Sequence[MlpModel], batch: np.ndarray) -> PredictionBatch:
-    """Average the updated models' softmax outputs; rows sum to 1."""
-    probs = _model_probs(updated, batch)
+def _probs(items: Sequence, batch: np.ndarray | None) -> list[np.ndarray]:
+    if not len(items):
+        raise InputError("need at least one model to fuse")
+    if batch is not None:
+        return softmax_outputs(items, batch)
+    return [np.asarray(p, dtype=np.float64) for p in items]
+
+
+def fuse_m1(updated: Sequence, batch: np.ndarray | None = None) -> PredictionBatch:
+    """Average the updated models' softmax outputs; rows sum to 1.
+
+    updated holds one (N, C) softmax matrix per model; with batch given it
+    holds the models instead, run on batch first. The same goes for
+    fuse_baseline and fuse_m2.
+    """
+    probs = _probs(updated, batch)
     return PredictionBatch.from_scores(sum(probs) / len(probs))
 
 
 def fuse_m2(
-    originals: Sequence[MlpModel], updated: Sequence[MlpModel], batch: np.ndarray
+    originals: Sequence, updated: Sequence, batch: np.ndarray | None = None
 ) -> PredictionBatch:
     """Per-class max over each (original, updated) pair, summed across models.
 
@@ -72,15 +85,15 @@ def fuse_m2(
     """
     if len(originals) != len(updated):
         raise InputError("originals and updated must pair up one-to-one")
-    probs_orig = _model_probs(originals, batch)
-    probs_upd = _model_probs(updated, batch)
+    probs_orig = _probs(originals, batch)
+    probs_upd = _probs(updated, batch)
     scores = sum(np.maximum(u, o) for u, o in zip(probs_upd, probs_orig))
     return PredictionBatch.from_scores(scores)
 
 
-def fuse_baseline(originals: Sequence[MlpModel], batch: np.ndarray) -> PredictionBatch:
+def fuse_baseline(originals: Sequence, batch: np.ndarray | None = None) -> PredictionBatch:
     """Score fusion of the unadapted models (mean softmax; same argmax as sum)."""
-    probs = _model_probs(originals, batch)
+    probs = _probs(originals, batch)
     return PredictionBatch.from_scores(sum(probs) / len(probs))
 
 
@@ -104,21 +117,19 @@ def expanded_accuracy(per_domain: Mapping[str, float]) -> float:
 
 def fuse(
     method: str,
-    originals: Sequence[MlpModel],
-    updated: Sequence[MlpModel] | None,
-    batch: np.ndarray,
+    originals: Sequence,
+    updated: Sequence | None,
+    batch: np.ndarray | None = None,
 ) -> PredictionBatch:
     if method == "baseline":
         return fuse_baseline(originals, batch)
+    if method not in FUSION_METHODS:
+        raise InputError(f"unknown fusion method {method!r}; expected one of {FUSION_METHODS}")
+    if updated is None:
+        raise InputError(f"method {method} needs the updated models")
     if method == "m1":
-        if updated is None:
-            raise InputError("method m1 needs the updated models")
         return fuse_m1(updated, batch)
-    if method == "m2":
-        if updated is None:
-            raise InputError("method m2 needs the updated models")
-        return fuse_m2(originals, updated, batch)
-    raise InputError(f"unknown fusion method {method!r}; expected one of {FUSION_METHODS}")
+    return fuse_m2(originals, updated, batch)
 
 
 def evaluate_expanded(
@@ -128,20 +139,31 @@ def evaluate_expanded(
     test_sets: Mapping[str, DomainDataset],
     entropies: Sequence[float] | None = None,
     weights: Sequence[float] | None = None,
+    outputs: dict | None = None,
 ) -> EvaluationReport:
     """Accuracy of one fusion method on every domain's test set.
 
     The expanded-domain accuracy is the unweighted mean over domains, so the
     new domain and each source domain count equally regardless of size.
+
+    outputs memoizes the softmax matrices by (role, domain), role being
+    "originals" or "updated". Passing one dict to every method evaluated on
+    the same models and test sets runs each (model, test set) forward once.
     """
     if not test_sets:
         raise InputError("need at least one test set")
+    if outputs is None:
+        outputs = {}
+    models = {"originals": originals, "updated": updated}
     per_domain = {}
     for name, ds in test_sets.items():
         if ds.labels is None:
             raise InputError(f"test set {name!r} has no labels")
-        pred = fuse(method, originals, updated, ds.features)
-        per_domain[name] = accuracy(pred, ds.labels)
+        for role in _FUSED_ROLES.get(method, ()):
+            if models[role] is not None and (role, name) not in outputs:
+                outputs[role, name] = softmax_outputs(models[role], ds.features)
+        orig, upd = outputs.get(("originals", name)), outputs.get(("updated", name))
+        per_domain[name] = accuracy(fuse(method, orig, upd), ds.labels)
     return EvaluationReport(
         per_domain_accuracy=per_domain,
         expanded_accuracy=expanded_accuracy(per_domain),
@@ -182,6 +204,9 @@ def entropy_accuracy_report(
     accs = np.array([p[1] for p in pairs])
     if np.ptp(entropies) == 0 or np.ptp(accs) == 0:
         return EntropyAccuracyReport(pairs, None, True)
+    # Imported here: no pipeline stage needs scipy.stats, and it is slow to load.
+    from scipy.stats import spearmanr
+
     rho = float(spearmanr(entropies, accs).statistic)
     return EntropyAccuracyReport(pairs, rho, False)
 

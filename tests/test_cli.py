@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from domex import checks, cli, data, nn
+from domex import checks, cli, data, fusion, nn
 from domex.config import OutputLayout, sha256_file
 
 
@@ -307,6 +307,25 @@ def test_evaluate_matches_hand_computed_confusion(tmp_path):
         assert abs(entry["expanded_accuracy"] - (0.5 + 0.25 + 1.0) / 3.0) <= 1e-12
     table = layout.results_table.read_text()
     assert "Expanded" in table and "source_0" in table
+
+
+def test_evaluate_runs_one_forward_per_model_and_test_set(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path)
+    out = tmp_path / "run"
+    for command in ("synth", "pretrain", "expand"):
+        assert run(command, "--config", cfg, "--out", out) == 0
+
+    calls = []
+    real_forward = fusion.forward_logits
+
+    def counting_forward(model, batch):
+        calls.append(len(batch))
+        return real_forward(model, batch)
+
+    monkeypatch.setattr(fusion, "forward_logits", counting_forward)
+    assert run("evaluate", "--config", cfg, "--out", out) == 0
+    # two sources: 2 originals + 2 updated models on 3 test sets
+    assert len(calls) == 4 * 3
 
 
 def test_evaluate_reruns_identically(tmp_path):

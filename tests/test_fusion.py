@@ -38,13 +38,13 @@ def test_m1_single_model_is_its_softmax():
     rng = np.random.default_rng(0)
     model = random_models(rng, 1)[0]
     batch = rng.normal(size=(6, 3))
-    pred = fusion.fuse_m1([model], batch)
+    pred = fusion.fuse_m1(fusion.softmax_outputs([model], batch))
     assert np.max(np.abs(pred.scores - softmax_rows(model, batch))) <= 1e-12
 
 
 def test_m1_opposite_onehots_average_to_half():
     models = [prob_model([0.999999, 0.000001]), prob_model([0.000001, 0.999999])]
-    pred = fusion.fuse_m1(models, np.zeros((1, 2)))
+    pred = fusion.fuse_m1(fusion.softmax_outputs(models, np.zeros((1, 2))))
     assert np.max(np.abs(pred.scores - 0.5)) <= 1e-5
 
 
@@ -52,7 +52,7 @@ def test_m1_brute_force_oracle():
     rng = np.random.default_rng(1)
     models = random_models(rng, 3)
     batch = rng.normal(size=(5, 3))
-    pred = fusion.fuse_m1(models, batch)
+    pred = fusion.fuse_m1(fusion.softmax_outputs(models, batch))
     expected = np.mean([softmax_rows(m, batch) for m in models], axis=0)
     assert np.max(np.abs(pred.scores - expected)) <= 1e-12
     assert np.max(np.abs(pred.scores.sum(axis=1) - 1.0)) <= 1e-9
@@ -62,13 +62,13 @@ def test_m1_ignores_per_model_logit_offsets():
     rng = np.random.default_rng(2)
     models = random_models(rng, 3)
     batch = rng.normal(size=(4, 3))
-    base = fusion.fuse_m1(models, batch)
+    base = fusion.fuse_m1(fusion.softmax_outputs(models, batch))
     shifted_models = []
     for k, m in enumerate(models):
         shifted = m.copy()
         shifted.layers[-1].bias += 10.0 * (k + 1)  # constant over classes
         shifted_models.append(shifted)
-    shifted_pred = fusion.fuse_m1(shifted_models, batch)
+    shifted_pred = fusion.fuse_m1(fusion.softmax_outputs(shifted_models, batch))
     assert np.max(np.abs(shifted_pred.scores - base.scores)) <= 1e-9
     assert np.array_equal(shifted_pred.predicted, base.predicted)
 
@@ -77,20 +77,20 @@ def test_m1_and_baseline_are_model_order_invariant():
     rng = np.random.default_rng(3)
     models = random_models(rng, 3)
     batch = rng.normal(size=(7, 3))
-    reordered = [models[2], models[0], models[1]]
+    probs = fusion.softmax_outputs(models, batch)
+    reordered = [probs[2], probs[0], probs[1]]
     assert np.max(np.abs(
-        fusion.fuse_m1(models, batch).scores
-        - fusion.fuse_m1(reordered, batch).scores
+        fusion.fuse_m1(probs).scores - fusion.fuse_m1(reordered).scores
     )) <= 1e-12
     assert np.array_equal(
-        fusion.fuse_baseline(models, batch).predicted,
-        fusion.fuse_baseline(reordered, batch).predicted,
+        fusion.fuse_baseline(probs).predicted,
+        fusion.fuse_baseline(reordered).predicted,
     )
 
 
 def test_m1_rejects_empty_model_list():
     with pytest.raises(InputError):
-        fusion.fuse_m1([], np.zeros((2, 3)))
+        fusion.fuse_m1([])
 
 
 # ---------------------------------------------------------------------------
@@ -101,15 +101,21 @@ def test_m2_degenerates_to_m1_argmax_when_nothing_moved():
     rng = np.random.default_rng(4)
     models = random_models(rng, 3)
     batch = rng.normal(size=(6, 3))
-    m2 = fusion.fuse_m2(models, [m.copy() for m in models], batch)
-    m1 = fusion.fuse_m1(models, batch)
+    m2 = fusion.fuse_m2(
+        fusion.softmax_outputs(models, batch),
+        fusion.softmax_outputs([m.copy() for m in models], batch),
+    )
+    m1 = fusion.fuse_m1(fusion.softmax_outputs(models, batch))
     assert np.array_equal(m2.predicted, m1.predicted)
 
 
 def test_m2_elementwise_max_by_hand():
     original = prob_model([0.7, 0.3])
     updated = prob_model([0.4, 0.6])
-    pred = fusion.fuse_m2([original], [updated], np.zeros((1, 2)))
+    x = np.zeros((1, 2))
+    pred = fusion.fuse_m2(
+        fusion.softmax_outputs([original], x), fusion.softmax_outputs([updated], x)
+    )
     assert np.max(np.abs(pred.scores - np.array([0.7, 0.6]))) <= 1e-9
     assert pred.predicted.tolist() == [0]
 
@@ -119,7 +125,9 @@ def test_m2_brute_force_oracle_and_bounds():
     originals = random_models(rng, 2)
     updated = random_models(rng, 2)
     batch = rng.normal(size=(5, 3))
-    pred = fusion.fuse_m2(originals, updated, batch)
+    pred = fusion.fuse_m2(
+        fusion.softmax_outputs(originals, batch), fusion.softmax_outputs(updated, batch)
+    )
 
     expected = np.zeros((5, 3))
     for o, u in zip(originals, updated):
@@ -141,15 +149,21 @@ def test_m2_scale_of_scores_does_not_change_predictions():
     originals = random_models(rng, 2)
     updated = random_models(rng, 2)
     batch = rng.normal(size=(8, 3))
-    pred = fusion.fuse_m2(originals, updated, batch)
+    pred = fusion.fuse_m2(
+        fusion.softmax_outputs(originals, batch), fusion.softmax_outputs(updated, batch)
+    )
     rescaled = fusion.PredictionBatch.from_scores(pred.scores * 0.37)
     assert np.array_equal(rescaled.predicted, pred.predicted)
 
 
 def test_m2_rejects_mismatched_lists():
     rng = np.random.default_rng(7)
+    x = np.zeros((1, 3))
     with pytest.raises(InputError):
-        fusion.fuse_m2(random_models(rng, 2), random_models(rng, 1), np.zeros((1, 3)))
+        fusion.fuse_m2(
+            fusion.softmax_outputs(random_models(rng, 2), x),
+            fusion.softmax_outputs(random_models(rng, 1), x),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +174,13 @@ def test_baseline_single_and_identical_models():
     rng = np.random.default_rng(8)
     model = random_models(rng, 1)[0]
     batch = rng.normal(size=(5, 3))
-    single = fusion.fuse_baseline([model], batch)
+    single = fusion.fuse_baseline(fusion.softmax_outputs([model], batch))
     assert np.array_equal(
         single.predicted, np.argmax(softmax_rows(model, batch), axis=1)
     )
-    trio = fusion.fuse_baseline([model.copy() for _ in range(3)], batch)
+    trio = fusion.fuse_baseline(
+        fusion.softmax_outputs([model.copy() for _ in range(3)], batch)
+    )
     assert np.array_equal(trio.predicted, single.predicted)
 
 
@@ -172,7 +188,7 @@ def test_baseline_brute_force_oracle():
     rng = np.random.default_rng(9)
     models = random_models(rng, 3)
     batch = rng.normal(size=(4, 3))
-    pred = fusion.fuse_baseline(models, batch)
+    pred = fusion.fuse_baseline(fusion.softmax_outputs(models, batch))
     expected = np.mean([softmax_rows(m, batch) for m in models], axis=0)
     assert np.max(np.abs(pred.scores - expected)) <= 1e-12
 
@@ -195,11 +211,27 @@ def test_accuracy_counting():
 
 def test_fuse_dispatcher_validates_method():
     rng = np.random.default_rng(10)
-    models = random_models(rng, 2)
+    probs = fusion.softmax_outputs(random_models(rng, 2), np.zeros((1, 3)))
     with pytest.raises(InputError):
-        fusion.fuse("m3", models, models, np.zeros((1, 3)))
+        fusion.fuse("m3", probs, probs)
     with pytest.raises(InputError):
-        fusion.fuse("m1", models, None, np.zeros((1, 3)))
+        fusion.fuse("m1", probs, None)
+
+
+def test_model_form_matches_probability_form_exactly():
+    rng = np.random.default_rng(13)
+    originals = random_models(rng, 3)
+    updated = random_models(rng, 3)
+    batch = rng.normal(size=(6, 3))
+    p_o = fusion.softmax_outputs(originals, batch)
+    p_u = fusion.softmax_outputs(updated, batch)
+    pairs = [
+        (fusion.fuse_baseline(originals, batch), fusion.fuse_baseline(p_o)),
+        (fusion.fuse_m1(updated, batch), fusion.fuse_m1(p_u)),
+        (fusion.fuse_m2(originals, updated, batch), fusion.fuse_m2(p_o, p_u)),
+    ]
+    for from_models, from_probs in pairs:
+        assert np.array_equal(from_models.scores, from_probs.scores)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +278,39 @@ def test_evaluate_expanded_rejects_unusable_test_sets():
     unlabelled = {"new": DomainDataset("new", rng.normal(size=(3, 3)))}
     with pytest.raises(InputError):
         fusion.evaluate_expanded("baseline", models, None, unlabelled)
+
+
+def test_evaluate_runs_one_forward_per_model_and_domain(monkeypatch):
+    rng = np.random.default_rng(14)
+    originals = random_models(rng, 3)
+    updated = random_models(rng, 3)
+    test_sets = {
+        name: DomainDataset(name, rng.normal(size=(5, 3)), rng.integers(0, 3, size=5))
+        for name in ("source_0", "source_1", "source_2", "new")
+    }
+    separate = {
+        method: fusion.evaluate_expanded(method, originals, updated, test_sets)
+        for method in fusion.FUSION_METHODS
+    }
+
+    pairs = []
+    real_forward = fusion.forward_logits
+
+    def counting_forward(model, batch):
+        pairs.append((id(model), id(batch)))
+        return real_forward(model, batch)
+
+    monkeypatch.setattr(fusion, "forward_logits", counting_forward)
+    outputs = {}
+    shared = {
+        method: fusion.evaluate_expanded(
+            method, originals, updated, test_sets, outputs=outputs
+        )
+        for method in fusion.FUSION_METHODS
+    }
+    assert len(pairs) == len(set(pairs)) == 6 * len(test_sets)
+    for method in fusion.FUSION_METHODS:
+        assert shared[method].to_dict() == separate[method].to_dict()
 
 
 # ---------------------------------------------------------------------------
