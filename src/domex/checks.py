@@ -20,25 +20,16 @@ REL_TOL = 1e-4
 CHECKED_LOSSES = ("cross_entropy", "bias", "preservation", "overall")
 
 
-def gradient_discrepancy(
-    analytic: nn.Gradients, numeric: nn.Gradients
-) -> float:
-    """Worst-case per-element error between two gradient sets.
+def gradient_discrepancy(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Worst-case per-element error between two gradient vectors.
 
     Elements where both magnitudes are below ABS_FLOOR are compared
     absolutely; the rest relatively against the larger magnitude.
     """
-    worst = 0.0
-    pairs = list(zip(analytic.weight_grads, numeric.weight_grads))
-    pairs += list(zip(analytic.bias_grads, numeric.bias_grads))
-    for a, b in pairs:
-        diff = np.abs(a - b)
-        scale = np.maximum(np.abs(a), np.abs(b))
-        small = scale < ABS_FLOOR
-        err = np.where(small, diff, diff / np.maximum(scale, ABS_FLOOR))
-        if err.size:
-            worst = max(worst, float(err.max()))
-    return worst
+    diff = np.abs(analytic - numeric)
+    scale = np.maximum(np.abs(analytic), np.abs(numeric))
+    err = np.where(scale < ABS_FLOOR, diff, diff / np.maximum(scale, ABS_FLOOR))
+    return float(err.max(initial=0.0))
 
 
 @dataclass
@@ -63,11 +54,7 @@ def _tiny_setup(seed: int):
     # Nudge the trainable copies off their originals; otherwise the
     # preservation gradient is exactly zero and its check proves nothing.
     for model in ensemble.updated:
-        for layer in model.layers:
-            layer.weights = layer.weights + 0.05 * rng.standard_normal(
-                layer.weights.shape
-            )
-            layer.bias = layer.bias + 0.05 * rng.standard_normal(layer.bias.shape)
+        model.theta += 0.05 * rng.standard_normal(model.theta.size)
     hp = expansion.Hyperparams(epochs=1, batch_size=n, seed=seed)
     weights = expansion.compute_weights(
         np.array([expansion.mean_entropy(m, batch) for m in ensemble.updated]),
@@ -94,7 +81,7 @@ def _analytic(loss_name: str, ensemble, batch, labels, weights, hp, corruption: 
     else:
         _, grads = _EXPANSION_LOSSES[loss_name](ensemble, batch, weights, hp)
     if corruption:
-        grads.weight_grads[0] = grads.weight_grads[0] + corruption
+        grads[: model.layers[0].weights.size] += corruption
     return grads
 
 

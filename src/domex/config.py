@@ -10,14 +10,43 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_origin, get_type_hints
 
 from .data import SplitSpec, SyntheticDomainConfig, make_benchmark
 from .errors import ConfigError
 from .expansion import Hyperparams
 from .fusion import FUSION_METHODS
+
+
+# What a JSON value must be to fill a field of each scalar type. Ints pass
+# for floats unconverted, so a manifest echoes the config as written.
+_SCALAR_TYPES = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: (
+        "a finite number",
+        lambda v: isinstance(v, (int, float))
+        and not isinstance(v, bool)
+        and math.isfinite(v),
+    ),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _check_type(value, annotation, where: str) -> None:
+    if get_origin(annotation) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        (item_type,) = get_args(annotation)
+        for k, item in enumerate(value):
+            _check_type(item, item_type, f"{where}[{k}]")
+        return
+    expected, accepts = _SCALAR_TYPES[annotation]
+    if not accepts(value):
+        raise ConfigError(f"{where} must be {expected}, got {value!r}")
 
 
 def _from_mapping(cls, raw: dict, section: str):
@@ -29,6 +58,9 @@ def _from_mapping(cls, raw: dict, section: str):
         raise ConfigError(
             f"unknown keys in section {section!r}: {sorted(unknown)}"
         )
+    hints = get_type_hints(cls)
+    for name, value in raw.items():
+        _check_type(value, hints[name], f"{section}.{name}")
     try:
         return cls(**raw)
     except (TypeError, ValueError) as exc:
@@ -88,9 +120,8 @@ class ModelConfig:
     hidden_units: list[int] = field(default_factory=lambda: [1000])
 
     def __post_init__(self):
-        if any(int(h) < 1 for h in self.hidden_units):
+        if any(h < 1 for h in self.hidden_units):
             raise ConfigError(f"hidden_units must be positive, got {self.hidden_units}")
-        self.hidden_units = [int(h) for h in self.hidden_units]
 
 
 @dataclass

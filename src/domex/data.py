@@ -231,7 +231,6 @@ class SyntheticDomainConfig:
     # means, making the benchmark's difficulty grading a lottery. Ignored
     # when class_means are given explicitly.
     plane_signal_fraction: float = 0.5
-    covariance: np.ndarray | None = None
     class_means: np.ndarray | None = None
     source_transforms: list[DomainShift] = field(default_factory=list)
     seed: int = 0
@@ -259,18 +258,6 @@ class SyntheticDomainConfig:
                     f"class_means must have shape ({self.num_classes}, "
                     f"{self.feature_dim}), got {self.class_means.shape}"
                 )
-
-
-def _noise_cholesky(cfg: SyntheticDomainConfig) -> np.ndarray:
-    if cfg.covariance is None:
-        return cfg.noise_std * np.eye(cfg.feature_dim)
-    cov = np.asarray(cfg.covariance, dtype=np.float64)
-    if cov.shape != (cfg.feature_dim, cfg.feature_dim):
-        raise ConfigError(f"covariance must be ({cfg.feature_dim}, {cfg.feature_dim})")
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise ConfigError("covariance must be positive-definite") from exc
 
 
 def _rebalance_means(
@@ -377,7 +364,6 @@ def generate_domains(
             means = _rebalance_means(means, u, v, cfg.plane_signal_fraction)
     else:
         u = v = np.zeros(cfg.feature_dim)
-    chol = _noise_cholesky(cfg)
 
     names = [f"source_{i}" for i in range(num_source_domains)] + ["new"]
     all_transforms = transforms + [new_domain_transform]
@@ -387,7 +373,7 @@ def generate_domains(
         blocks, labels = [], []
         for c in range(cfg.num_classes):
             noise = rng.standard_normal((cfg.samples_per_class, cfg.feature_dim))
-            blocks.append(means[c] + noise @ chol.T)
+            blocks.append(means[c] + cfg.noise_std * noise)
             labels.append(np.full(cfg.samples_per_class, c, dtype=np.int64))
         features = _apply_shift(np.vstack(blocks), shift, u, v)
         domains.append(DomainDataset(name, features, np.concatenate(labels)))

@@ -17,7 +17,6 @@ and one backward pass of model i.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +25,6 @@ from scipy.special import xlogy
 
 from .errors import InputError, ParameterError
 from .nn import (
-    Gradients,
     MlpModel,
     OptimizerState,
     backward,
@@ -118,9 +116,7 @@ class EnsembleState:
     @classmethod
     def initialize(cls, models: Sequence[MlpModel]) -> "EnsembleState":
         """Copy each source model into both the frozen and the trainable slot."""
-        originals = [copy.deepcopy(m) for m in models]
-        updated = [copy.deepcopy(m) for m in models]
-        return cls(originals, updated)
+        return cls([m.copy() for m in models], [m.copy() for m in models])
 
     @property
     def m(self) -> int:
@@ -190,13 +186,13 @@ def _weighted_loss(
     a_org: float,
     a_bias: float,
     temperature: float,
-) -> tuple[float, Gradients, float, float]:
+) -> tuple[float, np.ndarray, float, float]:
     """a_org * L_org + a_bias * L_bias on one batch, with its gradient for model.
 
     anchor holds the original's softened probabilities on the batch and peers
     each frozen peer's; a term left out (None, or no peers) contributes 0.
     Runs one forward and one backward of model, whatever the coefficients.
-    Returns the total, its gradients, L_org and L_bias.
+    Returns the total, its gradient, L_org and L_bias.
     """
     logits, cache = forward_logits(model, batch)
     probs = softmax_temperature(logits, temperature)
@@ -223,7 +219,7 @@ def _batch_loss(
     temperature: float,
     a_org: float,
     a_bias: float,
-) -> tuple[float, Gradients]:
+) -> tuple[float, np.ndarray]:
     """_weighted_loss with the anchor and peers run on the batch, unless weighted 0."""
     _check_index(i, ensemble.m)
     batch = _check_batch(batch)
@@ -236,7 +232,7 @@ def _batch_loss(
 
 def bias_loss(
     ensemble: EnsembleState, i: int, batch: np.ndarray, temperature: float
-) -> tuple[float, Gradients]:
+) -> tuple[float, np.ndarray]:
     """Mean squared distance between model i's softened probabilities and every peer's.
 
     Averaged over samples only (not over peers); gradients flow into
@@ -247,7 +243,7 @@ def bias_loss(
 
 def preservation_loss(
     ensemble: EnsembleState, i: int, batch: np.ndarray, temperature: float
-) -> tuple[float, Gradients]:
+) -> tuple[float, np.ndarray]:
     """Mean squared distance between model i's softened probabilities now and at init."""
     return _batch_loss(ensemble, i, batch, temperature, 1.0, 0.0)
 
@@ -258,7 +254,7 @@ def overall_loss(
     batch: np.ndarray,
     weights: WeightVector,
     hp: Hyperparams,
-) -> tuple[float, Gradients]:
+) -> tuple[float, np.ndarray]:
     """Preservation plus lam * w_i * bias, from one backward of the summed gradient."""
     _check_index(i, ensemble.m)
     if weights.weights.shape[0] != ensemble.m:

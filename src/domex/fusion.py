@@ -9,7 +9,6 @@ import numpy as np
 
 from .data import DomainDataset
 from .errors import InputError
-from .expansion import mean_entropy
 from .nn import MlpModel, forward_logits, softmax_temperature
 
 FUSION_METHODS = ("baseline", "m1", "m2")
@@ -171,44 +170,6 @@ def evaluate_expanded(
         entropies=None if entropies is None else [float(e) for e in entropies],
         weights=None if weights is None else [float(w) for w in weights],
     )
-
-
-@dataclass
-class EntropyAccuracyReport:
-    """Mean-entropy / accuracy pairs and their Spearman rank correlation.
-
-    correlation is None when the ranking is degenerate (all entropies or all
-    accuracies tied), in which case degenerate is set.
-    """
-
-    pairs: list[tuple[float, float]]
-    correlation: float | None
-    degenerate: bool
-
-
-def entropy_accuracy_report(
-    probes: Sequence[tuple[MlpModel, DomainDataset]]
-) -> EntropyAccuracyReport:
-    """Relate each model's mean predictive entropy on a probe set to its accuracy there."""
-    if len(probes) < 2:
-        raise InputError("need at least two (model, probe) pairs")
-    pairs = []
-    for model, ds in probes:
-        if ds.labels is None:
-            raise InputError(f"probe set {ds.name!r} has no labels")
-        entropy = mean_entropy(model, ds.features)
-        logits, _ = forward_logits(model, ds.features)
-        acc = accuracy(PredictionBatch.from_scores(logits), ds.labels)
-        pairs.append((entropy, float(acc)))
-    entropies = np.array([p[0] for p in pairs])
-    accs = np.array([p[1] for p in pairs])
-    if np.ptp(entropies) == 0 or np.ptp(accs) == 0:
-        return EntropyAccuracyReport(pairs, None, True)
-    # Imported here: no pipeline stage needs scipy.stats, and it is slow to load.
-    from scipy.stats import spearmanr
-
-    rho = float(spearmanr(entropies, accs).statistic)
-    return EntropyAccuracyReport(pairs, rho, False)
 
 
 def format_results_table(

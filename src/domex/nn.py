@@ -2,13 +2,18 @@
 
 Deterministic forward passes, hand-derived backward passes, plain SGD, and a
 central finite-difference oracle for verifying any scalar loss defined on the
-network output. Everything runs in float64 on numpy arrays; models are value
-objects and every operation returns new state instead of mutating.
+network output. Everything runs in float64 on numpy arrays.
+
+Each model keeps its parameters in one contiguous vector `theta`, laid out
+layer by layer as the weights (row-major) followed by the bias, the order of
+the model JSON. Each layer's weights and bias are views into it, and a
+gradient is a vector with the same layout. Parameters are checked once, where
+they enter from outside (building a model from layers, loading one); training
+returns new models instead of mutating.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,26 +30,13 @@ ACTIVATIONS = ("relu", "identity")
 class DenseLayer:
     """One fully-connected layer: out = act(weights @ x + bias).
 
-    weights has shape (out_dim, in_dim); bias has shape (out_dim,).
+    weights has shape (out_dim, in_dim); bias has shape (out_dim,). Inside a
+    model both are views into its parameter vector, so change them in place.
     """
 
     weights: np.ndarray
     bias: np.ndarray
     activation: str
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise InputError(f"layer weights must be 2-D, got shape {self.weights.shape}")
-        if self.bias.shape != (self.weights.shape[0],):
-            raise InputError(
-                f"bias shape {self.bias.shape} does not match out_dim {self.weights.shape[0]}"
-            )
-        if self.activation not in ACTIVATIONS:
-            raise InputError(f"unknown activation {self.activation!r}")
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
-            raise NumericError("layer parameters must be finite")
 
     @property
     def in_dim(self) -> int:
@@ -55,6 +47,18 @@ class DenseLayer:
         return self.weights.shape[0]
 
 
+def _layer_views(theta: np.ndarray, layers: Sequence[DenseLayer]) -> list[DenseLayer]:
+    """Layers shaped like `layers` whose weights and bias are views into theta."""
+    views, offset = [], 0
+    for layer in layers:
+        n_out, n_in = layer.weights.shape
+        weights = theta[offset : offset + n_out * n_in].reshape(n_out, n_in)
+        offset += n_out * n_in
+        views.append(DenseLayer(weights, theta[offset : offset + n_out], layer.activation))
+        offset += n_out
+    return views
+
+
 @dataclass
 class MlpModel:
     """A dense feedforward classifier whose final layer emits raw logits.
@@ -63,25 +67,42 @@ class MlpModel:
         layers: ordered dense layers; consecutive dimensions must chain.
         input_dim: expected feature count of the input batch.
         num_classes: size of the logit vector produced by the last layer.
+
+    The layers' parameters are copied into theta, and layers is rebound to
+    views into it.
     """
 
     layers: list[DenseLayer]
     input_dim: int
     num_classes: int
+    theta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.layers:
             raise InputError("model needs at least one layer")
-        if self.layers[0].in_dim != self.input_dim:
+        layers = []
+        for layer in self.layers:
+            weights = np.asarray(layer.weights, dtype=np.float64)
+            bias = np.asarray(layer.bias, dtype=np.float64)
+            if weights.ndim != 2:
+                raise InputError(f"layer weights must be 2-D, got shape {weights.shape}")
+            if bias.shape != (weights.shape[0],):
+                raise InputError(
+                    f"bias shape {bias.shape} does not match out_dim {weights.shape[0]}"
+                )
+            if layer.activation not in ACTIVATIONS:
+                raise InputError(f"unknown activation {layer.activation!r}")
+            layers.append(DenseLayer(weights, bias, layer.activation))
+        if layers[0].in_dim != self.input_dim:
             raise InputError(
-                f"first layer expects {self.layers[0].in_dim} inputs, input_dim is {self.input_dim}"
+                f"first layer expects {layers[0].in_dim} inputs, input_dim is {self.input_dim}"
             )
-        for prev, nxt in zip(self.layers, self.layers[1:]):
+        for prev, nxt in zip(layers, layers[1:]):
             if nxt.in_dim != prev.out_dim:
                 raise InputError(
                     f"layer dims do not chain: {prev.out_dim} -> {nxt.in_dim}"
                 )
-        last = self.layers[-1]
+        last = layers[-1]
         if last.out_dim != self.num_classes:
             raise InputError(
                 f"final layer emits {last.out_dim} values, num_classes is {self.num_classes}"
@@ -89,15 +110,21 @@ class MlpModel:
         # The last layer stays linear so downstream losses see raw logits.
         if last.activation != "identity":
             raise InputError("final layer activation must be identity")
+        theta = np.concatenate([np.concatenate([l.weights.ravel(), l.bias]) for l in layers])
+        if not np.isfinite(theta).all():
+            raise NumericError("layer parameters must be finite")
+        self.theta = theta
+        self.layers = _layer_views(theta, layers)
+
+    def _with_theta(self, theta: np.ndarray) -> "MlpModel":
+        """This architecture over theta, which is neither copied nor checked."""
+        model = object.__new__(MlpModel)
+        model.input_dim, model.num_classes = self.input_dim, self.num_classes
+        model.theta, model.layers = theta, _layer_views(theta, self.layers)
+        return model
 
     def copy(self) -> "MlpModel":
-        return copy.deepcopy(self)
-
-    def parameters_equal(self, other: "MlpModel") -> bool:
-        return len(self.layers) == len(other.layers) and all(
-            np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
-            for a, b in zip(self.layers, other.layers)
-        )
+        return self._with_theta(self.theta.copy())
 
 
 @dataclass
@@ -110,45 +137,12 @@ class ForwardCache:
 
 
 @dataclass
-class Gradients:
-    """Per-layer parameter gradients, shape-congruent with an MlpModel."""
-
-    weight_grads: list[np.ndarray]
-    bias_grads: list[np.ndarray]
-
-    @classmethod
-    def zeros_like(cls, model: MlpModel) -> "Gradients":
-        return cls(
-            [np.zeros_like(layer.weights) for layer in model.layers],
-            [np.zeros_like(layer.bias) for layer in model.layers],
-        )
-
-    def scaled(self, factor: float) -> "Gradients":
-        return Gradients(
-            [factor * g for g in self.weight_grads],
-            [factor * g for g in self.bias_grads],
-        )
-
-    def plus(self, other: "Gradients") -> "Gradients":
-        if len(self.weight_grads) != len(other.weight_grads):
-            raise InputError("gradient layer counts differ")
-        return Gradients(
-            [a + b for a, b in zip(self.weight_grads, other.weight_grads)],
-            [a + b for a, b in zip(self.bias_grads, other.bias_grads)],
-        )
-
-    def max_abs(self) -> float:
-        blocks = self.weight_grads + self.bias_grads
-        return max(float(np.abs(g).max()) if g.size else 0.0 for g in blocks)
-
-
-@dataclass
 class OptimizerState:
     """Plain SGD with an optional momentum buffer."""
 
     learning_rate: float
     momentum: float = 0.0
-    velocity: Gradients | None = field(default=None, repr=False)
+    velocity: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         # lr = 0 is allowed: a zero step must be an exact no-op.
@@ -264,54 +258,53 @@ def softmax_temperature_backward(
     return probs * (dprobs - inner) / temperature
 
 
-def backward(model: MlpModel, cache: ForwardCache, dlogits: np.ndarray) -> Gradients:
-    """Backpropagate dL/dlogits through the cached forward pass."""
+def backward(model: MlpModel, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
+    """Backpropagate dL/dlogits through the cached forward pass.
+
+    Returns dL/dtheta, laid out like model.theta.
+    """
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != cache.pre_activations[-1].shape:
         raise InputError(
             f"dlogits shape {dlogits.shape} does not match cached logits "
             f"{cache.pre_activations[-1].shape}"
         )
-    weight_grads = [np.empty(0)] * len(model.layers)
-    bias_grads = [np.empty(0)] * len(model.layers)
+    grads = np.empty_like(model.theta)
+    grad_layers = _layer_views(grads, model.layers)
     delta = dlogits
     for idx in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[idx]
+        layer, out = model.layers[idx], grad_layers[idx]
         if layer.activation == "relu":
             delta = delta * (cache.pre_activations[idx] > 0)
         prev_act = cache.inputs if idx == 0 else cache.activations[idx - 1]
-        weight_grads[idx] = delta.T @ prev_act
-        bias_grads[idx] = delta.sum(axis=0)
+        np.matmul(delta.T, prev_act, out=out.weights)
+        delta.sum(axis=0, out=out.bias)
         if idx > 0:
             delta = delta @ layer.weights
-    return Gradients(weight_grads, bias_grads)
+    return grads
 
 
-def sgd_step(model: MlpModel, grads: Gradients, opt: OptimizerState) -> MlpModel:
+def sgd_step(model: MlpModel, grads: np.ndarray, opt: OptimizerState) -> MlpModel:
     """One descent step; returns a new model, mutating only opt's momentum buffer."""
-    if len(grads.weight_grads) != len(model.layers):
-        raise InputError("gradient layer count does not match model")
-    if opt.momentum > 0:
-        if opt.velocity is None:
-            opt.velocity = Gradients.zeros_like(model)
-        opt.velocity = opt.velocity.scaled(opt.momentum).plus(grads)
-        step = opt.velocity
-    else:
-        step = grads
-    layers = [
-        DenseLayer(
-            layer.weights - opt.learning_rate * dw,
-            layer.bias - opt.learning_rate * db,
-            layer.activation,
+    if grads.shape != model.theta.shape:
+        raise InputError(
+            f"gradient shape {grads.shape} does not match parameters {model.theta.shape}"
         )
-        for layer, dw, db in zip(model.layers, step.weight_grads, step.bias_grads)
-    ]
-    return MlpModel(layers, model.input_dim, model.num_classes)
+    step = grads
+    if opt.momentum > 0:
+        # Starting from zeros, not a copy of grads, keeps the first step
+        # 0 * momentum + g, which differs from g in the sign of zeros.
+        if opt.velocity is None:
+            opt.velocity = np.zeros_like(model.theta)
+        opt.velocity *= opt.momentum
+        opt.velocity += grads
+        step = opt.velocity
+    return model._with_theta(model.theta - opt.learning_rate * step)
 
 
 def finite_diff_gradient(
     loss_fn: Callable[[MlpModel], float], model: MlpModel, epsilon: float = 1e-5
-) -> Gradients:
+) -> np.ndarray:
     """Central-difference gradient of loss_fn over every model parameter.
 
     Exhaustive, so only usable on tiny models; this is the oracle against
@@ -320,28 +313,19 @@ def finite_diff_gradient(
     if epsilon <= 0:
         raise ParameterError(f"epsilon must be > 0, got {epsilon}")
 
-    def eval_perturbed(layer_idx: int, block: str, index: tuple, delta: float) -> float:
+    def eval_perturbed(index: int, delta: float) -> float:
         probe = model.copy()
-        layer = probe.layers[layer_idx]
-        target = layer.weights if block == "w" else layer.bias
-        target[index] += delta
+        probe.theta[index] += delta
         value = loss_fn(probe)
         if not np.isfinite(value):
-            raise NumericError(
-                f"loss became non-finite at layer {layer_idx} {block}{index}"
-            )
+            raise NumericError(f"loss became non-finite at parameter {index}")
         return float(value)
 
-    grads = Gradients.zeros_like(model)
-    for li, layer in enumerate(model.layers):
-        for block, arr, out in (
-            ("w", layer.weights, grads.weight_grads[li]),
-            ("b", layer.bias, grads.bias_grads[li]),
-        ):
-            for index in np.ndindex(arr.shape):
-                plus = eval_perturbed(li, block, index, epsilon)
-                minus = eval_perturbed(li, block, index, -epsilon)
-                out[index] = (plus - minus) / (2.0 * epsilon)
+    grads = np.zeros_like(model.theta)
+    for index in range(grads.size):
+        plus = eval_perturbed(index, epsilon)
+        minus = eval_perturbed(index, -epsilon)
+        grads[index] = (plus - minus) / (2.0 * epsilon)
     return grads
 
 
@@ -405,6 +389,9 @@ def model_from_dict(doc: dict) -> MlpModel:
 
 
 def save_model(model: MlpModel, path: str | Path) -> None:
+    """Write the model JSON; a model with a non-finite parameter is refused."""
+    if not np.isfinite(model.theta).all():
+        raise NumericError(f"refusing to save {path}: model parameters are not finite")
     Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
 
 

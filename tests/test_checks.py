@@ -40,7 +40,7 @@ def test_discrepancy_of_identical_gradients_is_zero():
 
 
 def test_discrepancy_uses_absolute_floor_for_tiny_entries():
-    g = nn.Gradients([np.array([[0.0]])], [np.array([0.0])])
-    h = nn.Gradients([np.array([[5e-9]])], [np.array([0.0])])
+    g = np.array([0.0, 0.0])
+    h = np.array([5e-9, 0.0])
     # both magnitudes sit under the floor, so the difference reads as absolute
     assert checks.gradient_discrepancy(g, h) <= 1e-8

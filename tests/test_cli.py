@@ -221,7 +221,7 @@ def test_expand_lambda_zero_leaves_model_files_equivalent(tmp_path):
     for i in range(2):
         original = nn.load_model(out / "models" / f"original_{i}.json")
         updated = nn.load_model(out / "expanded" / f"updated_{i}.json")
-        assert updated.parameters_equal(original)
+        assert np.array_equal(updated.theta, original.theta)
 
 
 def test_expand_manifest_lists_no_source_data(tmp_path):
@@ -364,7 +364,7 @@ def test_gradcheck_failure_exits_with_numeric_code(tmp_path, monkeypatch):
     assert run("gradcheck", "--out", tmp_path / "run") == cli.EXIT_NUMERIC
 
 
-def test_config_errors_map_to_exit_codes(tmp_path):
+def test_config_errors_map_to_exit_codes(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert run("synth", "--config", missing, "--out", tmp_path / "r1") == cli.EXIT_IO
 
@@ -375,6 +375,13 @@ def test_config_errors_map_to_exit_codes(tmp_path):
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps({"mystery": {}}))
     assert run("synth", "--config", unknown, "--out", tmp_path / "r3") == cli.EXIT_CONFIG
+
+    fractional = tmp_path / "fractional.json"
+    fractional.write_text(json.dumps({"expansion": {"epochs": 2.5}}))
+    capsys.readouterr()
+    assert run("synth", "--config", fractional, "--out", tmp_path / "r4") == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: expansion.epochs must be an integer, got 2.5\n"
 
 
 def test_parser_requires_out(capsys):

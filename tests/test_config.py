@@ -46,6 +46,11 @@ def test_partial_config_keeps_other_defaults(tmp_path):
         {"gradcheck": {"seeds": []}},
         {"model": {"hidden_units": [0]}},
         {"data": {"train_fraction": 1.5}},
+        {"expansion": {"epochs": 2.5}},
+        {"pretrain": {"batch_size": 1.5}},
+        {"data": {"num_classes": 2.0}},
+        {"expansion": {"lam": float("nan")}},
+        {"model": {"hidden_units": "12"}},
     ],
 )
 def test_bad_configs_are_rejected(tmp_path, raw):

@@ -314,41 +314,6 @@ def test_evaluate_runs_one_forward_per_model_and_domain(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# entropy vs accuracy
-
-
-def test_entropy_accuracy_perfect_antiranking():
-    confident = prob_model([0.98, 0.01, 0.01])
-    hedging = prob_model([0.4, 0.3, 0.3])
-    x = np.zeros((4, 2))
-    probe_good = DomainDataset("good", x, np.zeros(4, dtype=np.int64))
-    probe_bad = DomainDataset("bad", x, np.array([1, 1, 1, 0]))
-    report = fusion.entropy_accuracy_report(
-        [(confident, probe_good), (hedging, probe_bad)]
-    )
-    assert report.correlation == pytest.approx(-1.0)
-    assert not report.degenerate
-    assert len(report.pairs) == 2
-
-
-def test_entropy_accuracy_degenerate_when_accuracy_is_flat():
-    model = prob_model([0.6, 0.4])
-    x = np.zeros((2, 2))
-    labels = np.zeros(2, dtype=np.int64)
-    probes = [(model, DomainDataset(str(k), x, labels)) for k in range(3)]
-    report = fusion.entropy_accuracy_report(probes)
-    assert report.degenerate
-    assert report.correlation is None
-
-
-def test_entropy_accuracy_needs_two_pairs():
-    model = prob_model([0.6, 0.4])
-    probe = DomainDataset("p", np.zeros((2, 2)), np.zeros(2, dtype=np.int64))
-    with pytest.raises(InputError):
-        fusion.entropy_accuracy_report([(model, probe)])
-
-
-# ---------------------------------------------------------------------------
 # results table
 
 

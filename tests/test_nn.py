@@ -178,7 +178,7 @@ def test_backward_zero_upstream_gradient():
     x = rng.normal(size=(5, 3))
     _, cache = nn.forward_logits(model, x)
     grads = nn.backward(model, cache, np.zeros((5, 2)))
-    assert grads.max_abs() == 0.0
+    assert np.all(grads == 0.0)
 
 
 def test_backward_sum_loss_hand_case():
@@ -188,8 +188,8 @@ def test_backward_sum_loss_hand_case():
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
     _, cache = nn.forward_logits(model, x)
     grads = nn.backward(model, cache, np.ones((2, 2)))
-    assert np.array_equal(grads.weight_grads[0], np.array([[4.0, 6.0], [4.0, 6.0]]))
-    assert np.array_equal(grads.bias_grads[0], np.array([2.0, 2.0]))
+    # dL/dtheta is laid out as the weights row by row, then the bias.
+    assert np.array_equal(grads, np.array([4.0, 6.0, 4.0, 6.0, 2.0, 2.0]))
 
 
 def test_backward_matches_finite_differences():
@@ -204,12 +204,8 @@ def test_backward_matches_finite_differences():
     numeric = nn.finite_diff_gradient(
         lambda m: nn.cross_entropy(nn.forward_logits(m, x)[0], labels), model
     )
-    for a, b in zip(
-        analytic.weight_grads + analytic.bias_grads,
-        numeric.weight_grads + numeric.bias_grads,
-    ):
-        scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
-        assert np.max(np.abs(a - b) / scale) < 1e-4
+    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    assert np.max(np.abs(analytic - numeric) / scale) < 1e-4
 
 
 def test_backward_rejects_wrong_shape():
@@ -226,21 +222,15 @@ def test_backward_rejects_wrong_shape():
 def test_sgd_zero_learning_rate_is_noop():
     rng = np.random.default_rng(9)
     model = nn.init_mlp(2, [3], 2, rng)
-    grads = nn.Gradients(
-        [rng.normal(size=w.shape) for w in (l.weights for l in model.layers)],
-        [rng.normal(size=l.bias.shape) for l in model.layers],
-    )
+    grads = rng.normal(size=model.theta.shape)
     stepped = nn.sgd_step(model, grads, nn.OptimizerState(learning_rate=0.0))
-    assert stepped.parameters_equal(model)
+    assert np.array_equal(stepped.theta, model.theta)
 
 
 def test_sgd_exact_cancellation():
     rng = np.random.default_rng(10)
     model = nn.init_mlp(2, [3], 2, rng)
-    grads = nn.Gradients(
-        [l.weights.copy() for l in model.layers],
-        [l.bias.copy() for l in model.layers],
-    )
+    grads = model.theta.copy()
     stepped = nn.sgd_step(model, grads, nn.OptimizerState(learning_rate=1.0))
     for layer in stepped.layers:
         assert np.all(layer.weights == 0.0)
@@ -249,7 +239,7 @@ def test_sgd_exact_cancellation():
 
 def test_sgd_scalar_arithmetic():
     model = linear_model(np.array([[1.0]]), np.array([0.0]))
-    grads = nn.Gradients([np.array([[2.0]])], [np.array([0.0])])
+    grads = np.array([2.0, 0.0])
     stepped = nn.sgd_step(model, grads, nn.OptimizerState(learning_rate=0.1))
     assert abs(stepped.layers[0].weights[0, 0] - 0.8) <= 1e-15
 
@@ -258,7 +248,7 @@ def test_sgd_momentum_accumulates():
     # v1 = g, v2 = mu*v1 + g; two steps move by lr*(v1+v2).
     model = linear_model(np.array([[1.0]]), np.array([0.0]))
     opt = nn.OptimizerState(learning_rate=0.1, momentum=0.5)
-    grads = nn.Gradients([np.array([[1.0]])], [np.array([0.0])])
+    grads = np.array([1.0, 0.0])
     model = nn.sgd_step(model, grads, opt)
     model = nn.sgd_step(model, grads, opt)
     assert abs(model.layers[0].weights[0, 0] - (1.0 - 0.1 * (1.0 + 1.5))) <= 1e-15
@@ -283,15 +273,13 @@ def test_finite_diff_quadratic():
         )
 
     grads = nn.finite_diff_gradient(quadratic, model)
-    for layer, gw, gb in zip(model.layers, grads.weight_grads, grads.bias_grads):
-        assert np.max(np.abs(gw - layer.weights)) <= 1e-8
-        assert np.max(np.abs(gb - layer.bias)) <= 1e-8
+    assert np.max(np.abs(grads - model.theta)) <= 1e-8
 
 
 def test_finite_diff_constant_loss_is_zero():
     model = linear_model(np.eye(2), np.zeros(2))
     grads = nn.finite_diff_gradient(lambda m: 1.25, model)
-    assert grads.max_abs() == 0.0
+    assert np.all(grads == 0.0)
 
 
 def test_finite_diff_rejects_non_finite_loss():
@@ -315,7 +303,7 @@ def test_init_mlp_glorot_bounds_and_zero_bias():
         assert np.max(np.abs(layer.weights)) <= limit
         assert np.all(layer.bias == 0.0)
     again = nn.init_mlp(7, [11, 5], 3, np.random.default_rng(15))
-    assert model.parameters_equal(again)
+    assert np.array_equal(model.theta, again.theta)
 
 
 def test_model_validation_rejects_bad_chains():
@@ -359,7 +347,7 @@ def test_fit_classifier_zero_epochs_is_identity():
         opt=nn.OptimizerState(0.1),
         rng=rng,
     )
-    assert trained.parameters_equal(before)
+    assert np.array_equal(trained.theta, before.theta)
 
 
 def test_model_save_load_round_trip(tmp_path):
@@ -368,7 +356,7 @@ def test_model_save_load_round_trip(tmp_path):
     path = tmp_path / "model.json"
     nn.save_model(model, path)
     loaded = nn.load_model(path)
-    assert loaded.parameters_equal(model)
+    assert np.array_equal(loaded.theta, model.theta)
     assert loaded.input_dim == 4 and loaded.num_classes == 3
     # writing the loaded model again must reproduce the file byte for byte
     again = tmp_path / "model2.json"
@@ -394,3 +382,20 @@ def test_load_model_rejects_malformed_files(tmp_path):
     )
     with pytest.raises(InputError):
         nn.load_model(wrong_count)
+
+    nan_weight = tmp_path / "nan.json"
+    nan_weight.write_text(
+        '{"input_dim": 1, "num_classes": 1, "layers": [{"in": 1, "out": 1, '
+        '"activation": "identity", "weights": [NaN], "bias": [0.0]}]}'
+    )
+    with pytest.raises(NumericError):
+        nn.load_model(nan_weight)
+
+
+def test_save_model_refuses_non_finite_parameters(tmp_path):
+    model = nn.init_mlp(2, [3], 2, np.random.default_rng(19))
+    model.layers[1].bias[0] = np.nan
+    path = tmp_path / "diverged.json"
+    with pytest.raises(NumericError):
+        nn.save_model(model, path)
+    assert not path.exists()
