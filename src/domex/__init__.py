@@ -25,7 +25,6 @@ from .expansion import (
     mean_entropy,
     overall_loss,
     preservation_loss,
-    update_round,
 )
 from .fusion import (
     EvaluationReport,
@@ -78,7 +77,6 @@ __all__ = [
     "mean_entropy",
     "overall_loss",
     "preservation_loss",
-    "update_round",
     "EvaluationReport",
     "PredictionBatch",
     "accuracy",

@@ -298,7 +298,3 @@ def write_manifest(
     path = layout.manifest(stage)
     path.write_text(json.dumps(payload, indent=2) + "\n")
     return path
-
-
-def read_manifest(layout: OutputLayout, stage: str) -> dict:
-    return json.loads(layout.manifest(stage).read_text())

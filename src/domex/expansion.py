@@ -92,8 +92,6 @@ class WeightVector:
             raise InputError("entropies and weights must be 1-D and aligned")
         if abs(self.weights.sum() - 1.0) > 1e-9:
             raise InputError("weights must sum to 1")
-        if not ((self.weights > 0) & (self.weights < 1)).all():
-            raise InputError("each weight must lie strictly in (0, 1)")
 
 
 @dataclass
@@ -156,8 +154,9 @@ def mean_entropy(
 def compute_weights(entropies: np.ndarray, weight_temperature: float) -> WeightVector:
     """Softmax of entropies at the given temperature, max-subtracted.
 
-    Higher entropy (poorer new-domain fit) yields a strictly larger weight,
-    so weaker models feel more alignment pressure.
+    Higher entropy (poorer new-domain fit) yields a larger weight, so weaker
+    models feel more alignment pressure. At a small weight_temperature the
+    softmax saturates and weights may round to exactly 0 or 1.
     """
     if weight_temperature <= 0:
         raise ParameterError(
@@ -269,111 +268,65 @@ def ensemble_entropies(
     return np.array([mean_entropy(m, new_data, temperature) for m in models])
 
 
-@dataclass
-class FullSetOutputs:
-    """Each original's softened probabilities and updated model's logits on the new set.
-
-    Batches gather their anchor and peer rows from these (N, C) arrays; no
-    forward cache is kept.
-    """
-
-    anchors: list[np.ndarray]
-    logits: list[np.ndarray]
-
-    @classmethod
-    def compute(
-        cls, ensemble: EnsembleState, new_data: np.ndarray, temperature: float
-    ) -> "FullSetOutputs":
-        return cls(
-            [_softened_probs(m, new_data, temperature) for m in ensemble.originals],
-            [forward_logits(m, new_data)[0] for m in ensemble.updated],
-        )
-
-
-def update_round(
-    ensemble: EnsembleState,
-    new_data: np.ndarray,
-    hp: Hyperparams,
-    rng: np.random.Generator | None = None,
-    outputs: FullSetOutputs | None = None,
-) -> tuple[EnsembleState, WeightVector, list[dict]]:
-    """One pass over all models: reweigh, then train each one in turn.
-
-    Entropy weights are computed once from the current updated models and
-    held fixed for the whole round. Model i then gets one epoch of seeded
-    mini-batch SGD on its combined loss while all other models stay at
-    whatever parameters they have reached so far; originals never move.
-
-    outputs, computed when omitted, must belong to this ensemble and
-    new_data; model i's logits in it are refreshed after its epoch.
-
-    Returns the new ensemble state, the weight vector used, and one record
-    per model with the batch-mean loss terms seen during its epoch.
-    """
-    new_data = _check_batch(new_data)
-    if rng is None:
-        rng = np.random.default_rng(hp.seed)
-    if outputs is None:
-        outputs = FullSetOutputs.compute(ensemble, new_data, hp.temperature)
-    entropies = np.array(
-        [_mean_entropy_of(z, hp.entropy_temperature) for z in outputs.logits]
-    )
-    weights = compute_weights(entropies, hp.weight_temperature)
-    softened = [softmax_temperature(z, hp.temperature) for z in outputs.logits]
-
-    n = new_data.shape[0]
-    updated = list(ensemble.updated)
-    records = []
-    for i in range(ensemble.m):
-        opt = OptimizerState(hp.learning_rate, hp.momentum)
-        order = rng.permutation(n)
-        scale = hp.lam * float(weights.weights[i])
-        anchor, others = outputs.anchors[i], softened[:i] + softened[i + 1 :]
-        org_terms, bias_terms = [], []
-        for start in range(0, n, hp.batch_size):
-            rows = order[start : start + hp.batch_size]
-            _, grads, l_org, l_bias = _weighted_loss(
-                updated[i],
-                new_data[rows],
-                anchor[rows],
-                [peer[rows] for peer in others],
-                1.0,
-                scale,
-                hp.temperature,
-            )
-            updated[i] = sgd_step(updated[i], grads, opt)
-            org_terms.append(l_org)
-            bias_terms.append(l_bias)
-        # Later models in this round see model i as a trained peer.
-        outputs.logits[i] = forward_logits(updated[i], new_data)[0]
-        softened[i] = softmax_temperature(outputs.logits[i], hp.temperature)
-        records.append(
-            {
-                "model_index": i,
-                "mean_L_org": float(np.mean(org_terms)),
-                "mean_L_bias": float(np.mean(bias_terms)),
-                "E_i": float(entropies[i]),
-                "w_i": float(weights.weights[i]),
-            }
-        )
-    return EnsembleState(ensemble.originals, updated), weights, records
-
-
 def expand(
     ensemble: EnsembleState, new_data: np.ndarray, hp: Hyperparams
 ) -> tuple[EnsembleState, list[dict]]:
     """Run hp.epochs update rounds and collect the per-round training log.
 
+    Each round first reweighs: entropy weights are computed from the current
+    updated models and held fixed for the whole round. Model i then gets one
+    epoch of seeded mini-batch SGD on its combined loss while all other
+    models stay at whatever parameters they have reached so far; originals
+    never move.
+
     Deterministic for a fixed hp.seed; the returned log holds one record per
-    (round, model) with keys round, model_index, mean_L_org, mean_L_bias,
-    E_i, w_i.
+    (round, model) with keys round, model_index, mean_L_org, mean_L_bias (the
+    batch means of the loss terms seen during its epoch), E_i and w_i.
     """
     new_data = _check_batch(new_data)
+    n = new_data.shape[0]
     rng = np.random.default_rng(hp.seed)
-    outputs = FullSetOutputs.compute(ensemble, new_data, hp.temperature)
+    # Batches gather their anchor and peer rows from these (N, C) arrays on
+    # the whole new set; no forward cache is kept.
+    anchors = [_softened_probs(m, new_data, hp.temperature) for m in ensemble.originals]
+    updated = list(ensemble.updated)
+    logits = [forward_logits(m, new_data)[0] for m in updated]
     log: list[dict] = []
     for round_index in range(1, hp.epochs + 1):
-        ensemble, _, records = update_round(ensemble, new_data, hp, rng, outputs)
-        for record in records:
-            log.append({"round": round_index, **record})
-    return ensemble, log
+        entropies = np.array([_mean_entropy_of(z, hp.entropy_temperature) for z in logits])
+        weights = compute_weights(entropies, hp.weight_temperature).weights
+        softened = [softmax_temperature(z, hp.temperature) for z in logits]
+        for i in range(ensemble.m):
+            opt = OptimizerState(hp.learning_rate, hp.momentum)
+            order = rng.permutation(n)
+            scale = hp.lam * float(weights[i])
+            others = softened[:i] + softened[i + 1 :]
+            org_terms, bias_terms = [], []
+            for start in range(0, n, hp.batch_size):
+                rows = order[start : start + hp.batch_size]
+                _, grads, l_org, l_bias = _weighted_loss(
+                    updated[i],
+                    new_data[rows],
+                    anchors[i][rows],
+                    [peer[rows] for peer in others],
+                    1.0,
+                    scale,
+                    hp.temperature,
+                )
+                updated[i] = sgd_step(updated[i], grads, opt)
+                org_terms.append(l_org)
+                bias_terms.append(l_bias)
+            # Later models in this round see model i as a trained peer.
+            logits[i] = forward_logits(updated[i], new_data)[0]
+            softened[i] = softmax_temperature(logits[i], hp.temperature)
+            log.append(
+                {
+                    "round": round_index,
+                    "model_index": i,
+                    "mean_L_org": float(np.mean(org_terms)),
+                    "mean_L_bias": float(np.mean(bias_terms)),
+                    "E_i": float(entropies[i]),
+                    "w_i": float(weights[i]),
+                }
+            )
+    return EnsembleState(ensemble.originals, updated), log

@@ -37,16 +37,12 @@ class EvaluationReport:
     per_domain_accuracy: dict[str, float]
     expanded_accuracy: float
     method: str
-    entropies: list[float] | None = None
-    weights: list[float] | None = None
 
     def to_dict(self) -> dict:
         return {
             "method": self.method,
             "per_domain_accuracy": dict(self.per_domain_accuracy),
             "expanded_accuracy": self.expanded_accuracy,
-            "entropies": self.entropies,
-            "weights": self.weights,
         }
 
 
@@ -136,8 +132,6 @@ def evaluate_expanded(
     originals: Sequence[MlpModel],
     updated: Sequence[MlpModel] | None,
     test_sets: Mapping[str, DomainDataset],
-    entropies: Sequence[float] | None = None,
-    weights: Sequence[float] | None = None,
     outputs: dict | None = None,
 ) -> EvaluationReport:
     """Accuracy of one fusion method on every domain's test set.
@@ -167,8 +161,6 @@ def evaluate_expanded(
         per_domain_accuracy=per_domain,
         expanded_accuracy=expanded_accuracy(per_domain),
         method=method,
-        entropies=None if entropies is None else [float(e) for e in entropies],
-        weights=None if weights is None else [float(w) for w in weights],
     )
 
 

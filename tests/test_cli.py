@@ -1,10 +1,15 @@
 """End-to-end subcommand behavior, exit codes, and manifest audits."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import domex
 from domex import checks, cli, data, fusion, nn
 from domex.config import OutputLayout, sha256_file
 
@@ -175,6 +180,50 @@ def test_pretrain_zero_epochs_ignores_the_data(tmp_path):
         )
 
 
+def test_pretrain_forwards_only_for_sgd_steps_at_default_log_level(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    separable_sources(OutputLayout(out))
+    cfg = separable_config(tmp_path)
+    counts = {"forward_logits": 0, "sgd_step": 0}
+
+    def counted(name):
+        real = getattr(nn, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(nn, name, counted(name))
+    assert run("pretrain", "--config", cfg, "--out", out) == 0
+    # 2 sources x 20 epochs x 60 rows in batches of 64
+    assert counts == {"forward_logits": 40, "sgd_step": 40}
+
+
+def test_pretrain_logs_train_accuracy_at_info_level(tmp_path):
+    out = tmp_path / "run"
+    separable_sources(OutputLayout(out))
+    cfg = separable_config(tmp_path)
+    # A fresh interpreter: under pytest the root logger already has handlers,
+    # so main's logging.basicConfig would not apply --log-level.
+    src = str(Path(domex.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    argv = ["pretrain", "--config", cfg, "--out", out, "--log-level", "info"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "domex.cli", *map(str, argv)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for i in range(2):
+        assert f"source_{i} train accuracy 1.0000" in proc.stderr
+
+
 def test_pretrain_rejects_disagreeing_label_sets(tmp_path):
     out = tmp_path / "run"
     layout = OutputLayout(out)
@@ -287,7 +336,6 @@ def test_evaluate_matches_hand_computed_confusion(tmp_path):
         for name, y in labels.items()
     }
     write_domain_csvs(layout, sets)
-    data.write_csv(data.DomainDataset("new_unlabelled", x), layout.new_unlabelled_csv)
 
     cfg = tiny_config(
         tmp_path,
@@ -326,6 +374,26 @@ def test_evaluate_runs_one_forward_per_model_and_test_set(tmp_path, monkeypatch)
     assert run("evaluate", "--config", cfg, "--out", out) == 0
     # two sources: 2 originals + 2 updated models on 3 test sets
     assert len(calls) == 4 * 3
+
+
+@pytest.mark.parametrize("weight_temperature", [1e-3, 3e-4])
+def test_evaluate_needs_no_unlabelled_data_and_saturated_weights_run(
+    tmp_path, weight_temperature
+):
+    # the entropy weights live only in the training log; evaluate never reads
+    # the unlabelled new-domain features
+    cfg, out = pipeline_through_pretrain(
+        tmp_path, expansion={"weight_temperature": weight_temperature}
+    )
+    assert run("expand", "--config", cfg, "--out", out) == 0
+    OutputLayout(out).new_unlabelled_csv.unlink()
+    assert run("evaluate", "--config", cfg, "--out", out) == 0
+    manifest = json.loads((out / "evaluate_manifest.json").read_text())
+    assert not any(p.endswith("new_unlabelled.csv") for p in manifest["inputs"])
+    report = json.loads(OutputLayout(out).report_json.read_text())
+    assert {tuple(sorted(r)) for r in report["reports"]} == {
+        ("expanded_accuracy", "method", "per_domain_accuracy")
+    }
 
 
 def test_evaluate_reruns_identically(tmp_path):
@@ -382,6 +450,22 @@ def test_config_errors_map_to_exit_codes(tmp_path, capsys):
     assert run("synth", "--config", fractional, "--out", tmp_path / "r4") == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == "error: expansion.epochs must be an integer, got 2.5\n"
+
+
+@pytest.mark.parametrize(
+    "stage, overrides",
+    [
+        ("pretrain", {"pretrain": {"learning_rate": 1e30}}),
+        ("expand", {"expansion": {"learning_rate": 1e200}}),
+    ],
+)
+def test_diverged_training_is_a_one_line_numeric_error(tmp_path, capsys, stage, overrides):
+    _, out = pipeline_through_pretrain(tmp_path)
+    cfg = tiny_config(tmp_path, **overrides)
+    capsys.readouterr()
+    assert run(stage, "--config", cfg, "--out", out) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_parser_requires_out(capsys):

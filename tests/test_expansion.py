@@ -159,6 +159,12 @@ def test_weights_survive_extreme_entropy_scale():
     assert np.all(np.isfinite(w)) and abs(w.sum() - 1.0) <= 1e-9
 
 
+def test_weights_may_saturate_to_zero_and_one():
+    # exp(-1000) underflows to 0: a correctly rounded softmax, not an error
+    w = expansion.compute_weights([0.0, 1.0], 1e-3)
+    assert w.weights.tolist() == [0.0, 1.0]
+
+
 def test_weights_worst_model_gets_largest_weight():
     # graded model quality: lower accuracy shows up as higher entropy, which
     # must map to a strictly larger share of the alignment pressure
@@ -321,7 +327,7 @@ def test_overall_rejects_mismatched_weights():
 
 
 # ---------------------------------------------------------------------------
-# update_round
+# one update round: expand(..., epochs=1)
 
 
 def test_round_lambda_zero_is_a_fixed_point():
@@ -329,7 +335,7 @@ def test_round_lambda_zero_is_a_fixed_point():
     models = [nn.init_mlp(3, [4], 2, rng) for _ in range(3)]
     ens = expansion.EnsembleState.initialize(models)
     hp = expansion.Hyperparams(lam=0.0, epochs=1, batch_size=4, seed=5)
-    after, _, _ = expansion.update_round(ens, rng.normal(size=(10, 3)), hp)
+    after, _ = expansion.expand(ens, rng.normal(size=(10, 3)), hp)
     for before_m, after_m in zip(ens.updated, after.updated):
         assert np.array_equal(after_m.theta, before_m.theta)
 
@@ -339,10 +345,14 @@ def test_round_identical_models_stay_put():
     model = nn.init_mlp(3, [4], 2, rng)
     ens = expansion.EnsembleState.initialize([model.copy(), model.copy()])
     hp = expansion.Hyperparams(epochs=1, batch_size=4, seed=6)
-    after, _, records = expansion.update_round(ens, rng.normal(size=(8, 3)), hp)
+    after, records = expansion.expand(ens, rng.normal(size=(8, 3)), hp)
     for before_m, after_m in zip(ens.updated, after.updated):
         assert np.array_equal(after_m.theta, before_m.theta)
     assert all(r["mean_L_bias"] == 0.0 for r in records)
+
+
+def logged_weights(log):
+    return expansion.WeightVector([r["E_i"] for r in log], [r["w_i"] for r in log])
 
 
 def test_round_matches_scripted_reexecution():
@@ -350,11 +360,9 @@ def test_round_matches_scripted_reexecution():
     rng = np.random.default_rng(15)
     ens = random_ensemble(rng, m=2, dim=3, hidden=4, classes=3)
     new_data = rng.normal(size=(8, 3))
-    hp = expansion.Hyperparams(batch_size=3, learning_rate=0.05, seed=21)
+    hp = expansion.Hyperparams(epochs=1, batch_size=3, learning_rate=0.05, seed=21)
 
-    result, used_w, _ = expansion.update_round(
-        ens, new_data, hp, np.random.default_rng(hp.seed)
-    )
+    result, log = expansion.expand(ens, new_data, hp)
 
     replay_rng = np.random.default_rng(hp.seed)
     entropies = expansion.ensemble_entropies(ens.updated, new_data)
@@ -369,7 +377,7 @@ def test_round_matches_scripted_reexecution():
             _, grads = expansion.overall_loss(view, i, batch, weights, hp)
             current[i] = nn.sgd_step(current[i], grads, opt)
 
-    assert np.array_equal(used_w.weights, weights.weights)
+    assert np.array_equal(logged_weights(log).weights, weights.weights)
     for scripted, produced in zip(current, result.updated):
         assert np.array_equal(produced.theta, scripted.theta)
 
@@ -379,11 +387,10 @@ def test_round_matches_per_batch_replay_at_default_sizes():
     rng = np.random.default_rng(22)
     ens = random_ensemble(rng, m=3, dim=10, hidden=1000, classes=5)
     new_data = rng.normal(size=(300, 10))
-    hp = expansion.Hyperparams(seed=4)
+    hp = expansion.Hyperparams(epochs=1, seed=4)
 
-    result, used_w, _ = expansion.update_round(
-        ens, new_data, hp, np.random.default_rng(hp.seed)
-    )
+    result, log = expansion.expand(ens, new_data, hp)
+    used_w = logged_weights(log)
 
     replay_rng = np.random.default_rng(hp.seed)
     current = list(ens.updated)
@@ -405,11 +412,16 @@ def test_round_matches_per_batch_replay_at_default_sizes():
 def test_round_records_carry_the_log_fields():
     rng = np.random.default_rng(16)
     ens = random_ensemble(rng, m=2)
-    hp = expansion.Hyperparams(batch_size=4, seed=2)
-    _, weights, records = expansion.update_round(ens, rng.normal(size=(6, 4)), hp)
+    x = rng.normal(size=(6, 4))
+    hp = expansion.Hyperparams(epochs=1, batch_size=4, seed=2)
+    _, records = expansion.expand(ens, x, hp)
+    weights = expansion.compute_weights(
+        expansion.ensemble_entropies(ens.updated, x), hp.weight_temperature
+    )
     assert [r["model_index"] for r in records] == [0, 1]
     for i, r in enumerate(records):
-        assert set(r) == {"model_index", "mean_L_org", "mean_L_bias", "E_i", "w_i"}
+        assert set(r) == {"round", "model_index", "mean_L_org", "mean_L_bias", "E_i", "w_i"}
+        assert r["round"] == 1
         assert r["w_i"] == float(weights.weights[i])
         assert r["E_i"] == float(weights.entropies[i])
 
