@@ -279,11 +279,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    level = getattr(logging, args.log_level.upper())
     logging.basicConfig(
-        level=getattr(logging, args.log_level.upper()),
+        level=level,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
+    # basicConfig does nothing once the root logger has handlers (a host
+    # application, pytest); the package logger's level applies either way.
+    logging.getLogger("domex").setLevel(level)
     try:
         cfg = load_config(args.config)
         layout = OutputLayout(args.out)

@@ -291,11 +291,11 @@ def expand(
     anchors = [_softened_probs(m, new_data, hp.temperature) for m in ensemble.originals]
     updated = list(ensemble.updated)
     logits = [forward_logits(m, new_data)[0] for m in updated]
+    softened = [softmax_temperature(z, hp.temperature) for z in logits]
     log: list[dict] = []
     for round_index in range(1, hp.epochs + 1):
         entropies = np.array([_mean_entropy_of(z, hp.entropy_temperature) for z in logits])
         weights = compute_weights(entropies, hp.weight_temperature).weights
-        softened = [softmax_temperature(z, hp.temperature) for z in logits]
         for i in range(ensemble.m):
             opt = OptimizerState(hp.learning_rate, hp.momentum)
             order = rng.permutation(n)

@@ -5,19 +5,22 @@ central finite-difference oracle for verifying any scalar loss defined on the
 network output. Everything runs in float64 on numpy arrays.
 
 Each model keeps its parameters in one contiguous vector `theta`, laid out
-layer by layer as the weights (row-major) followed by the bias, the order of
-the model JSON. Each layer's weights and bias are views into it, and a
-gradient is a vector with the same layout. Parameters are checked once, where
-they enter from outside (building a model from layers, loading one); training
-returns new models instead of mutating.
+layer by layer as the weights (row-major) followed by the bias; the model
+JSON stores it as one base64 block of little-endian float64. Each layer's
+weights and bias are views into it, and a gradient is a vector with the same
+layout. Parameters are checked once, where they enter from outside (building
+a model from layers, loading one); training returns new models instead of
+mutating.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,15 +50,32 @@ class DenseLayer:
         return self.weights.shape[0]
 
 
-def _layer_views(theta: np.ndarray, layers: Sequence[DenseLayer]) -> list[DenseLayer]:
-    """Layers shaped like `layers` whose weights and bias are views into theta."""
+class _LayerShape(NamedTuple):
+    """The shape of a layer without its parameters, as a model file lists it."""
+
+    out_dim: int
+    in_dim: int
+    activation: str
+
+
+def _layer_views(
+    theta: np.ndarray, layers: Sequence[DenseLayer | _LayerShape]
+) -> list[DenseLayer]:
+    """Layers shaped like `layers` whose weights and bias are views into theta.
+
+    theta must hold exactly the parameters of those layers; otherwise this
+    raises InputError, or ValueError from the reshape when theta ends inside a
+    weight matrix.
+    """
     views, offset = [], 0
     for layer in layers:
-        n_out, n_in = layer.weights.shape
+        n_out, n_in = layer.out_dim, layer.in_dim
         weights = theta[offset : offset + n_out * n_in].reshape(n_out, n_in)
         offset += n_out * n_in
         views.append(DenseLayer(weights, theta[offset : offset + n_out], layer.activation))
         offset += n_out
+    if offset != theta.size:
+        raise InputError(f"parameter vector holds {theta.size} values, the layers need {offset}")
     return views
 
 
@@ -355,44 +375,49 @@ def fit_classifier(
 
 
 def model_to_dict(model: MlpModel) -> dict:
+    """The model as a JSON document.
+
+    Layers list only their shapes; "theta" holds the base64 of the parameter
+    vector's little-endian float64 bytes, which round-trips bit for bit.
+    """
     return {
         "input_dim": model.input_dim,
         "num_classes": model.num_classes,
         "layers": [
-            {
-                "in": layer.in_dim,
-                "out": layer.out_dim,
-                "activation": layer.activation,
-                "weights": layer.weights.ravel().tolist(),
-                "bias": layer.bias.tolist(),
-            }
+            {"in": layer.in_dim, "out": layer.out_dim, "activation": layer.activation}
             for layer in model.layers
         ],
+        "theta": base64.b64encode(model.theta.astype("<f8", copy=False).tobytes()).decode(),
     }
 
 
 def model_from_dict(doc: dict) -> MlpModel:
     try:
-        layers = [
-            DenseLayer(
-                np.asarray(spec["weights"], dtype=np.float64).reshape(
-                    spec["out"], spec["in"]
-                ),
-                np.asarray(spec["bias"], dtype=np.float64),
-                spec["activation"],
-            )
-            for spec in doc["layers"]
+        shapes = [
+            _LayerShape(spec["out"], spec["in"], spec["activation"]) for spec in doc["layers"]
         ]
-        return MlpModel(layers, doc["input_dim"], doc["num_classes"])
+        theta = np.frombuffer(base64.b64decode(doc["theta"], validate=True), dtype="<f8")
+        return MlpModel(_layer_views(theta, shapes), doc["input_dim"], doc["num_classes"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed model document: {exc}") from exc
 
 
 def save_model(model: MlpModel, path: str | Path) -> None:
-    """Write the model JSON; a model with a non-finite parameter is refused."""
+    """Write the model JSON; a model with a non-finite parameter is refused.
+
+    The document goes to a sibling temporary file that then replaces path, so
+    a failed write leaves any earlier file at path as it was.
+    """
     if not np.isfinite(model.theta).all():
         raise NumericError(f"refusing to save {path}: model parameters are not finite")
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_model(path: str | Path) -> MlpModel:

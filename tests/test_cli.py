@@ -1,15 +1,12 @@
 """End-to-end subcommand behavior, exit codes, and manifest audits."""
 
+import base64
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+import logging
 
 import numpy as np
 import pytest
 
-import domex
 from domex import checks, cli, data, fusion, nn
 from domex.config import OutputLayout, sha256_file
 
@@ -202,26 +199,20 @@ def test_pretrain_forwards_only_for_sgd_steps_at_default_log_level(tmp_path, mon
     assert counts == {"forward_logits": 40, "sgd_step": 40}
 
 
-def test_pretrain_logs_train_accuracy_at_info_level(tmp_path):
+def test_pretrain_logs_train_accuracy_at_info_level(tmp_path, caplog):
     out = tmp_path / "run"
     separable_sources(OutputLayout(out))
     cfg = separable_config(tmp_path)
-    # A fresh interpreter: under pytest the root logger already has handlers,
-    # so main's logging.basicConfig would not apply --log-level.
-    src = str(Path(domex.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    argv = ["pretrain", "--config", cfg, "--out", out, "--log-level", "info"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "domex.cli", *map(str, argv)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    # The root logger already has pytest's handlers here, as it would in a
+    # host application, so --log-level must not rely on logging.basicConfig.
+    package_logger = logging.getLogger("domex")
+    prior = package_logger.level
+    try:
+        assert run("pretrain", "--config", cfg, "--out", out, "--log-level", "info") == 0
+    finally:
+        package_logger.setLevel(prior)
     for i in range(2):
-        assert f"source_{i} train accuracy 1.0000" in proc.stderr
+        assert f"source_{i} train accuracy 1.0000" in caplog.text
 
 
 def test_pretrain_rejects_disagreeing_label_sets(tmp_path):
@@ -281,6 +272,19 @@ def test_expand_manifest_lists_no_source_data(tmp_path):
     for entry in manifest["inputs"]:
         assert "source_" not in entry
         assert not entry.endswith("_train.csv") and not entry.endswith("_test.csv")
+
+
+def test_expand_refuses_a_truncated_model_file(tmp_path, capsys):
+    cfg, out = pipeline_through_pretrain(tmp_path)
+    path = out / "models" / "original_0.json"
+    doc = json.loads(path.read_text())
+    theta = base64.b64decode(doc["theta"])
+    doc["theta"] = base64.b64encode(theta[:-8]).decode()  # one value short
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("expand", "--config", cfg, "--out", out) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_expand_identical_sources_log_zero_bias(tmp_path):

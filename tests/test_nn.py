@@ -1,6 +1,9 @@
 """Forward, softmax, loss, backward, and SGD oracles for the dense network."""
 
+import base64
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,6 +367,48 @@ def test_model_save_load_round_trip(tmp_path):
     assert path.read_bytes() == again.read_bytes()
 
 
+def theta_text(values):
+    return base64.b64encode(np.array(values, "<f8").tobytes()).decode()
+
+
+def model_document(layers, values, input_dim, num_classes):
+    """A model file built by hand: layers as (in, out, activation)."""
+    return json.dumps(
+        {
+            "input_dim": input_dim,
+            "num_classes": num_classes,
+            "layers": [{"in": i, "out": o, "activation": a} for i, o, a in layers],
+            "theta": theta_text(values),
+        }
+    )
+
+
+def test_model_file_round_trips_extreme_values_bit_for_bit(tmp_path):
+    model = linear_model(np.zeros((3, 2)), np.zeros(3))
+    values = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+              0.30000000000000004, 0.1, -5e-324, 1.0, 2.0**-1022]
+    assert repr(0.30000000000000004) != f"{0.30000000000000004:.16g}"  # needs 17 digits
+    model.theta[:] = values
+    path = tmp_path / "extreme.json"
+    nn.save_model(model, path)
+    loaded = nn.load_model(path)
+    assert loaded.theta.tobytes() == np.array(values, "<f8").tobytes()
+    assert np.signbit(loaded.theta[0])
+
+
+def test_hand_built_model_file_pins_byte_order_and_layout(tmp_path):
+    # layer 0: 1 -> 2 relu, layer 1: 2 -> 2 identity; weights row-major, then bias
+    values = [1.5, -2.0, 0.25, 3.0, -0.5, 4.0, 8.0, -16.0, 0.125, 32.0]
+    path = tmp_path / "hand.json"
+    path.write_text(model_document([(1, 2, "relu"), (2, 2, "identity")], values, 1, 2))
+    model = nn.load_model(path)
+    assert model.layers[0].weights.tolist() == [[1.5], [-2.0]]
+    assert model.layers[0].bias.tolist() == [0.25, 3.0]
+    assert model.layers[1].weights.tolist() == [[-0.5, 4.0], [8.0, -16.0]]
+    assert model.layers[1].bias.tolist() == [0.125, 32.0]
+    assert nn.model_to_dict(model)["theta"] == theta_text(values)
+
+
 def test_load_model_rejects_malformed_files(tmp_path):
     bad_json = tmp_path / "broken.json"
     bad_json.write_text("{not json")
@@ -375,19 +420,33 @@ def test_load_model_rejects_malformed_files(tmp_path):
     with pytest.raises(InputError):
         nn.load_model(missing_keys)
 
+    # 2 x 2 weights plus 2 biases need 6 values
+    identity_2x2 = [(2, 2, "identity")]
     wrong_count = tmp_path / "short.json"
-    wrong_count.write_text(
-        '{"input_dim": 2, "num_classes": 2, "layers": [{"in": 2, "out": 2, '
-        '"activation": "identity", "weights": [1.0, 2.0, 3.0], "bias": [0.0, 0.0]}]}'
-    )
+    wrong_count.write_text(model_document(identity_2x2, [1.0, 2.0, 3.0, 4.0, 0.0], 2, 2))
     with pytest.raises(InputError):
         nn.load_model(wrong_count)
 
+    too_long = tmp_path / "long.json"
+    too_long.write_text(model_document(identity_2x2, [0.0] * 7, 2, 2))
+    with pytest.raises(InputError):
+        nn.load_model(too_long)
+
+    partial_value = tmp_path / "partial.json"
+    doc = json.loads(model_document(identity_2x2, [0.0] * 6, 2, 2))
+    doc["theta"] = base64.b64encode(bytes(47)).decode()
+    partial_value.write_text(json.dumps(doc))
+    with pytest.raises(InputError):
+        nn.load_model(partial_value)
+
+    not_base64 = tmp_path / "garbled.json"
+    doc["theta"] = "not base64!"
+    not_base64.write_text(json.dumps(doc))
+    with pytest.raises(InputError):
+        nn.load_model(not_base64)
+
     nan_weight = tmp_path / "nan.json"
-    nan_weight.write_text(
-        '{"input_dim": 1, "num_classes": 1, "layers": [{"in": 1, "out": 1, '
-        '"activation": "identity", "weights": [NaN], "bias": [0.0]}]}'
-    )
+    nan_weight.write_text(model_document([(1, 1, "identity")], [math.nan, 0.0], 1, 1))
     with pytest.raises(NumericError):
         nn.load_model(nan_weight)
 
@@ -398,4 +457,29 @@ def test_save_model_refuses_non_finite_parameters(tmp_path):
     path = tmp_path / "diverged.json"
     with pytest.raises(NumericError):
         nn.save_model(model, path)
-    assert not path.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_model_failure_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    nn.save_model(nn.init_mlp(2, [3], 2, np.random.default_rng(20)), path)
+    before = path.read_bytes()
+    newer = nn.init_mlp(2, [3], 2, np.random.default_rng(21))
+
+    def half_written(self, text):
+        Path.write_bytes(self, text[: len(text) // 2].encode())
+        raise OSError("no space left on device")
+
+    def failed_replace(src, dst):
+        raise OSError("replace failed")
+
+    for target, name, failure in (
+        (Path, "write_text", half_written),
+        (nn.os, "replace", failed_replace),
+    ):
+        with monkeypatch.context() as patched:
+            patched.setattr(target, name, failure)
+            with pytest.raises(OSError):
+                nn.save_model(newer, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
