@@ -123,11 +123,11 @@ def write_csv(ds: DomainDataset, path: str | Path, include_labels: bool = True) 
     if with_labels:
         header.append(LABEL_COLUMN)
     lines = [",".join(header)]
-    for row_index in range(ds.n):
-        cells = [repr(float(v)) for v in ds.features[row_index]]
+    for row_index, row in enumerate(ds.features.tolist()):
+        line = ",".join(map(repr, row))
         if with_labels:
-            cells.append(str(int(ds.labels[row_index])))
-        lines.append(",".join(cells))
+            line += f",{int(ds.labels[row_index])}"
+        lines.append(line)
     path.write_text("\n".join(lines) + "\n")
 
 

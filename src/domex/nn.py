@@ -152,7 +152,6 @@ class ForwardCache:
     """Intermediate values of one forward pass, kept for the backward pass."""
 
     inputs: np.ndarray
-    pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
 
 
@@ -201,21 +200,23 @@ def _as_batch(batch: np.ndarray, input_dim: int) -> np.ndarray:
 def forward_logits(model: MlpModel, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on a batch, returning (N, C) logits and the cache.
 
-    The cache records every pre-activation and activation so that backward()
-    can replay the chain rule without recomputation.
+    The cache records every layer's activation so that backward() can replay
+    the chain rule without recomputation. Each layer allocates one array: the
+    bias is added and ReLU applied in place, which gives the same bits as
+    np.maximum(act @ W.T + b, 0.0).
     """
     batch = _as_batch(batch, model.input_dim)
-    pre, post = [], []
+    activations = []
     act = batch
     for layer in model.layers:
-        z = act @ layer.weights.T + layer.bias
-        act = np.maximum(z, 0.0) if layer.activation == "relu" else z
-        pre.append(z)
-        post.append(act)
-    logits = post[-1]
-    if not np.isfinite(logits).all():
+        act = act @ layer.weights.T
+        act += layer.bias
+        if layer.activation == "relu":
+            np.maximum(act, 0.0, out=act)
+        activations.append(act)
+    if not np.isfinite(act).all():
         raise NumericError("forward pass produced non-finite logits")
-    return logits, ForwardCache(batch, pre, post)
+    return act, ForwardCache(batch, activations)
 
 
 def softmax_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
@@ -281,13 +282,16 @@ def softmax_temperature_backward(
 def backward(model: MlpModel, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
     """Backpropagate dL/dlogits through the cached forward pass.
 
-    Returns dL/dtheta, laid out like model.theta.
+    Returns dL/dtheta, laid out like model.theta. The ReLU mask is read from
+    the activations (act > 0 exactly where z > 0) and multiplied into delta in
+    place; delta is always a fresh array there, because the last layer is
+    linear, so dlogits is never written.
     """
     dlogits = np.asarray(dlogits, dtype=np.float64)
-    if dlogits.shape != cache.pre_activations[-1].shape:
+    if dlogits.shape != cache.activations[-1].shape:
         raise InputError(
             f"dlogits shape {dlogits.shape} does not match cached logits "
-            f"{cache.pre_activations[-1].shape}"
+            f"{cache.activations[-1].shape}"
         )
     grads = np.empty_like(model.theta)
     grad_layers = _layer_views(grads, model.layers)
@@ -295,7 +299,7 @@ def backward(model: MlpModel, cache: ForwardCache, dlogits: np.ndarray) -> np.nd
     for idx in range(len(model.layers) - 1, -1, -1):
         layer, out = model.layers[idx], grad_layers[idx]
         if layer.activation == "relu":
-            delta = delta * (cache.pre_activations[idx] > 0)
+            np.multiply(delta, cache.activations[idx] > 0, out=delta)
         prev_act = cache.inputs if idx == 0 else cache.activations[idx - 1]
         np.matmul(delta.T, prev_act, out=out.weights)
         delta.sum(axis=0, out=out.bias)
@@ -319,7 +323,9 @@ def sgd_step(model: MlpModel, grads: np.ndarray, opt: OptimizerState) -> MlpMode
         opt.velocity *= opt.momentum
         opt.velocity += grads
         step = opt.velocity
-    return model._with_theta(model.theta - opt.learning_rate * step)
+    new_theta = step * opt.learning_rate
+    np.subtract(model.theta, new_theta, out=new_theta)
+    return model._with_theta(new_theta)
 
 
 def finite_diff_gradient(

@@ -110,6 +110,26 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert not data.load_csv(bare).labelled
 
 
+def test_csv_writes_extreme_values_as_per_scalar_repr(tmp_path):
+    values = np.array(
+        [[-0.0, 5e-324, 1.7976931348623157e308, 0.30000000000000004],
+         [0.1, -5e-324, -1.7976931348623157e308, 2.0**-1022]]
+    )
+    ds = data.DomainDataset("extreme", values, np.array([0, 7]))
+    path = tmp_path / "extreme.csv"
+    data.write_csv(ds, path)
+    # The reference formula: one repr(float(v)) per numpy scalar.
+    expected = ["f0,f1,f2,f3,label"] + [
+        ",".join([repr(float(v)) for v in ds.features[i]] + [str(int(ds.labels[i]))])
+        for i in range(ds.n)
+    ]
+    assert path.read_text() == "\n".join(expected) + "\n"
+    back = data.load_csv(path)
+    assert back.features.tobytes() == values.tobytes()
+    assert np.signbit(back.features[0, 0])
+    assert back.labels.tolist() == [0, 7]
+
+
 # ---------------------------------------------------------------------------
 # split
 

@@ -3,6 +3,7 @@
 import base64
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +261,167 @@ def test_sgd_momentum_accumulates():
 def test_optimizer_rejects_negative_rate():
     with pytest.raises(ParameterError):
         nn.OptimizerState(learning_rate=-0.1)
+
+
+# ---------------------------------------------------------------------------
+# one training step: the unfused formulas, inputs left alone, allocations
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def reference_forward(model, x):
+    """The unfused forward: z = x @ W.T + b, then np.maximum(z, 0.0)."""
+    pre, post, act = [], [], x
+    for layer in model.layers:
+        z = act @ layer.weights.T + layer.bias
+        act = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        pre.append(z)
+        post.append(act)
+    return pre, post
+
+
+def reference_backward(model, x, pre, post, dlogits):
+    """The unfused backward, with the ReLU mask taken from z > 0."""
+    blocks, delta = [], dlogits
+    for idx in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[idx]
+        if layer.activation == "relu":
+            delta = delta * (pre[idx] > 0)
+        prev = x if idx == 0 else post[idx - 1]
+        blocks[:0] = [(delta.T @ prev).ravel(), delta.sum(axis=0)]
+        delta = delta @ layer.weights
+    return np.concatenate(blocks)
+
+
+def zero_pre_activation_setup():
+    """A two-hidden-layer model, some of whose pre-activations are exactly 0."""
+    rng = np.random.default_rng(30)
+    model = nn.init_mlp(4, [6, 5], 3, rng)
+    model.layers[0].bias[:] = rng.normal(size=6)
+    model.layers[0].weights[1] = 0.0
+    model.layers[0].bias[1] = 0.0  # unit 1 of layer 0: z == 0 on every row
+    model.layers[1].weights[2] = 0.0
+    model.layers[1].bias[2] = 0.0  # unit 2 of layer 1: z == 0 on every row
+    x = rng.normal(size=(7, 4))
+    dlogits = rng.normal(size=(7, 3))
+    dlogits[2] = 0.0  # a zero upstream row: delta holds signed zeros
+    return model, x, dlogits
+
+
+def test_forward_and_backward_match_the_unfused_formulas_bit_for_bit():
+    model, x, dlogits = zero_pre_activation_setup()
+    pre, post = reference_forward(model, x)
+    assert np.all(pre[0][:, 1] == 0.0) and np.all(pre[1][:, 2] == 0.0)
+    logits, cache = nn.forward_logits(model, x)
+    assert same_bits(logits, post[-1])
+    assert len(cache.activations) == len(post)
+    for got, want in zip(cache.activations, post):
+        assert same_bits(got, want)
+    grads = nn.backward(model, cache, dlogits)
+    assert same_bits(grads, reference_backward(model, x, pre, post, dlogits))
+    # unit 1 of layer 0 (pre-activation exactly 0) gets no gradient; layer 0
+    # holds 6 x 4 weights, then 6 biases
+    assert np.all(grads[:24].reshape(6, 4)[1] == 0.0) and grads[24 + 1] == 0.0
+
+
+def test_training_step_leaves_its_inputs_alone():
+    model, x, dlogits = zero_pre_activation_setup()
+    theta, batch, upstream = model.theta.copy(), x.copy(), dlogits.copy()
+    _, cache = nn.forward_logits(model, x)
+    assert same_bits(x, batch)
+    cached = [a.copy() for a in cache.activations]
+    grads = nn.backward(model, cache, dlogits)
+    assert same_bits(dlogits, upstream) and same_bits(cache.inputs, batch)
+    for got, want in zip(cache.activations, cached):
+        assert same_bits(got, want)
+    gradient = grads.copy()
+    opt = nn.OptimizerState(learning_rate=0.05, momentum=0.9)
+    stepped = nn.sgd_step(model, grads, opt)
+    assert same_bits(grads, gradient) and same_bits(model.theta, theta)
+    # the velocity's documented update, and nothing shared with the new model
+    assert same_bits(opt.velocity, np.zeros_like(theta) * 0.9 + gradient)
+    assert not np.shares_memory(stepped.theta, opt.velocity)
+    assert not np.shares_memory(stepped.theta, model.theta)
+
+
+@pytest.mark.parametrize(
+    "learning_rate,momentum", [(0.0, 0.0), (0.05, 0.0), (0.0, 0.9), (0.05, 0.9)]
+)
+def test_sgd_step_matches_theta_minus_lr_step_bit_for_bit(learning_rate, momentum):
+    rng = np.random.default_rng(31)
+    model = nn.init_mlp(3, [4], 2, rng)
+    model.theta[:3] = [-0.0, 0.0, 5e-324]
+    opt = nn.OptimizerState(learning_rate=learning_rate, momentum=momentum)
+    velocity = np.zeros_like(model.theta)
+    for _ in range(3):
+        grads = rng.normal(size=model.theta.shape)
+        grads[:3] = [0.0, -0.0, -5e-324]
+        step = grads
+        if momentum > 0:
+            velocity = velocity * momentum + grads
+            step = velocity
+        expected = model.theta - learning_rate * step
+        model = nn.sgd_step(model, grads, opt)
+        assert same_bits(model.theta, expected)
+        if momentum > 0:
+            assert same_bits(opt.velocity, velocity)
+        else:
+            assert opt.velocity is None
+
+
+# The default model (10 -> 1000 -> 5) on one 64-row batch: a step should
+# allocate what it returns or caches, not the temporaries of unfused formulas.
+# A ufunc that broadcasts (the bias add) or casts (the bool ReLU mask) fills
+# numpy's iterator buffer of np.getbufsize() values, about 64 KB, on the way.
+ROWS, HIDDEN = 64, 1000
+ACTIVATION_BYTES = ROWS * HIDDEN * 8
+UFUNC_BUFFER_BYTES = np.getbufsize() * 8
+
+
+def traced_peak(fn):
+    """Peak bytes traced while fn runs (numpy reports its buffers), and its result."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] - before, result
+    finally:
+        tracemalloc.stop()
+
+
+def default_step_setup():
+    rng = np.random.default_rng(32)
+    model = nn.init_mlp(10, [HIDDEN], 5, rng)
+    x = rng.normal(size=(ROWS, 10))
+    logits, cache = nn.forward_logits(model, x)
+    dlogits = nn.cross_entropy_gradient(logits, rng.integers(0, 5, size=ROWS))
+    return model, x, cache, dlogits
+
+
+def test_forward_allocates_one_array_per_layer():
+    model, x, _, _ = default_step_setup()
+    peak, _ = traced_peak(lambda: nn.forward_logits(model, x))
+    assert peak <= 1.1 * (ACTIVATION_BYTES + UFUNC_BUFFER_BYTES)
+
+
+def test_backward_allocates_the_gradient_one_delta_and_one_mask():
+    model, _, cache, dlogits = default_step_setup()
+    peak, _ = traced_peak(lambda: nn.backward(model, cache, dlogits))
+    mask_bytes = ROWS * HIDDEN
+    budget = model.theta.nbytes + ACTIVATION_BYTES + mask_bytes + UFUNC_BUFFER_BYTES
+    assert peak <= 1.1 * budget
+
+
+def test_sgd_step_allocates_one_parameter_vector():
+    model, _, cache, dlogits = default_step_setup()
+    grads = nn.backward(model, cache, dlogits)
+    opt = nn.OptimizerState(learning_rate=0.1)
+    peak, stepped = traced_peak(lambda: nn.sgd_step(model, grads, opt))
+    assert same_bits(stepped.theta, model.theta - 0.1 * grads)
+    assert peak <= 1.1 * model.theta.nbytes
 
 
 # ---------------------------------------------------------------------------
