@@ -71,6 +71,13 @@ _EXPANSION_LOSSES = {
     ),
     "overall": lambda ens, batch, w, hp: expansion.overall_loss(ens, 0, batch, w, hp),
 }
+# The (a_org, a_bias) coefficients that each of those losses puts on L_org
+# and L_bias for model 0.
+_COEFFICIENTS = {
+    "bias": lambda w, hp: (0.0, 1.0),
+    "preservation": lambda w, hp: (1.0, 0.0),
+    "overall": lambda w, hp: (1.0, hp.lam * float(w.weights[0])),
+}
 
 
 def _analytic(loss_name: str, ensemble, batch, labels, weights, hp, corruption: float):
@@ -88,13 +95,13 @@ def _analytic(loss_name: str, ensemble, batch, labels, weights, hp, corruption: 
 def _loss_fn(loss_name: str, ensemble, batch, labels, weights, hp):
     if loss_name == "cross_entropy":
         return lambda m: nn.cross_entropy(nn.forward_logits(m, batch)[0], labels)
-    loss = _EXPANSION_LOSSES[loss_name]
-
-    def f(m):
-        probe = expansion.EnsembleState(ensemble.originals, [m] + ensemble.updated[1:])
-        return loss(probe, batch, weights, hp)[0]
-
-    return f
+    # Model 0's anchor and peers are frozen, so they are run once per check;
+    # each probe then costs one forward and no backward.
+    a_org, a_bias = _COEFFICIENTS[loss_name](weights, hp)
+    anchor, peers = expansion.frozen_targets(ensemble, 0, batch, hp.temperature, a_org, a_bias)
+    return lambda m: expansion.weighted_loss_value(
+        m, batch, anchor, peers, a_org, a_bias, hp.temperature
+    )
 
 
 def check_loss_gradient(

@@ -123,10 +123,10 @@ def cmd_pretrain(cfg: RunConfig, layout: OutputLayout, args) -> int:
         path = layout.original_model(i)
         nn.save_model(model, path)
         outputs.append(path)
-        # The accuracy costs a full forward over the training set.
+        # The accuracy costs a pass over the whole training set.
         if logger.isEnabledFor(logging.INFO):
             train_acc = fusion.accuracy(
-                fusion.PredictionBatch.from_scores(nn.forward_logits(model, train.features)[0]),
+                fusion.PredictionBatch.from_scores(nn.chunked_logits(model, train.features)),
                 train.labels,
             )
             logger.info("source_%d train accuracy %.4f", i, train_acc)
@@ -189,7 +189,7 @@ def cmd_evaluate(cfg: RunConfig, layout: OutputLayout, args) -> int:
         test_sets[name] = ds
         csv_paths.append(path)
 
-    # Shared by all methods: one forward per (model, test set).
+    # Shared by all methods: one pass per (model, test set).
     outputs: dict = {}
     reports = {
         method: fusion.evaluate_expanded(method, originals, updated, test_sets, outputs=outputs)

@@ -25,9 +25,11 @@ from scipy.special import xlogy
 
 from .errors import InputError, ParameterError
 from .nn import (
+    ForwardCache,
     MlpModel,
     OptimizerState,
     backward,
+    chunked_logits,
     forward_logits,
     sgd_step,
     softmax_temperature,
@@ -148,7 +150,7 @@ def mean_entropy(
     terms that appear when a probability underflows are taken as 0.
     """
     new_data = _check_batch(new_data)
-    return _mean_entropy_of(forward_logits(model, new_data)[0], temperature)
+    return _mean_entropy_of(chunked_logits(model, new_data), temperature)
 
 
 def compute_weights(entropies: np.ndarray, weight_temperature: float) -> WeightVector:
@@ -174,7 +176,45 @@ def compute_weights(entropies: np.ndarray, weight_temperature: float) -> WeightV
 
 
 def _softened_probs(model: MlpModel, data: np.ndarray, temperature: float) -> np.ndarray:
-    return softmax_temperature(forward_logits(model, data)[0], temperature)
+    return softmax_temperature(chunked_logits(model, data), temperature)
+
+
+def _loss_terms(
+    probs: np.ndarray, anchor: np.ndarray | None, peers: Sequence[np.ndarray]
+) -> tuple[np.ndarray | None, list[np.ndarray], float, float]:
+    """The differences probs - anchor and probs - peer, with L_org and L_bias.
+
+    A term left out (anchor None, or no peers) contributes 0.
+    """
+    n = probs.shape[0]
+    org_diff = None if anchor is None else probs - anchor
+    l_org = 0.0 if org_diff is None else float((org_diff * org_diff).sum()) / n
+    bias_diffs, l_bias = [], 0.0
+    for peer in peers:
+        diff = probs - peer
+        l_bias += float((diff * diff).sum()) / n
+        bias_diffs.append(diff)
+    return org_diff, bias_diffs, l_org, l_bias
+
+
+def weighted_loss_value(
+    model: MlpModel,
+    batch: np.ndarray,
+    anchor: np.ndarray | None,
+    peers: Sequence[np.ndarray],
+    a_org: float,
+    a_bias: float,
+    temperature: float,
+) -> float:
+    """a_org * L_org + a_bias * L_bias on one batch, from one forward and no backward.
+
+    The arguments are those of the loss functions' shared core: anchor holds
+    the original's softened probabilities on the batch and peers each frozen
+    peer's (frozen_targets). The value equals theirs bit for bit.
+    """
+    probs = softmax_temperature(forward_logits(model, batch)[0], temperature)
+    _, _, l_org, l_bias = _loss_terms(probs, anchor, peers)
+    return a_org * l_org + a_bias * l_bias
 
 
 def _weighted_loss(
@@ -185,30 +225,45 @@ def _weighted_loss(
     a_org: float,
     a_bias: float,
     temperature: float,
+    cache: ForwardCache | None = None,
 ) -> tuple[float, np.ndarray, float, float]:
-    """a_org * L_org + a_bias * L_bias on one batch, with its gradient for model.
+    """weighted_loss_value with its gradient for model, through cache.
 
-    anchor holds the original's softened probabilities on the batch and peers
-    each frozen peer's; a term left out (None, or no peers) contributes 0.
     Runs one forward and one backward of model, whatever the coefficients.
-    Returns the total, its gradient, L_org and L_bias.
+    Returns the total, its gradient (which aliases cache), L_org and L_bias.
     """
-    logits, cache = forward_logits(model, batch)
+    logits, cache = forward_logits(model, batch, cache)
     probs = softmax_temperature(logits, temperature)
-    n = batch.shape[0]
-    l_org = l_bias = 0.0
+    org_diff, bias_diffs, l_org, l_bias = _loss_terms(probs, anchor, peers)
+    n = probs.shape[0]
     dprobs = np.zeros_like(probs)
-    if anchor is not None:
-        diff = probs - anchor
-        l_org = float((diff * diff).sum()) / n
-        dprobs += (2.0 * a_org / n) * diff
-    for peer in peers:
-        diff = probs - peer
-        l_bias += float((diff * diff).sum()) / n
+    if org_diff is not None:
+        dprobs += (2.0 * a_org / n) * org_diff
+    for diff in bias_diffs:
         dprobs += (2.0 * a_bias / n) * diff
     dlogits = softmax_temperature_backward(probs, dprobs, temperature)
     total = a_org * l_org + a_bias * l_bias
     return total, backward(model, cache, dlogits), l_org, l_bias
+
+
+def frozen_targets(
+    ensemble: EnsembleState,
+    i: int,
+    batch: np.ndarray,
+    temperature: float,
+    a_org: float,
+    a_bias: float,
+) -> tuple[np.ndarray | None, list[np.ndarray]]:
+    """Model i's anchor and peer probabilities on the batch, unless weighted 0.
+
+    The anchor is original i's softened output and the peers every other
+    updated model's; both stay constant while model i trains.
+    """
+    _check_index(i, ensemble.m)
+    batch = _check_batch(batch)
+    anchor = _softened_probs(ensemble.originals[i], batch, temperature) if a_org else None
+    others = ensemble.updated[:i] + ensemble.updated[i + 1 :] if a_bias else []
+    return anchor, [_softened_probs(peer, batch, temperature) for peer in others]
 
 
 def _batch_loss(
@@ -219,12 +274,8 @@ def _batch_loss(
     a_org: float,
     a_bias: float,
 ) -> tuple[float, np.ndarray]:
-    """_weighted_loss with the anchor and peers run on the batch, unless weighted 0."""
-    _check_index(i, ensemble.m)
-    batch = _check_batch(batch)
-    anchor = _softened_probs(ensemble.originals[i], batch, temperature) if a_org else None
-    others = ensemble.updated[:i] + ensemble.updated[i + 1 :] if a_bias else []
-    peers = [_softened_probs(peer, batch, temperature) for peer in others]
+    """_weighted_loss of model i with its frozen targets run on the batch."""
+    anchor, peers = frozen_targets(ensemble, i, batch, temperature, a_org, a_bias)
     model = ensemble.updated[i]
     return _weighted_loss(model, batch, anchor, peers, a_org, a_bias, temperature)[:2]
 
@@ -287,10 +338,17 @@ def expand(
     n = new_data.shape[0]
     rng = np.random.default_rng(hp.seed)
     # Batches gather their anchor and peer rows from these (N, C) arrays on
-    # the whole new set; no forward cache is kept.
-    anchors = [_softened_probs(m, new_data, hp.temperature) for m in ensemble.originals]
+    # the whole new set, computed in the batches' chunk size; an updated model
+    # still equal to its original (as after EnsembleState.initialize) shares
+    # its pass. One cache serves every step and pass, so no buffer is freed
+    # and page-faulted in again between epochs.
+    cache = ForwardCache()
     updated = list(ensemble.updated)
-    logits = [forward_logits(m, new_data)[0] for m in updated]
+    logits = [chunked_logits(m, new_data, cache) for m in ensemble.originals]
+    anchors = [softmax_temperature(z, hp.temperature) for z in logits]
+    for i, (model, original) in enumerate(zip(updated, ensemble.originals)):
+        if not np.array_equal(model.theta, original.theta):
+            logits[i] = chunked_logits(model, new_data, cache)
     softened = [softmax_temperature(z, hp.temperature) for z in logits]
     log: list[dict] = []
     for round_index in range(1, hp.epochs + 1):
@@ -312,12 +370,13 @@ def expand(
                     1.0,
                     scale,
                     hp.temperature,
+                    cache,
                 )
                 updated[i] = sgd_step(updated[i], grads, opt)
                 org_terms.append(l_org)
                 bias_terms.append(l_bias)
             # Later models in this round see model i as a trained peer.
-            logits[i] = forward_logits(updated[i], new_data)[0]
+            logits[i] = chunked_logits(updated[i], new_data, cache)
             softened[i] = softmax_temperature(logits[i], hp.temperature)
             log.append(
                 {

@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import DomainDataset
 from .errors import InputError
-from .nn import MlpModel, forward_logits, softmax_temperature
+from .nn import ForwardCache, MlpModel, chunked_logits, softmax_temperature
 
 FUSION_METHODS = ("baseline", "m1", "m2")
 # The model outputs each method fuses.
@@ -47,8 +47,9 @@ class EvaluationReport:
 
 
 def softmax_outputs(models: Sequence[MlpModel], batch: np.ndarray) -> list[np.ndarray]:
-    """Each model's (N, C) softmax matrix on the batch, one forward per model."""
-    return [softmax_temperature(forward_logits(m, batch)[0], 1.0) for m in models]
+    """Each model's (N, C) softmax matrix on the batch, one pass over it per model."""
+    cache = ForwardCache()
+    return [softmax_temperature(chunked_logits(m, batch, cache), 1.0) for m in models]
 
 
 def _probs(items: Sequence, batch: np.ndarray | None) -> list[np.ndarray]:
@@ -141,7 +142,7 @@ def evaluate_expanded(
 
     outputs memoizes the softmax matrices by (role, domain), role being
     "originals" or "updated". Passing one dict to every method evaluated on
-    the same models and test sets runs each (model, test set) forward once.
+    the same models and test sets passes each test set through each model once.
     """
     if not test_sets:
         raise InputError("need at least one test set")

@@ -27,6 +27,9 @@ import numpy as np
 from .errors import InputError, NumericError, ParameterError, ParseError
 
 ACTIVATIONS = ("relu", "identity")
+# Rows per forward when a model runs over a whole set; the default batch size
+# of pretraining and expansion.
+CHUNK_ROWS = 64
 
 
 @dataclass
@@ -147,12 +150,28 @@ class MlpModel:
         return self._with_theta(self.theta.copy())
 
 
-@dataclass
 class ForwardCache:
-    """Intermediate values of one forward pass, kept for the backward pass."""
+    """The buffers of forward_logits and backward, reused from call to call.
 
-    inputs: np.ndarray
-    activations: list[np.ndarray]
+    forward_logits writes every layer's activation here and backward its
+    deltas, ReLU masks and gradient vector. Each buffer is allocated once,
+    for the largest batch seen, and a smaller batch uses its first rows;
+    arrays that these calls return alias the buffers, so they hold only until
+    the next call through the same cache. inputs and activations describe the
+    last forward pass.
+    """
+
+    def __init__(self):
+        self.inputs: np.ndarray | None = None
+        self.activations: list[np.ndarray] = []
+        self._buffers: dict[tuple, np.ndarray] = {}
+
+    def _buffer(self, key: tuple, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """The first shape[0] rows of buffer key, reallocated if it does not fit."""
+        buf = self._buffers.get(key)
+        if buf is None or buf.shape[0] < shape[0] or buf.shape[1:] != shape[1:]:
+            buf = self._buffers[key] = np.empty(shape, dtype)
+        return buf[: shape[0]]
 
 
 @dataclass
@@ -197,26 +216,53 @@ def _as_batch(batch: np.ndarray, input_dim: int) -> np.ndarray:
     return batch
 
 
-def forward_logits(model: MlpModel, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+def forward_logits(
+    model: MlpModel, batch: np.ndarray, cache: ForwardCache | None = None
+) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on a batch, returning (N, C) logits and the cache.
 
     The cache records every layer's activation so that backward() can replay
-    the chain rule without recomputation. Each layer allocates one array: the
-    bias is added and ReLU applied in place, which gives the same bits as
-    np.maximum(act @ W.T + b, 0.0).
+    the chain rule without recomputation. Each layer's product goes into the
+    cache's buffer for it, then the bias is added and ReLU applied in place,
+    which gives the same bits as np.maximum(act @ W.T + b, 0.0). cache=None
+    uses a fresh cache; the logits alias the cache until its next use.
     """
     batch = _as_batch(batch, model.input_dim)
-    activations = []
+    if cache is None:
+        cache = ForwardCache()
+    rows = batch.shape[0]
+    cache.inputs, cache.activations = batch, []
     act = batch
-    for layer in model.layers:
-        act = act @ layer.weights.T
+    for idx, layer in enumerate(model.layers):
+        out = cache._buffer(("act", idx), (rows, layer.out_dim))
+        act = np.matmul(act, layer.weights.T, out=out)
         act += layer.bias
         if layer.activation == "relu":
             np.maximum(act, 0.0, out=act)
-        activations.append(act)
+        cache.activations.append(act)
     if not np.isfinite(act).all():
         raise NumericError("forward pass produced non-finite logits")
-    return act, ForwardCache(batch, activations)
+    return act, cache
+
+
+def chunked_logits(
+    model: MlpModel, data: np.ndarray, cache: ForwardCache | None = None
+) -> np.ndarray:
+    """The model's (N, C) logits on a whole set, CHUNK_ROWS rows at a time.
+
+    The chunks share one cache (a fresh one if cache is None), so the set's
+    size does not change the size of any intermediate array, and each row's
+    logits are those of a forward on its chunk alone. The result is a new
+    array that aliases no cache.
+    """
+    data = _as_batch(data, model.input_dim)
+    logits = np.empty((data.shape[0], model.num_classes))
+    if cache is None:
+        cache = ForwardCache()
+    for start in range(0, data.shape[0], CHUNK_ROWS):
+        stop = start + CHUNK_ROWS
+        logits[start:stop] = forward_logits(model, data[start:stop], cache)[0]
+    return logits
 
 
 def softmax_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
@@ -282,10 +328,11 @@ def softmax_temperature_backward(
 def backward(model: MlpModel, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
     """Backpropagate dL/dlogits through the cached forward pass.
 
-    Returns dL/dtheta, laid out like model.theta. The ReLU mask is read from
-    the activations (act > 0 exactly where z > 0) and multiplied into delta in
-    place; delta is always a fresh array there, because the last layer is
-    linear, so dlogits is never written.
+    Returns dL/dtheta, laid out like model.theta, in the cache's gradient
+    buffer: it aliases the cache until its next use. The ReLU mask is read
+    from the activations (act > 0 exactly where z > 0) into a mask buffer and
+    multiplied into delta in place; delta lives in the cache's buffers, as
+    the last layer is linear, so dlogits is never written.
     """
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != cache.activations[-1].shape:
@@ -293,18 +340,22 @@ def backward(model: MlpModel, cache: ForwardCache, dlogits: np.ndarray) -> np.nd
             f"dlogits shape {dlogits.shape} does not match cached logits "
             f"{cache.activations[-1].shape}"
         )
-    grads = np.empty_like(model.theta)
+    rows = dlogits.shape[0]
+    grads = cache._buffer(("grad",), model.theta.shape)
     grad_layers = _layer_views(grads, model.layers)
     delta = dlogits
     for idx in range(len(model.layers) - 1, -1, -1):
         layer, out = model.layers[idx], grad_layers[idx]
         if layer.activation == "relu":
-            np.multiply(delta, cache.activations[idx] > 0, out=delta)
+            act = cache.activations[idx]
+            mask = np.greater(act, 0.0, out=cache._buffer(("mask", idx), act.shape, np.bool_))
+            np.multiply(delta, mask, out=delta)
         prev_act = cache.inputs if idx == 0 else cache.activations[idx - 1]
         np.matmul(delta.T, prev_act, out=out.weights)
         delta.sum(axis=0, out=out.bias)
         if idx > 0:
-            delta = delta @ layer.weights
+            shape = (rows, layer.in_dim)
+            delta = np.matmul(delta, layer.weights, out=cache._buffer(("delta", idx - 1), shape))
     return grads
 
 
@@ -334,15 +385,22 @@ def finite_diff_gradient(
     """Central-difference gradient of loss_fn over every model parameter.
 
     Exhaustive, so only usable on tiny models; this is the oracle against
-    which all analytic gradients are checked.
+    which all analytic gradients are checked. loss_fn gets one probe copy of
+    the model whose parameters are each shifted in place and restored.
     """
     if epsilon <= 0:
         raise ParameterError(f"epsilon must be > 0, got {epsilon}")
 
+    probe = model.copy()
+    theta = probe.theta
+
     def eval_perturbed(index: int, delta: float) -> float:
-        probe = model.copy()
-        probe.theta[index] += delta
-        value = loss_fn(probe)
+        original = theta[index]
+        theta[index] = original + delta
+        try:
+            value = loss_fn(probe)
+        finally:
+            theta[index] = original
         if not np.isfinite(value):
             raise NumericError(f"loss became non-finite at parameter {index}")
         return float(value)
@@ -370,11 +428,12 @@ def fit_classifier(
     n = features.shape[0]
     if n == 0:
         raise InputError("cannot fit on an empty dataset")
+    cache = ForwardCache()
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             take = order[start : start + batch_size]
-            logits, cache = forward_logits(model, features[take])
+            logits, _ = forward_logits(model, features[take], cache)
             grads = backward(model, cache, cross_entropy_gradient(logits, labels[take]))
             model = sgd_step(model, grads, opt)
     return model

@@ -3,11 +3,15 @@
 import base64
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from domex import checks, cli, data, fusion, nn
+from domex import checks, cli, data, nn
 from domex.config import OutputLayout, sha256_file
 
 
@@ -362,22 +366,30 @@ def test_evaluate_matches_hand_computed_confusion(tmp_path):
 
 
 def test_evaluate_runs_one_forward_per_model_and_test_set(tmp_path, monkeypatch):
+    """Counted in rows forwarded: each model passes over each test set once."""
     cfg = tiny_config(tmp_path)
     out = tmp_path / "run"
     for command in ("synth", "pretrain", "expand"):
         assert run(command, "--config", cfg, "--out", out) == 0
 
-    calls = []
-    real_forward = fusion.forward_logits
+    rows = []
+    real_forward = nn.forward_logits
 
-    def counting_forward(model, batch):
-        calls.append(len(batch))
-        return real_forward(model, batch)
+    def counting_forward(model, batch, *rest):
+        rows.append(len(batch))
+        return real_forward(model, batch, *rest)
 
-    monkeypatch.setattr(fusion, "forward_logits", counting_forward)
+    monkeypatch.setattr(nn, "forward_logits", counting_forward)
     assert run("evaluate", "--config", cfg, "--out", out) == 0
-    # two sources: 2 originals + 2 updated models on 3 test sets
-    assert len(calls) == 4 * 3
+    layout = OutputLayout(out)
+    test_rows = [
+        data.load_csv(layout.domain_csv(name, "test")).n
+        for name in ("source_0", "source_1", "new")
+    ]
+    # two sources: 2 originals + 2 updated models on 3 test sets, each
+    # smaller than one chunk
+    assert max(test_rows) <= nn.CHUNK_ROWS
+    assert sorted(rows) == sorted(test_rows * 4)
 
 
 @pytest.mark.parametrize("weight_temperature", [1e-3, 3e-4])
@@ -476,3 +488,36 @@ def test_parser_requires_out(capsys):
     with pytest.raises(SystemExit):
         cli.main(["synth"])
     capsys.readouterr()
+
+
+# The whole-set forwards run in 64-row chunks, which the installed OpenBLAS
+# computes on its single-threaded small-matrix path, so the default config's
+# expanded models get the same bits under 1 and 2 threads; one product over
+# the 700-row new set would not. OpenBLAS reads the variable when it loads,
+# hence the subprocesses.
+def test_expanded_models_do_not_depend_on_the_blas_thread_count(tmp_path):
+    script = (
+        "import sys\n"
+        "from domex import cli\n"
+        "for stage in ('synth', 'pretrain', 'expand'):\n"
+        "    if cli.main([stage, '--out', sys.argv[1]]):\n"
+        "        sys.exit(stage + ' failed')\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-c", script, str(out)], env=env, check=True, capture_output=True
+        )
+        digests.append(
+            {
+                path.relative_to(out).as_posix(): sha256_file(path)
+                for part in ("models", "expanded")
+                for path in sorted((out / part).iterdir())
+            }
+        )
+    assert len(digests[0]) == 3 + 4  # 3 original, 3 updated models and the log
+    assert digests[0] == digests[1]

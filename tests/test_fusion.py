@@ -281,26 +281,29 @@ def test_evaluate_expanded_rejects_unusable_test_sets():
 
 
 def test_evaluate_runs_one_forward_per_model_and_domain(monkeypatch):
+    """Counted in rows forwarded: each model passes over each test set once."""
     rng = np.random.default_rng(14)
     originals = random_models(rng, 3)
     updated = random_models(rng, 3)
+    # 70 rows take two chunks
+    sizes = {"source_0": 5, "source_1": 6, "source_2": 7, "new": 70}
     test_sets = {
-        name: DomainDataset(name, rng.normal(size=(5, 3)), rng.integers(0, 3, size=5))
-        for name in ("source_0", "source_1", "source_2", "new")
+        name: DomainDataset(name, rng.normal(size=(n, 3)), rng.integers(0, 3, size=n))
+        for name, n in sizes.items()
     }
     separate = {
         method: fusion.evaluate_expanded(method, originals, updated, test_sets)
         for method in fusion.FUSION_METHODS
     }
 
-    pairs = []
-    real_forward = fusion.forward_logits
+    rows = []
+    real_forward = nn.forward_logits
 
-    def counting_forward(model, batch):
-        pairs.append((id(model), id(batch)))
-        return real_forward(model, batch)
+    def counting_forward(model, batch, *rest):
+        rows.append(len(batch))
+        return real_forward(model, batch, *rest)
 
-    monkeypatch.setattr(fusion, "forward_logits", counting_forward)
+    monkeypatch.setattr(nn, "forward_logits", counting_forward)
     outputs = {}
     shared = {
         method: fusion.evaluate_expanded(
@@ -308,7 +311,8 @@ def test_evaluate_runs_one_forward_per_model_and_domain(monkeypatch):
         )
         for method in fusion.FUSION_METHODS
     }
-    assert len(pairs) == len(set(pairs)) == 6 * len(test_sets)
+    assert sorted(rows) == sorted([5, 6, 7, 64, 6] * 6)
+    assert sum(rows) == 6 * sum(sizes.values())
     for method in fusion.FUSION_METHODS:
         assert shared[method].to_dict() == separate[method].to_dict()
 

@@ -424,6 +424,91 @@ def test_sgd_step_allocates_one_parameter_vector():
     assert peak <= 1.1 * model.theta.nbytes
 
 
+def test_step_through_a_reused_cache_allocates_no_activation_sized_array():
+    model, x, _, dlogits = default_step_setup()
+    cache = nn.ForwardCache()
+
+    def step(rows):
+        nn.forward_logits(model, x[:rows], cache)
+        return nn.backward(model, cache, dlogits[:rows])
+
+    step(ROWS)
+    # a full batch, then a partial one in the first rows of the same buffers;
+    # what is left is numpy's iterator buffer plus logit-sized arrays and
+    # Python objects (measured 5 KB), well below a fresh 64 KB ReLU mask
+    for rows in (ROWS, 10):
+        peak, _ = traced_peak(lambda: step(rows))
+        assert peak <= UFUNC_BUFFER_BYTES + 16 * 1024
+
+
+def test_reused_cache_gives_the_bits_of_fresh_ones():
+    model, x, dlogits = zero_pre_activation_setup()
+    cache = nn.ForwardCache()
+    for rows in (7, 3, 7, 0):
+        logits, returned = nn.forward_logits(model, x[:rows], cache)
+        fresh_logits, fresh = nn.forward_logits(model, x[:rows])
+        assert returned is cache and same_bits(logits, fresh_logits)
+        for got, want in zip(cache.activations, fresh.activations):
+            assert same_bits(got, want)
+        grads = nn.backward(model, cache, dlogits[:rows])
+        assert same_bits(grads, nn.backward(model, fresh, dlogits[:rows]))
+    # another architecture through the same cache gets buffers of its shapes
+    other = nn.init_mlp(4, [9], 3, np.random.default_rng(33))
+    logits, _ = nn.forward_logits(other, x, cache)
+    assert same_bits(logits, nn.forward_logits(other, x)[0])
+    _, fresh = nn.forward_logits(other, x)
+    assert same_bits(nn.backward(other, cache, dlogits), nn.backward(other, fresh, dlogits))
+
+
+def test_results_alias_the_cache_until_its_next_use():
+    model, x, dlogits = zero_pre_activation_setup()
+    cache = nn.ForwardCache()
+    logits, _ = nn.forward_logits(model, x, cache)
+    grads = nn.backward(model, cache, dlogits)
+    first_logits, first_grads = logits.copy(), grads.copy()
+    logits_again, _ = nn.forward_logits(model, -x, cache)
+    grads_again = nn.backward(model, cache, -dlogits)
+    assert np.shares_memory(logits, logits_again) and np.shares_memory(grads, grads_again)
+    assert not same_bits(logits, first_logits) and not same_bits(grads, first_grads)
+
+
+# ---------------------------------------------------------------------------
+# chunked_logits
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+def test_chunked_logits_equal_a_forward_on_each_chunk(n):
+    rng = np.random.default_rng(34)
+    model = nn.init_mlp(3, [7], 4, rng)
+    data = rng.normal(size=(n, 3))
+    logits = nn.chunked_logits(model, data)
+    assert logits.shape == (n, 4) and logits.dtype == np.float64
+    for start in range(0, n, nn.CHUNK_ROWS):
+        chunk = data[start : start + nn.CHUNK_ROWS]
+        assert same_bits(logits[start : start + nn.CHUNK_ROWS], nn.forward_logits(model, chunk)[0])
+    if n:
+        whole = nn.forward_logits(model, data)[0]
+        assert np.max(np.abs(logits - whole)) <= 1e-12
+
+
+def test_chunked_logits_own_their_memory():
+    rng = np.random.default_rng(35)
+    model = nn.init_mlp(3, [7], 4, rng)
+    for n in (0, 5, 64, 130):
+        logits = nn.chunked_logits(model, rng.normal(size=(n, 3)))
+        # not a view into a cache buffer (or into anything else)
+        assert logits.base is None and logits.flags.owndata
+
+
+def test_chunked_logits_reject_bad_input():
+    model = nn.init_mlp(3, [7], 4, np.random.default_rng(36))
+    with pytest.raises(InputError):
+        nn.chunked_logits(model, np.zeros((5, 2)))
+    model.theta[-1] = np.inf
+    with pytest.raises(NumericError):
+        nn.chunked_logits(model, np.ones((70, 3)))
+
+
 # ---------------------------------------------------------------------------
 # finite_diff_gradient
 
@@ -453,6 +538,31 @@ def test_finite_diff_rejects_non_finite_loss():
         nn.finite_diff_gradient(lambda m: float("nan"), model)
     with pytest.raises(ParameterError):
         nn.finite_diff_gradient(lambda m: 0.0, model, epsilon=0.0)
+
+
+def test_finite_diff_probes_one_parameter_at_a_time_and_restores_it():
+    rng = np.random.default_rng(15)
+    model = nn.init_mlp(2, [3], 2, rng)
+    theta, eps, seen = model.theta.copy(), 1e-5, []
+
+    def loss(m):
+        seen.append(m.theta.copy())
+        if len(seen) == 5:
+            raise RuntimeError("probe failed")
+        return 0.0
+
+    with pytest.raises(RuntimeError):
+        nn.finite_diff_gradient(loss, model, epsilon=eps)
+    assert same_bits(model.theta, theta)
+    for call, probed in enumerate(seen):
+        expected = theta.copy()
+        expected[call // 2] = theta[call // 2] + (eps if call % 2 == 0 else -eps)
+        assert same_bits(probed, expected)
+
+    seen.clear()
+    nn.finite_diff_gradient(lambda m: seen.append(m) or 0.0, model, epsilon=eps)
+    assert len(seen) == 2 * theta.size and all(m is seen[0] for m in seen)
+    assert same_bits(seen[0].theta, theta) and seen[0] is not model
 
 
 # ---------------------------------------------------------------------------
