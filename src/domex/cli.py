@@ -24,6 +24,7 @@ from . import __version__, checks, expansion, fusion, nn
 from .config import OutputLayout, RunConfig, load_config, write_manifest
 from .data import (
     DomainDataset,
+    benchmark_shifts,
     generate_domains,
     load_csv,
     split,
@@ -39,6 +40,9 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
+# The config section whose seed --seed overrides, per stage.
+SEEDED_SECTIONS = {"synth": "data", "pretrain": "pretrain", "expand": "expansion"}
+
 
 def _domain_names(cfg: RunConfig) -> list[str]:
     return [f"source_{i}" for i in range(cfg.data.num_sources)] + ["new"]
@@ -49,19 +53,15 @@ def _config_inputs(args) -> list[Path]:
 
 
 def cmd_synth(cfg: RunConfig, layout: OutputLayout, args) -> int:
-    if args.seed is not None:
-        cfg.data.seed = args.seed
-    synth_cfg, new_transform = cfg.data.benchmark()
-    domains = generate_domains(synth_cfg, cfg.data.num_sources, new_transform)
+    new_transform = benchmark_shifts(cfg.data)[1]
+    domains = generate_domains(cfg.data, cfg.data.num_sources, new_transform)
     layout.data_dir.mkdir(parents=True, exist_ok=True)
 
     outputs = []
-    spec = cfg.data.split_spec()
     for ds in domains:
-        train, test = split(ds, spec)
+        train, test = split(ds, cfg.data)
         if cfg.data.standardize:
-            train, applied, _ = standardize(train, [test])
-            test = applied[0]
+            train, (test,) = standardize(train, [test])
         for part, part_ds in (("train", train), ("test", test)):
             path = layout.domain_csv(ds.name, part)
             write_csv(part_ds, path)
@@ -77,8 +77,6 @@ def cmd_synth(cfg: RunConfig, layout: OutputLayout, args) -> int:
 
 
 def cmd_pretrain(cfg: RunConfig, layout: OutputLayout, args) -> int:
-    if args.seed is not None:
-        cfg.pretrain.seed = args.seed
     layout.models_dir.mkdir(parents=True, exist_ok=True)
     seeds = np.random.SeedSequence(cfg.pretrain.seed).spawn(cfg.data.num_sources)
 
@@ -138,8 +136,6 @@ def cmd_pretrain(cfg: RunConfig, layout: OutputLayout, args) -> int:
 def cmd_expand(cfg: RunConfig, layout: OutputLayout, args) -> int:
     # Source-free by construction: inputs are the source models plus the
     # unlabelled new-domain features, nothing else.
-    if args.seed is not None:
-        cfg.expansion.seed = args.seed
     model_paths = [layout.original_model(i) for i in range(cfg.data.num_sources)]
     originals = [nn.load_model(p) for p in model_paths]
     new_data = load_csv(layout.new_unlabelled_csv)
@@ -290,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
     logging.getLogger("domex").setLevel(level)
     try:
         cfg = load_config(args.config)
+        if args.seed is not None and args.command in SEEDED_SECTIONS:
+            getattr(cfg, SEEDED_SECTIONS[args.command]).seed = args.seed
+        cfg.check_seeds()
         layout = OutputLayout(args.out)
         layout.root.mkdir(parents=True, exist_ok=True)
         # Diverged training overflows in numpy; the finiteness checks on

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
-from .data import SplitSpec, SyntheticDomainConfig, make_benchmark
+from .data import DataConfig
 from .errors import ConfigError
 from .expansion import Hyperparams
 from .fusion import FUSION_METHODS
@@ -65,53 +65,6 @@ def _from_mapping(cls, raw: dict, section: str):
         return cls(**raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid section {section!r}: {exc}") from exc
-
-
-@dataclass
-class DataConfig:
-    """Synthetic benchmark knobs plus the split policy."""
-
-    num_classes: int = 5
-    feature_dim: int = 10
-    samples_per_class: int = 200
-    mean_scale: float = 1.5
-    noise_std: float = 1.0
-    source_rotations_deg: list[float] = field(default_factory=lambda: [15.0, 55.0, 85.0])
-    source_shift_sigmas: list[float] = field(default_factory=lambda: [0.5, 1.25, 2.0])
-    new_rotation_deg: float = 0.0
-    new_shift_sigma: float = 1.0
-    plane_signal_fraction: float = 0.5
-    train_fraction: float = 0.70
-    standardize: bool = False
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError(
-                f"train_fraction must lie in (0, 1), got {self.train_fraction}"
-            )
-
-    def benchmark(self):
-        return make_benchmark(
-            num_classes=self.num_classes,
-            feature_dim=self.feature_dim,
-            samples_per_class=self.samples_per_class,
-            mean_scale=self.mean_scale,
-            noise_std=self.noise_std,
-            source_rotations_deg=tuple(self.source_rotations_deg),
-            source_shift_sigmas=tuple(self.source_shift_sigmas),
-            new_rotation_deg=self.new_rotation_deg,
-            new_shift_sigma=self.new_shift_sigma,
-            plane_signal_fraction=self.plane_signal_fraction,
-            seed=self.seed,
-        )
-
-    def split_spec(self) -> SplitSpec:
-        return SplitSpec(train_fraction=self.train_fraction, seed=self.seed)
-
-    @property
-    def num_sources(self) -> int:
-        return len(self.source_rotations_deg)
 
 
 @dataclass
@@ -190,15 +143,27 @@ class RunConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def check_seeds(self) -> None:
+        """Reject a negative seed: numpy seeds its generators from
+        non-negative integers only."""
+        seeds = [
+            ("data.seed", self.data.seed),
+            ("pretrain.seed", self.pretrain.seed),
+            ("expansion.seed", self.expansion.seed),
+        ]
+        seeds += [(f"gradcheck.seeds[{k}]", s) for k, s in enumerate(self.gradcheck.seeds)]
+        for where, seed in seeds:
+            if seed < 0:
+                raise ConfigError(f"{where} must be >= 0, got {seed}")
+
 
 def load_config(path: str | Path | None) -> RunConfig:
     """Read a config file; a missing path means all defaults."""
     if path is None:
         return RunConfig()
-    text = Path(path).read_text()
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return RunConfig.from_dict(raw)
 

@@ -2,9 +2,9 @@
 
 The benchmark manufactures controllable domain shift in feature space: every
 domain draws from the same Gaussian class mixture, then gets its own affine
-distortion (a rotation inside one seeded 2-D subspace, a mean shift, and a
-uniform scale). Shared class structure plus distinct distortions is exactly
-the setting the expansion algorithm targets.
+distortion (a rotation inside one seeded 2-D subspace and a mean shift).
+Shared class structure plus distinct distortions is exactly the setting the
+expansion algorithm targets.
 """
 
 from __future__ import annotations
@@ -65,15 +65,44 @@ class DomainDataset:
 
 
 @dataclass
-class SplitSpec:
+class DataConfig:
+    """Synthetic benchmark knobs plus the split policy.
+
+    The one owner of each knob and its default: the config's data section,
+    make_benchmark, generate_domains and split all read this class.
+    """
+
+    num_classes: int = 5
+    feature_dim: int = 10
+    samples_per_class: int = 200
+    mean_scale: float = 1.5
+    noise_std: float = 1.0
+    source_rotations_deg: list[float] = field(default_factory=lambda: [15.0, 55.0, 85.0])
+    source_shift_sigmas: list[float] = field(default_factory=lambda: [0.5, 1.25, 2.0])
+    new_rotation_deg: float = 0.0
+    new_shift_sigma: float = 1.0
+    # Share of each synthesized class mean's energy placed inside the
+    # rotation plane. Without this, how much a rotation hurts would depend
+    # on where the random plane happens to fall relative to the random
+    # means, making the benchmark's difficulty grading a lottery.
+    plane_signal_fraction: float = 0.5
     train_fraction: float = 0.70
+    standardize: bool = False
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction}"
+                f"train_fraction must lie in (0, 1), got {self.train_fraction}"
             )
+
+    @property
+    def num_sources(self) -> int:
+        return len(self.source_rotations_deg)
+
+
+# split reads a DataConfig's train_fraction and seed.
+SplitSpec = DataConfig
 
 
 def load_csv(path: str | Path) -> DomainDataset:
@@ -81,8 +110,11 @@ def load_csv(path: str | Path) -> DomainDataset:
     integer "label" column. Malformed content raises ParseError naming the
     1-based line."""
     path = Path(path)
-    with path.open(newline="") as handle:
-        rows = list(csv.reader(handle))
+    try:
+        with path.open(newline="") as handle:
+            rows = list(csv.reader(handle))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     if not rows:
         raise ParseError(f"{path} is empty")
     header = [h.strip() for h in rows[0]]
@@ -115,24 +147,24 @@ def load_csv(path: str | Path) -> DomainDataset:
     )
 
 
-def write_csv(ds: DomainDataset, path: str | Path, include_labels: bool = True) -> None:
-    """Write a dataset as CSV; floats use repr so a reload is value-identical."""
+def write_csv(ds: DomainDataset, path: str | Path) -> None:
+    """Write a dataset as CSV, with a label column if it is labelled; floats
+    use repr so a reload is value-identical."""
     path = Path(path)
-    with_labels = include_labels and ds.labelled
     header = [f"f{i}" for i in range(ds.dim)]
-    if with_labels:
+    if ds.labelled:
         header.append(LABEL_COLUMN)
     lines = [",".join(header)]
     for row_index, row in enumerate(ds.features.tolist()):
         line = ",".join(map(repr, row))
-        if with_labels:
+        if ds.labelled:
             line += f",{int(ds.labels[row_index])}"
         lines.append(line)
     path.write_text("\n".join(lines) + "\n")
 
 
-def split(ds: DomainDataset, spec: SplitSpec) -> tuple[DomainDataset, DomainDataset]:
-    """Deterministic stratified split into train/test.
+def split(ds: DomainDataset, spec: DataConfig) -> tuple[DomainDataset, DomainDataset]:
+    """Deterministic stratified split of a labelled dataset into train/test.
 
     The train side gets ceil(train_fraction * N) samples overall; per-class
     counts are allocated by largest remainder so every class lands within one
@@ -144,11 +176,8 @@ def split(ds: DomainDataset, spec: SplitSpec) -> tuple[DomainDataset, DomainData
     target_train = math.ceil(spec.train_fraction * ds.n)
     rng = np.random.default_rng(spec.seed)
 
-    if ds.labelled:
-        classes = np.unique(ds.labels)
-        strata = {int(c): np.flatnonzero(ds.labels == c) for c in classes}
-    else:
-        strata = {0: np.arange(ds.n)}
+    classes = np.unique(ds.labels)
+    strata = {int(c): np.flatnonzero(ds.labels == c) for c in classes}
 
     forced = [c for c, idx in strata.items() if idx.size == 1]
     for c in forced:
@@ -200,64 +229,10 @@ def split(ds: DomainDataset, spec: SplitSpec) -> tuple[DomainDataset, DomainData
 
 @dataclass
 class DomainShift:
-    """Invertible affine distortion: x -> scale * R(rotation) x + translation."""
+    """Invertible affine distortion: x -> R(rotation) x + translation."""
 
-    rotation_deg: float = 0.0
-    translation: float | np.ndarray = 0.0
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.scale == 0:
-            raise ConfigError("degenerate transform: scale must be nonzero")
-
-
-@dataclass
-class SyntheticDomainConfig:
-    """Recipe for one family of synthetic domains sharing a class mixture.
-
-    Class means are drawn once (or given explicitly); every domain draws its
-    own samples from the same mixture and then applies its own DomainShift.
-    The rotation acts inside a single random 2-D subspace fixed by the seed.
-    """
-
-    num_classes: int = 5
-    feature_dim: int = 10
-    samples_per_class: int = 200
-    mean_scale: float = 2.0
-    noise_std: float = 1.0
-    # Share of each synthesized class mean's energy placed inside the
-    # rotation plane. Without this, how much a rotation hurts would depend
-    # on where the random plane happens to fall relative to the random
-    # means, making the benchmark's difficulty grading a lottery. Ignored
-    # when class_means are given explicitly.
-    plane_signal_fraction: float = 0.5
-    class_means: np.ndarray | None = None
-    source_transforms: list[DomainShift] = field(default_factory=list)
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        if not 0.0 <= self.plane_signal_fraction <= 1.0:
-            raise ConfigError(
-                f"plane_signal_fraction must be in [0, 1], got "
-                f"{self.plane_signal_fraction}"
-            )
-        if self.feature_dim < 1:
-            raise ConfigError(f"feature_dim must be >= 1, got {self.feature_dim}")
-        if self.samples_per_class < 1:
-            raise ConfigError(
-                f"samples_per_class must be >= 1, got {self.samples_per_class}"
-            )
-        if self.noise_std <= 0:
-            raise ConfigError(f"noise_std must be > 0, got {self.noise_std}")
-        if self.class_means is not None:
-            self.class_means = np.asarray(self.class_means, dtype=np.float64)
-            if self.class_means.shape != (self.num_classes, self.feature_dim):
-                raise ConfigError(
-                    f"class_means must have shape ({self.num_classes}, "
-                    f"{self.feature_dim}), got {self.class_means.shape}"
-                )
+    rotation_deg: float
+    translation: np.ndarray
 
 
 def _rebalance_means(
@@ -309,36 +284,27 @@ def _apply_shift(
         if d < 2:
             raise ConfigError("rotation needs feature_dim >= 2")
         out = out @ _rotation_matrix(d, u, v, shift.rotation_deg).T
-    out = shift.scale * out
-    translation = np.asarray(shift.translation, dtype=np.float64)
-    if translation.ndim == 0:
-        translation = np.full(d, float(translation))
-    if translation.shape != (d,):
-        raise ConfigError(
-            f"translation must be scalar or length-{d}, got shape {translation.shape}"
-        )
-    return out + translation
+    return out + shift.translation
 
 
 def generate_domains(
-    cfg: SyntheticDomainConfig,
+    cfg: DataConfig,
     num_source_domains: int,
     new_domain_transform: DomainShift,
 ) -> list[DomainDataset]:
     """Produce num_source_domains labelled source domains plus the new domain.
 
-    All domains share the class mixture; each one is distorted by its own
-    transform. Sampling is reproducible: the master seed fixes the shared
-    structure (class means, rotation subspace) and spawns an independent
-    stream per domain, so domains could be generated in parallel.
+    All domains share the class mixture; each source is distorted by its
+    benchmark_shifts transform and the new domain by new_domain_transform.
+    Sampling is reproducible: the master seed fixes the shared structure
+    (class means, rotation subspace) and spawns an independent stream per
+    domain, so domains could be generated in parallel.
     """
     if num_source_domains < 2:
         raise ConfigError(
             f"need at least two source domains, got {num_source_domains}"
         )
-    transforms = list(cfg.source_transforms) or [
-        DomainShift() for _ in range(num_source_domains)
-    ]
+    transforms, _ = benchmark_shifts(cfg)
     if len(transforms) != num_source_domains:
         raise ConfigError(
             f"{len(transforms)} source transforms configured for "
@@ -349,19 +315,15 @@ def generate_domains(
     structure_seed, *domain_seeds = root.spawn(num_source_domains + 2)
     structure_rng = np.random.default_rng(structure_seed)
 
-    if cfg.class_means is None:
-        means = structure_rng.normal(
-            0.0, cfg.mean_scale, size=(cfg.num_classes, cfg.feature_dim)
-        )
-    else:
-        means = cfg.class_means
+    means = structure_rng.normal(
+        0.0, cfg.mean_scale, size=(cfg.num_classes, cfg.feature_dim)
+    )
     if cfg.feature_dim >= 2:
         basis = np.linalg.qr(
             structure_rng.standard_normal((cfg.feature_dim, 2))
         )[0]
         u, v = basis[:, 0], basis[:, 1]
-        if cfg.class_means is None:
-            means = _rebalance_means(means, u, v, cfg.plane_signal_fraction)
+        means = _rebalance_means(means, u, v, cfg.plane_signal_fraction)
     else:
         u = v = np.zeros(cfg.feature_dim)
 
@@ -380,50 +342,24 @@ def generate_domains(
     return domains
 
 
-@dataclass
-class FeatureStats:
-    """Per-feature mean and (population) standard deviation of a fitting set."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-
-def apply_standardization(ds: DomainDataset, stats: FeatureStats) -> DomainDataset:
-    """Z-score with the given stats; zero-variance features are mapped to 0."""
-    safe_std = np.where(stats.std == 0.0, 1.0, stats.std)
-    z = (ds.features - stats.mean) / safe_std
-    z[:, stats.std == 0.0] = 0.0
-    return DomainDataset(ds.name, z, ds.labels)
-
-
 def standardize(
     train: DomainDataset, others: list[DomainDataset] | tuple[DomainDataset, ...] = ()
-) -> tuple[DomainDataset, list[DomainDataset], FeatureStats]:
-    """Fit per-feature z-scoring on train and apply it to train plus others."""
-    stats = FeatureStats(
-        mean=train.features.mean(axis=0), std=train.features.std(axis=0)
-    )
-    return (
-        apply_standardization(train, stats),
-        [apply_standardization(ds, stats) for ds in others],
-        stats,
-    )
+) -> tuple[DomainDataset, list[DomainDataset]]:
+    """Z-score train and others with train's per-feature mean and population
+    standard deviation; zero-variance features are mapped to 0."""
+    mean, std = train.features.mean(axis=0), train.features.std(axis=0)
+    safe_std = np.where(std == 0.0, 1.0, std)
+
+    def apply(ds: DomainDataset) -> DomainDataset:
+        z = (ds.features - mean) / safe_std
+        z[:, std == 0.0] = 0.0
+        return DomainDataset(ds.name, z, ds.labels)
+
+    return apply(train), [apply(ds) for ds in others]
 
 
-def make_benchmark(
-    num_classes: int = 5,
-    feature_dim: int = 10,
-    samples_per_class: int = 200,
-    mean_scale: float = 1.5,
-    noise_std: float = 1.0,
-    source_rotations_deg: tuple[float, ...] = (15.0, 55.0, 85.0),
-    source_shift_sigmas: tuple[float, ...] = (0.5, 1.25, 2.0),
-    new_rotation_deg: float = 0.0,
-    new_shift_sigma: float = 1.0,
-    plane_signal_fraction: float = 0.5,
-    seed: int = 0,
-) -> tuple[SyntheticDomainConfig, DomainShift]:
-    """Build the default benchmark recipe: graded rotations and mean shifts.
+def benchmark_shifts(cfg: DataConfig) -> tuple[list[DomainShift], DomainShift]:
+    """The benchmark's graded distortions: one per source domain, then the new domain's.
 
     Source domains are ordered from mild to strong distortion, so models
     pre-trained on them have graded quality on the (lightly distorted) new
@@ -434,32 +370,46 @@ def make_benchmark(
     collapse by two domains shifting the same way), yet the sources stay
     mutually close enough that aligning a weak model with its peers does
     not strand it far from every domain it still has to serve.
-    """
-    if len(source_rotations_deg) != len(source_shift_sigmas):
-        raise ConfigError("rotation and shift lists must have equal length")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5EED)))
 
-    if feature_dim >= 2:
-        pair = np.linalg.qr(rng.standard_normal((feature_dim, 2)))[0]
+    Knobs that no benchmark can be built from raise ConfigError.
+    """
+    if len(cfg.source_rotations_deg) != len(cfg.source_shift_sigmas):
+        raise ConfigError("rotation and shift lists must have equal length")
+    if cfg.num_classes < 2:
+        raise ConfigError(f"num_classes must be >= 2, got {cfg.num_classes}")
+    if not 0.0 <= cfg.plane_signal_fraction <= 1.0:
+        raise ConfigError(
+            f"plane_signal_fraction must be in [0, 1], got "
+            f"{cfg.plane_signal_fraction}"
+        )
+    if cfg.feature_dim < 1:
+        raise ConfigError(f"feature_dim must be >= 1, got {cfg.feature_dim}")
+    if cfg.samples_per_class < 1:
+        raise ConfigError(
+            f"samples_per_class must be >= 1, got {cfg.samples_per_class}"
+        )
+    if cfg.noise_std <= 0:
+        raise ConfigError(f"noise_std must be > 0, got {cfg.noise_std}")
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EED)))
+
+    if cfg.feature_dim >= 2:
+        pair = np.linalg.qr(rng.standard_normal((cfg.feature_dim, 2)))[0]
         source_dir, new_dir = pair[:, 0], pair[:, 1]
     else:
-        source_dir = new_dir = np.ones(feature_dim)
+        source_dir = new_dir = np.ones(cfg.feature_dim)
 
     source_transforms = [
-        DomainShift(rot, source_dir * sig * noise_std, 1.0)
-        for rot, sig in zip(source_rotations_deg, source_shift_sigmas)
+        DomainShift(rot, source_dir * sig * cfg.noise_std)
+        for rot, sig in zip(cfg.source_rotations_deg, cfg.source_shift_sigmas)
     ]
     new_transform = DomainShift(
-        new_rotation_deg, new_dir * new_shift_sigma * noise_std, 1.0
+        cfg.new_rotation_deg, new_dir * cfg.new_shift_sigma * cfg.noise_std
     )
-    cfg = SyntheticDomainConfig(
-        num_classes=num_classes,
-        feature_dim=feature_dim,
-        samples_per_class=samples_per_class,
-        mean_scale=mean_scale,
-        noise_std=noise_std,
-        plane_signal_fraction=plane_signal_fraction,
-        source_transforms=source_transforms,
-        seed=seed,
-    )
-    return cfg, new_transform
+    return source_transforms, new_transform
+
+
+def make_benchmark(seed: int = 0, **knobs) -> tuple[DataConfig, DomainShift]:
+    """The benchmark's DataConfig, at the defaults for every knob not given,
+    and its new domain's shift."""
+    cfg = DataConfig(seed=seed, **knobs)
+    return cfg, benchmark_shifts(cfg)[1]

@@ -87,14 +87,6 @@ class WeightVector:
     entropies: np.ndarray
     weights: np.ndarray
 
-    def __post_init__(self):
-        self.entropies = np.asarray(self.entropies, dtype=np.float64)
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.entropies.shape != self.weights.shape or self.entropies.ndim != 1:
-            raise InputError("entropies and weights must be 1-D and aligned")
-        if abs(self.weights.sum() - 1.0) > 1e-9:
-            raise InputError("weights must sum to 1")
-
 
 @dataclass
 class EnsembleState:

@@ -490,4 +490,6 @@ def load_model(path: str | Path) -> MlpModel:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc.msg}", line=exc.lineno) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     return model_from_dict(doc)

@@ -469,6 +469,55 @@ def test_config_errors_map_to_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "stage, overrides, argv",
+    [
+        ("synth", {"data": {"seed": -1}}, []),
+        ("pretrain", {"pretrain": {"seed": -1}}, []),
+        ("expand", {"expansion": {"seed": -1}}, []),
+        ("gradcheck", {"gradcheck": {"seeds": [0, -1]}}, []),
+        ("synth", {}, ["--seed", -1]),
+        ("pretrain", {}, ["--seed", -1]),
+        ("expand", {}, ["--seed", -1]),
+    ],
+    ids=[
+        "data.seed",
+        "pretrain.seed",
+        "expansion.seed",
+        "gradcheck.seeds",
+        "synth --seed",
+        "pretrain --seed",
+        "expand --seed",
+    ],
+)
+def test_negative_seeds_are_a_one_line_config_error(tmp_path, capsys, stage, overrides, argv):
+    cfg = tiny_config(tmp_path, **overrides)
+    capsys.readouterr()
+    assert run(stage, "--config", cfg, "--out", tmp_path / "run", *argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "stage, target, code",
+    [
+        ("synth", None, cli.EXIT_CONFIG),
+        ("pretrain", "data/source_0_train.csv", cli.EXIT_IO),
+        ("expand", "models/original_0.json", cli.EXIT_IO),
+    ],
+    ids=["config", "data csv", "model json"],
+)
+def test_non_utf8_input_is_a_one_line_error(tmp_path, capsys, stage, target, code):
+    cfg, out = pipeline_through_pretrain(tmp_path)
+    path = cfg if target is None else out / target
+    raw = path.read_bytes()
+    path.write_bytes(raw[:10] + b"\xff" + raw[10:])
+    capsys.readouterr()
+    assert run(stage, "--config", cfg, "--out", out) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "stage, overrides",
     [
         ("pretrain", {"pretrain": {"learning_rate": 1e30}}),

@@ -6,7 +6,7 @@ import numpy as np
 
 import pytest
 
-from domex import config
+from domex import config, data
 from domex.errors import ConfigError
 
 
@@ -68,14 +68,14 @@ def test_config_must_be_json(tmp_path):
 
 
 def test_data_config_matches_benchmark_defaults():
-    cfg = config.DataConfig()
-    synth, new_t = cfg.benchmark()
+    synth, new_t = data.make_benchmark()
+    assert synth == config.DataConfig()
     assert synth.num_classes == 5
     assert synth.feature_dim == 10
     assert synth.mean_scale == 1.5
-    assert len(synth.source_transforms) == 3
+    assert synth.num_sources == 3
     assert np.linalg.norm(new_t.translation) > 0
-    assert cfg.split_spec().train_fraction == 0.70
+    assert data.SplitSpec().train_fraction == 0.70
 
 
 def test_output_layout_paths(tmp_path):

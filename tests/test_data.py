@@ -106,7 +106,7 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.labels, ds.labels)
 
     bare = tmp_path / "bare.csv"
-    data.write_csv(ds, bare, include_labels=False)
+    data.write_csv(data.DomainDataset("bare", ds.features), bare)
     assert not data.load_csv(bare).labelled
 
 
@@ -205,61 +205,35 @@ def test_generate_domains_rejects_bad_setups():
     with pytest.raises(ConfigError):
         data.generate_domains(cfg, 1, new_t)
     with pytest.raises(ConfigError):
-        data.DomainShift(scale=0.0)
-    with pytest.raises(ConfigError):
         data.make_benchmark(source_rotations_deg=(10.0,), source_shift_sigmas=(1.0, 2.0))
 
 
 def test_identity_transforms_leave_domains_interchangeable():
-    cfg = data.SyntheticDomainConfig(
-        num_classes=5,
-        feature_dim=10,
-        samples_per_class=200,
-        mean_scale=1.5,
-        source_transforms=[data.DomainShift() for _ in range(3)],
+    cfg, new_t = data.make_benchmark(
         seed=6,
+        source_rotations_deg=[0.0, 0.0, 0.0],
+        source_shift_sigmas=[0.0, 0.0, 0.0],
+        new_shift_sigma=0.0,
     )
-    domains = data.generate_domains(cfg, 3, data.DomainShift())
+    domains = data.generate_domains(cfg, 3, new_t)
     model = quick_fit(domains[0], hidden=16, epochs=10, rng=np.random.default_rng(7))
     accs = [model_accuracy(model, ds) for ds in domains]
     # identical distributions: at N=1000 per domain the spread stays inside 3%
     assert max(accs) - min(accs) <= 0.03
 
 
-def test_ring_means_under_half_turn_break_the_classifier():
-    angles = 2.0 * math.pi * np.arange(4) / 4.0
-    means = 3.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    cfg = data.SyntheticDomainConfig(
-        num_classes=4,
-        feature_dim=2,
-        samples_per_class=100,
-        noise_std=0.5,
-        class_means=means,
-        source_transforms=[data.DomainShift(), data.DomainShift()],
-        seed=8,
-    )
-    domains = data.generate_domains(cfg, 2, data.DomainShift(rotation_deg=180.0))
-    model = quick_fit(domains[0], hidden=16, epochs=20, rng=np.random.default_rng(9))
-    assert model_accuracy(model, domains[0]) >= 0.95
-    # a half turn swaps opposite ring positions, so accuracy collapses to
-    # chance or below
-    assert model_accuracy(model, domains[-1]) <= 0.35
-
-
 def test_runaway_source_domain_earns_the_largest_weight():
-    cfg = data.SyntheticDomainConfig(
+    cfg, new_t = data.make_benchmark(
+        seed=10,
         num_classes=3,
         feature_dim=6,
         samples_per_class=50,
-        mean_scale=1.5,
-        source_transforms=[
-            data.DomainShift(),
-            data.DomainShift(),
-            data.DomainShift(translation=5.0),  # +5 sigma on every coordinate
-        ],
-        seed=10,
+        source_rotations_deg=[0.0, 0.0, 0.0],
+        # as far off as +5 sigma on every one of the 6 coordinates
+        source_shift_sigmas=[0.0, 0.0, 5.0 * math.sqrt(6.0)],
+        new_shift_sigma=0.0,
     )
-    domains = data.generate_domains(cfg, 3, data.DomainShift())
+    domains = data.generate_domains(cfg, 3, new_t)
     rng = np.random.default_rng(11)
     originals = [quick_fit(ds, hidden=16, epochs=10, rng=rng) for ds in domains[:3]]
 
@@ -273,7 +247,7 @@ def test_runaway_source_domain_earns_the_largest_weight():
 
 def test_benchmark_shift_geometry():
     cfg, new_t = data.make_benchmark(seed=13)
-    translations = [t.translation for t in cfg.source_transforms]
+    translations = [t.translation for t in data.benchmark_shifts(cfg)[0]]
     sigmas = (0.5, 1.25, 2.0)
     unit = translations[0] / np.linalg.norm(translations[0])
     for vec, sigma in zip(translations, sigmas):
@@ -296,28 +270,31 @@ def test_standardize_two_pass_oracle_and_constants():
     train = data.DomainDataset("train", features)
     other = data.DomainDataset("other", rng.normal(size=(10, 4)))
 
-    std_train, (std_other,), stats = data.standardize(train, [other])
-    assert np.max(np.abs(stats.mean - features.mean(axis=0))) <= 1e-12
-    assert np.max(np.abs(stats.std - features.std(axis=0))) <= 1e-12
+    std_train, (std_other,) = data.standardize(train, [other])
     assert np.all(std_train.features[:, 2] == 0.0)
+    assert np.all(std_other.features[:, 2] == 0.0)
     assert np.max(np.abs(std_train.features[:, 0].mean())) <= 1e-12
 
-    expected = (other.features[:, 0] - stats.mean[0]) / stats.std[0]
-    assert np.max(np.abs(std_other.features[:, 0] - expected)) <= 1e-12
+    # two-pass oracle: the population mean and deviation of train
+    mean = features.sum(axis=0) / len(features)
+    std = np.sqrt(((features - mean) ** 2).sum(axis=0) / len(features))
+    for ds, std_ds in ((train, std_train), (other, std_other)):
+        expected = (ds.features[:, [0, 1, 3]] - mean[[0, 1, 3]]) / std[[0, 1, 3]]
+        assert np.max(np.abs(std_ds.features[:, [0, 1, 3]] - expected)) <= 1e-12
 
 
 def test_standardize_is_idempotent_on_its_own_output():
     rng = np.random.default_rng(15)
     train = data.DomainDataset("train", rng.normal(size=(25, 3)))
-    once, _, _ = data.standardize(train)
-    twice, _, stats2 = data.standardize(once)
-    assert np.max(np.abs(stats2.mean)) <= 1e-12
+    once, _ = data.standardize(train)
+    twice, _ = data.standardize(once)
+    assert np.max(np.abs(once.features.mean(axis=0))) <= 1e-12
     assert np.max(np.abs(twice.features - once.features)) <= 1e-9
 
 
-def test_apply_standardization_keeps_labels():
+def test_standardize_keeps_labels():
+    # mean (2, 3) and population deviation (1, 1)
     ds = data.DomainDataset("d", np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1]))
-    stats = data.FeatureStats(np.array([2.0, 3.0]), np.array([1.0, 1.0]))
-    out = data.apply_standardization(ds, stats)
+    out, _ = data.standardize(ds)
     assert np.array_equal(out.features, np.array([[-1.0, -1.0], [1.0, 1.0]]))
     assert out.labels.tolist() == [0, 1]
