@@ -63,16 +63,8 @@ def _tiny_setup(seed: int):
     return ensemble, batch, labels, weights, hp
 
 
-# Each expansion loss as a function of (ensemble, batch, weights, hp), for model 0.
-_EXPANSION_LOSSES = {
-    "bias": lambda ens, batch, w, hp: expansion.bias_loss(ens, 0, batch, hp.temperature),
-    "preservation": lambda ens, batch, w, hp: expansion.preservation_loss(
-        ens, 0, batch, hp.temperature
-    ),
-    "overall": lambda ens, batch, w, hp: expansion.overall_loss(ens, 0, batch, w, hp),
-}
-# The (a_org, a_bias) coefficients that each of those losses puts on L_org
-# and L_bias for model 0.
+# The (a_org, a_bias) coefficients that each expansion loss puts on L_org and
+# L_bias for model 0; overall is preservation plus lam * w_0 * bias.
 _COEFFICIENTS = {
     "bias": lambda w, hp: (0.0, 1.0),
     "preservation": lambda w, hp: (1.0, 0.0),
@@ -80,53 +72,38 @@ _COEFFICIENTS = {
 }
 
 
-def _analytic(loss_name: str, ensemble, batch, labels, weights, hp, corruption: float):
+def _gradient_and_loss(loss_name: str, seed: int):
+    """Model 0's analytic gradient, model 0, and its value-only loss function."""
+    ensemble, batch, labels, weights, hp = _tiny_setup(seed)
     model = ensemble.updated[0]
     if loss_name == "cross_entropy":
         logits, cache = nn.forward_logits(model, batch)
         grads = nn.backward(model, cache, nn.cross_entropy_gradient(logits, labels))
-    else:
-        _, grads = _EXPANSION_LOSSES[loss_name](ensemble, batch, weights, hp)
-    if corruption:
-        grads[: model.layers[0].weights.size] += corruption
-    return grads
-
-
-def _loss_fn(loss_name: str, ensemble, batch, labels, weights, hp):
-    if loss_name == "cross_entropy":
-        return lambda m: nn.cross_entropy(nn.forward_logits(m, batch)[0], labels)
-    # Model 0's anchor and peers are frozen, so they are run once per check;
-    # each probe then costs one forward and no backward.
+        loss_fn = lambda m: nn.cross_entropy(nn.forward_logits(m, batch)[0], labels)
+        return grads, model, loss_fn
+    # Model 0's anchor and peers are frozen, so they are run once per check
+    # and both sides take them: the gradient from the loss that every expand
+    # step calls, each probe from one forward and no backward.
     a_org, a_bias = _COEFFICIENTS[loss_name](weights, hp)
-    anchor, peers = expansion.frozen_targets(ensemble, 0, batch, hp.temperature, a_org, a_bias)
-    return lambda m: expansion.weighted_loss_value(
-        m, batch, anchor, peers, a_org, a_bias, hp.temperature
-    )
+    targets = expansion.frozen_targets(ensemble, 0, batch, hp.temperature, a_org, a_bias)
+    args = (batch, *targets, a_org, a_bias, hp.temperature)
+    grads = expansion.weighted_loss(model, *args)[1]
+    return grads, model, lambda m: expansion.weighted_loss_value(m, *args)
 
 
-def check_loss_gradient(
-    loss_name: str, seed: int, corruption: float = 0.0
-) -> CheckResult:
-    """Compare one loss's backprop gradient against finite differences.
-
-    corruption adds a constant to the analytic first-layer weight gradient;
-    a nonzero value MUST make the check fail (the suite's negative control).
-    """
+def check_loss_gradient(loss_name: str, seed: int) -> CheckResult:
+    """Compare one loss's backprop gradient against finite differences."""
     if loss_name not in CHECKED_LOSSES:
         raise InputError(f"unknown loss {loss_name!r}; expected one of {CHECKED_LOSSES}")
-    ensemble, batch, labels, weights, hp = _tiny_setup(seed)
-    grads = _analytic(loss_name, ensemble, batch, labels, weights, hp, corruption)
-    loss_fn = _loss_fn(loss_name, ensemble, batch, labels, weights, hp)
-    numeric = nn.finite_diff_gradient(loss_fn, ensemble.updated[0])
+    grads, model, loss_fn = _gradient_and_loss(loss_name, seed)
+    numeric = nn.finite_diff_gradient(loss_fn, model)
     return CheckResult(loss_name, seed, gradient_discrepancy(grads, numeric))
 
 
-def run_gradient_suite(
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4), corruption: float = 0.0
-) -> list[CheckResult]:
+def run_gradient_suite(seeds: tuple[int, ...] = (0, 1, 2, 3, 4)) -> list[CheckResult]:
     """Check every trained loss over the given seeds; returns all results."""
     return [
-        check_loss_gradient(name, seed, corruption)
+        check_loss_gradient(name, seed)
         for name in CHECKED_LOSSES
         for seed in seeds
     ]

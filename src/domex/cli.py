@@ -40,7 +40,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-# The config section whose seed --seed overrides, per stage.
+# The stages that take --seed, and the config section whose seed it overrides.
 SEEDED_SECTIONS = {"synth": "data", "pretrain": "pretrain", "expand": "expansion"}
 
 
@@ -264,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helps[name])
         p.add_argument("--config", type=Path, default=None, help="JSON config file")
         p.add_argument("--out", type=Path, required=True, help="run directory")
-        p.add_argument("--seed", type=int, default=None, help="override the stage seed")
+        if name in SEEDED_SECTIONS:
+            p.add_argument("--seed", type=int, help=f"override {SEEDED_SECTIONS[name]}.seed")
         p.add_argument(
             "--log-level",
             choices=["debug", "info", "warning", "error"],
@@ -286,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.getLogger("domex").setLevel(level)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None and args.command in SEEDED_SECTIONS:
+        if getattr(args, "seed", None) is not None:
             getattr(cfg, SEEDED_SECTIONS[args.command]).seed = args.seed
         cfg.check_seeds()
         layout = OutputLayout(args.out)

@@ -89,6 +89,8 @@ class PretrainConfig:
         # epochs = 0 is legal and leaves the freshly initialized model as is.
         if self.epochs < 0 or self.batch_size < 1 or self.learning_rate <= 0:
             raise ConfigError("pretrain needs epochs >= 0, batch_size >= 1, lr > 0")
+        if self.momentum < 0:
+            raise ConfigError(f"momentum must be >= 0, got {self.momentum}")
 
 
 @dataclass
@@ -96,6 +98,8 @@ class EvaluateConfig:
     methods: list[str] = field(default_factory=lambda: list(FUSION_METHODS))
 
     def __post_init__(self):
+        if not self.methods:
+            raise ConfigError("evaluate needs at least one fusion method")
         bad = [m for m in self.methods if m not in FUSION_METHODS]
         if bad:
             raise ConfigError(f"unknown fusion methods {bad}; valid: {FUSION_METHODS}")
@@ -123,14 +127,7 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        sections = {
-            "data": DataConfig,
-            "model": ModelConfig,
-            "pretrain": PretrainConfig,
-            "expansion": Hyperparams,
-            "evaluate": EvaluateConfig,
-            "gradcheck": GradcheckConfig,
-        }
+        sections = get_type_hints(cls)
         unknown = set(raw) - set(sections)
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")

@@ -74,6 +74,8 @@ class Hyperparams:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
             raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.momentum < 0:
+            raise ParameterError(f"momentum must be >= 0, got {self.momentum}")
 
     @property
     def entropy_temperature(self) -> float:
@@ -200,16 +202,16 @@ def weighted_loss_value(
 ) -> float:
     """a_org * L_org + a_bias * L_bias on one batch, from one forward and no backward.
 
-    The arguments are those of the loss functions' shared core: anchor holds
-    the original's softened probabilities on the batch and peers each frozen
-    peer's (frozen_targets). The value equals theirs bit for bit.
+    The arguments are those of weighted_loss: anchor holds the original's
+    softened probabilities on the batch and peers each frozen peer's
+    (frozen_targets). The value equals weighted_loss's bit for bit.
     """
     probs = softmax_temperature(forward_logits(model, batch)[0], temperature)
     _, _, l_org, l_bias = _loss_terms(probs, anchor, peers)
     return a_org * l_org + a_bias * l_bias
 
 
-def _weighted_loss(
+def weighted_loss(
     model: MlpModel,
     batch: np.ndarray,
     anchor: np.ndarray | None,
@@ -266,10 +268,10 @@ def _batch_loss(
     a_org: float,
     a_bias: float,
 ) -> tuple[float, np.ndarray]:
-    """_weighted_loss of model i with its frozen targets run on the batch."""
+    """weighted_loss of model i with its frozen targets run on the batch."""
     anchor, peers = frozen_targets(ensemble, i, batch, temperature, a_org, a_bias)
     model = ensemble.updated[i]
-    return _weighted_loss(model, batch, anchor, peers, a_org, a_bias, temperature)[:2]
+    return weighted_loss(model, batch, anchor, peers, a_org, a_bias, temperature)[:2]
 
 
 def bias_loss(
@@ -305,10 +307,8 @@ def overall_loss(
     return _batch_loss(ensemble, i, batch, hp.temperature, 1.0, scale)
 
 
-def ensemble_entropies(
-    models: Sequence[MlpModel], new_data: np.ndarray, temperature: float = 1.0
-) -> np.ndarray:
-    return np.array([mean_entropy(m, new_data, temperature) for m in models])
+def ensemble_entropies(models: Sequence[MlpModel], new_data: np.ndarray) -> np.ndarray:
+    return np.array([mean_entropy(m, new_data) for m in models])
 
 
 def expand(
@@ -354,7 +354,7 @@ def expand(
             org_terms, bias_terms = [], []
             for start in range(0, n, hp.batch_size):
                 rows = order[start : start + hp.batch_size]
-                _, grads, l_org, l_bias = _weighted_loss(
+                _, grads, l_org, l_bias = weighted_loss(
                     updated[i],
                     new_data[rows],
                     anchors[i][rows],

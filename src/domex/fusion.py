@@ -111,21 +111,17 @@ def expanded_accuracy(per_domain: Mapping[str, float]) -> float:
     return float(np.mean(list(per_domain.values())))
 
 
-def fuse(
-    method: str,
-    originals: Sequence,
-    updated: Sequence | None,
-    batch: np.ndarray | None = None,
-) -> PredictionBatch:
+def fuse(method: str, originals: Sequence, updated: Sequence | None) -> PredictionBatch:
+    """Fuse per-model (N, C) softmax matrices by one of FUSION_METHODS."""
     if method == "baseline":
-        return fuse_baseline(originals, batch)
+        return fuse_baseline(originals)
     if method not in FUSION_METHODS:
         raise InputError(f"unknown fusion method {method!r}; expected one of {FUSION_METHODS}")
     if updated is None:
         raise InputError(f"method {method} needs the updated models")
     if method == "m1":
-        return fuse_m1(updated, batch)
-    return fuse_m2(originals, updated, batch)
+        return fuse_m1(updated)
+    return fuse_m2(originals, updated)
 
 
 def evaluate_expanded(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from domex import checks, nn
+from domex import checks, expansion, nn
 from domex.errors import InputError
 
 
@@ -16,10 +16,36 @@ def test_suite_passes_on_default_seeds():
         assert r.max_error < checks.REL_TOL
 
 
-def test_corrupted_gradient_is_reported():
-    # negative control: biasing one analytic gradient entry must trip the check
-    results = checks.run_gradient_suite(seeds=(0,), corruption=0.5)
-    assert any(not r.passed for r in results)
+def test_corrupted_gradient_is_reported(monkeypatch):
+    # negative control: biasing the analytic first-layer weight gradient, in
+    # the backward pass that both training loops call, must trip every check
+    backward = nn.backward
+
+    def corrupted(model, cache, dlogits):
+        grads = backward(model, cache, dlogits)
+        grads[: model.layers[0].weights.size] += 0.5
+        return grads
+
+    monkeypatch.setattr(nn, "backward", corrupted)
+    monkeypatch.setattr(expansion, "backward", corrupted)
+    results = checks.run_gradient_suite(seeds=(0,))
+    assert len(results) == len(checks.CHECKED_LOSSES)
+    assert not any(r.passed for r in results)
+
+
+@pytest.mark.parametrize("loss_name", ["bias", "preservation", "overall"])
+def test_expansion_check_runs_the_frozen_targets_once(monkeypatch, loss_name):
+    # the analytic and the numeric side share one pass of model 0's peers and original
+    calls = []
+    frozen_targets = expansion.frozen_targets
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return frozen_targets(*args, **kwargs)
+
+    monkeypatch.setattr(expansion, "frozen_targets", counted)
+    assert checks.check_loss_gradient(loss_name, 0).passed
+    assert calls == [0]
 
 
 def test_single_loss_check_is_deterministic():

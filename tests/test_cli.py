@@ -533,6 +533,15 @@ def test_diverged_training_is_a_one_line_numeric_error(tmp_path, capsys, stage, 
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("stage", ["evaluate", "gradcheck"])
+def test_seed_is_refused_by_stages_without_randomness(tmp_path, capsys, stage):
+    with pytest.raises(SystemExit) as exc:
+        run(stage, "--out", tmp_path / "run", "--seed", 7)
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_parser_requires_out(capsys):
     with pytest.raises(SystemExit):
         cli.main(["synth"])

@@ -51,6 +51,9 @@ def test_partial_config_keeps_other_defaults(tmp_path):
         {"data": {"num_classes": 2.0}},
         {"expansion": {"lam": float("nan")}},
         {"model": {"hidden_units": "12"}},
+        {"evaluate": {"methods": []}},
+        {"pretrain": {"momentum": -0.5}},
+        {"expansion": {"momentum": -1.0}},
     ],
 )
 def test_bad_configs_are_rejected(tmp_path, raw):
