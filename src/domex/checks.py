@@ -56,25 +56,27 @@ def _tiny_setup(seed: int):
     for model in ensemble.updated:
         model.theta += 0.05 * rng.standard_normal(model.theta.size)
     hp = expansion.Hyperparams(epochs=1, batch_size=n, seed=seed)
-    weights = expansion.compute_weights(
-        np.array([expansion.mean_entropy(m, batch) for m in ensemble.updated]),
-        hp.weight_temperature,
-    )
-    return ensemble, batch, labels, weights, hp
+    return ensemble, batch, labels, hp
+
+
+def _overall_coefficients(ensemble, batch, hp) -> tuple[float, float]:
+    entropies = expansion.ensemble_entropies(ensemble.updated, batch)
+    weights = expansion.compute_weights(entropies, hp.weight_temperature).weights
+    return 1.0, hp.lam * float(weights[0])
 
 
 # The (a_org, a_bias) coefficients that each expansion loss puts on L_org and
 # L_bias for model 0; overall is preservation plus lam * w_0 * bias.
 _COEFFICIENTS = {
-    "bias": lambda w, hp: (0.0, 1.0),
-    "preservation": lambda w, hp: (1.0, 0.0),
-    "overall": lambda w, hp: (1.0, hp.lam * float(w.weights[0])),
+    "bias": lambda ensemble, batch, hp: (0.0, 1.0),
+    "preservation": lambda ensemble, batch, hp: (1.0, 0.0),
+    "overall": _overall_coefficients,
 }
 
 
 def _gradient_and_loss(loss_name: str, seed: int):
     """Model 0's analytic gradient, model 0, and its value-only loss function."""
-    ensemble, batch, labels, weights, hp = _tiny_setup(seed)
+    ensemble, batch, labels, hp = _tiny_setup(seed)
     model = ensemble.updated[0]
     if loss_name == "cross_entropy":
         logits, cache = nn.forward_logits(model, batch)
@@ -84,7 +86,7 @@ def _gradient_and_loss(loss_name: str, seed: int):
     # Model 0's anchor and peers are frozen, so they are run once per check
     # and both sides take them: the gradient from the loss that every expand
     # step calls, each probe from one forward and no backward.
-    a_org, a_bias = _COEFFICIENTS[loss_name](weights, hp)
+    a_org, a_bias = _COEFFICIENTS[loss_name](ensemble, batch, hp)
     targets = expansion.frozen_targets(ensemble, 0, batch, hp.temperature, a_org, a_bias)
     args = (batch, *targets, a_org, a_bias, hp.temperature)
     grads = expansion.weighted_loss(model, *args)[1]

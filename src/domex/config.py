@@ -103,6 +103,8 @@ class EvaluateConfig:
         bad = [m for m in self.methods if m not in FUSION_METHODS]
         if bad:
             raise ConfigError(f"unknown fusion methods {bad}; valid: {FUSION_METHODS}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ConfigError(f"fusion methods listed more than once: {self.methods}")
 
 
 @dataclass

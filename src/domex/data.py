@@ -69,7 +69,8 @@ class DataConfig:
     """Synthetic benchmark knobs plus the split policy.
 
     The one owner of each knob and its default: the config's data section,
-    make_benchmark, generate_domains and split all read this class.
+    make_benchmark, generate_domains and split all read this class. Knobs
+    that no benchmark can be built from raise ConfigError here.
     """
 
     num_classes: int = 5
@@ -95,6 +96,25 @@ class DataConfig:
             raise ConfigError(
                 f"train_fraction must lie in (0, 1), got {self.train_fraction}"
             )
+        if len(self.source_rotations_deg) != len(self.source_shift_sigmas):
+            raise ConfigError("rotation and shift lists must have equal length")
+        if self.num_classes < 2:
+            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
+        if not 0.0 <= self.plane_signal_fraction <= 1.0:
+            raise ConfigError(
+                f"plane_signal_fraction must be in [0, 1], got "
+                f"{self.plane_signal_fraction}"
+            )
+        if self.feature_dim < 1:
+            raise ConfigError(f"feature_dim must be >= 1, got {self.feature_dim}")
+        if self.samples_per_class < 1:
+            raise ConfigError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
+        if self.noise_std <= 0:
+            raise ConfigError(f"noise_std must be > 0, got {self.noise_std}")
+        if self.num_sources < 2:
+            raise ConfigError(f"need at least two source domains, got {self.num_sources}")
+        if self.feature_dim < 2 and any([*self.source_rotations_deg, self.new_rotation_deg]):
+            raise ConfigError("rotation needs feature_dim >= 2")
 
     @property
     def num_sources(self) -> int:
@@ -300,10 +320,6 @@ def generate_domains(
     (class means, rotation subspace) and spawns an independent stream per
     domain, so domains could be generated in parallel.
     """
-    if num_source_domains < 2:
-        raise ConfigError(
-            f"need at least two source domains, got {num_source_domains}"
-        )
     transforms, _ = benchmark_shifts(cfg)
     if len(transforms) != num_source_domains:
         raise ConfigError(
@@ -370,26 +386,7 @@ def benchmark_shifts(cfg: DataConfig) -> tuple[list[DomainShift], DomainShift]:
     collapse by two domains shifting the same way), yet the sources stay
     mutually close enough that aligning a weak model with its peers does
     not strand it far from every domain it still has to serve.
-
-    Knobs that no benchmark can be built from raise ConfigError.
     """
-    if len(cfg.source_rotations_deg) != len(cfg.source_shift_sigmas):
-        raise ConfigError("rotation and shift lists must have equal length")
-    if cfg.num_classes < 2:
-        raise ConfigError(f"num_classes must be >= 2, got {cfg.num_classes}")
-    if not 0.0 <= cfg.plane_signal_fraction <= 1.0:
-        raise ConfigError(
-            f"plane_signal_fraction must be in [0, 1], got "
-            f"{cfg.plane_signal_fraction}"
-        )
-    if cfg.feature_dim < 1:
-        raise ConfigError(f"feature_dim must be >= 1, got {cfg.feature_dim}")
-    if cfg.samples_per_class < 1:
-        raise ConfigError(
-            f"samples_per_class must be >= 1, got {cfg.samples_per_class}"
-        )
-    if cfg.noise_std <= 0:
-        raise ConfigError(f"noise_std must be > 0, got {cfg.noise_std}")
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EED)))
 
     if cfg.feature_dim >= 2:

@@ -32,6 +32,7 @@ from .nn import (
     chunked_logits,
     forward_logits,
     sgd_step,
+    softmax_outputs,
     softmax_temperature,
     softmax_temperature_backward,
 )
@@ -43,8 +44,9 @@ class Hyperparams:
 
     lam scales the alignment pressure against preservation;
     temperature softens the probability vectors being aligned; weight_temperature
-    controls how sharply entropy differences translate into per-model
-    weights. All randomness (batch shuffling) derives from seed.
+    controls how sharply differences in the models' entropies, measured on
+    plain softmax output, translate into per-model weights. All randomness
+    (batch shuffling) derives from seed.
     """
 
     lam: float = 10.0
@@ -55,9 +57,6 @@ class Hyperparams:
     learning_rate: float = 7e-3
     momentum: float = 0.0
     seed: int = 0
-    # The weighting entropies are measured on plain softmax output by
-    # default; set this to soften them with `temperature` instead.
-    entropy_at_alignment_temperature: bool = False
 
     def __post_init__(self):
         if self.lam < 0:
@@ -76,10 +75,6 @@ class Hyperparams:
             raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.momentum < 0:
             raise ParameterError(f"momentum must be >= 0, got {self.momentum}")
-
-    @property
-    def entropy_temperature(self) -> float:
-        return self.temperature if self.entropy_at_alignment_temperature else 1.0
 
 
 @dataclass
@@ -129,22 +124,18 @@ def _check_index(i: int, m: int) -> None:
         raise InputError(f"model index {i} out of range for {m} models")
 
 
-def _mean_entropy_of(logits: np.ndarray, temperature: float) -> float:
-    probs = softmax_temperature(logits, temperature)
+def _mean_entropy_of(probs: np.ndarray) -> float:
     per_sample = -xlogy(probs, probs).sum(axis=1)
     return float(per_sample.mean())
 
 
-def mean_entropy(
-    model: MlpModel, new_data: np.ndarray, temperature: float = 1.0
-) -> float:
+def mean_entropy(model: MlpModel, new_data: np.ndarray) -> float:
     """Mean Shannon entropy (nats) of the model's softmax outputs over the dataset.
 
     Uniform predictions give ln(C); one-hot predictions give 0. The 0*ln(0)
     terms that appear when a probability underflows are taken as 0.
     """
-    new_data = _check_batch(new_data)
-    return _mean_entropy_of(chunked_logits(model, new_data), temperature)
+    return _mean_entropy_of(softmax_outputs([model], _check_batch(new_data))[0])
 
 
 def compute_weights(entropies: np.ndarray, weight_temperature: float) -> WeightVector:
@@ -167,10 +158,6 @@ def compute_weights(entropies: np.ndarray, weight_temperature: float) -> WeightV
     scaled = scaled - scaled.max()
     exps = np.exp(scaled)
     return WeightVector(entropies, exps / exps.sum())
-
-
-def _softened_probs(model: MlpModel, data: np.ndarray, temperature: float) -> np.ndarray:
-    return softmax_temperature(chunked_logits(model, data), temperature)
 
 
 def _loss_terms(
@@ -255,9 +242,10 @@ def frozen_targets(
     """
     _check_index(i, ensemble.m)
     batch = _check_batch(batch)
-    anchor = _softened_probs(ensemble.originals[i], batch, temperature) if a_org else None
+    anchor = [ensemble.originals[i]] if a_org else []
     others = ensemble.updated[:i] + ensemble.updated[i + 1 :] if a_bias else []
-    return anchor, [_softened_probs(peer, batch, temperature) for peer in others]
+    probs = softmax_outputs(anchor + others, batch, temperature)
+    return (probs.pop(0) if a_org else None), probs
 
 
 def _batch_loss(
@@ -308,7 +296,9 @@ def overall_loss(
 
 
 def ensemble_entropies(models: Sequence[MlpModel], new_data: np.ndarray) -> np.ndarray:
-    return np.array([mean_entropy(m, new_data) for m in models])
+    """Each model's mean_entropy on the dataset."""
+    probs = softmax_outputs(models, _check_batch(new_data))
+    return np.array([_mean_entropy_of(p) for p in probs])
 
 
 def expand(
@@ -344,7 +334,7 @@ def expand(
     softened = [softmax_temperature(z, hp.temperature) for z in logits]
     log: list[dict] = []
     for round_index in range(1, hp.epochs + 1):
-        entropies = np.array([_mean_entropy_of(z, hp.entropy_temperature) for z in logits])
+        entropies = np.array([_mean_entropy_of(softmax_temperature(z, 1.0)) for z in logits])
         weights = compute_weights(entropies, hp.weight_temperature).weights
         for i in range(ensemble.m):
             opt = OptimizerState(hp.learning_rate, hp.momentum)

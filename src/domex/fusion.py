@@ -9,11 +9,23 @@ import numpy as np
 
 from .data import DomainDataset
 from .errors import InputError
-from .nn import ForwardCache, MlpModel, chunked_logits, softmax_temperature
+from .nn import MlpModel, softmax_outputs
 
-FUSION_METHODS = ("baseline", "m1", "m2")
-# The model outputs each method fuses.
-_FUSED_ROLES = {"baseline": ("originals",), "m1": ("updated",), "m2": ("originals", "updated")}
+
+def _mean(probs: Sequence[np.ndarray]) -> np.ndarray:
+    return sum(probs) / len(probs)
+
+
+# Each method's rule and the roles whose softmax matrices it takes, in order:
+# baseline and m1 average the original or the updated models' outputs; m2
+# sums each (original, updated) pair's per-class maxima, so its rows need not
+# sum to 1 and only the argmax is meaningful.
+_RULES = {
+    "baseline": (("originals",), _mean),
+    "m1": (("updated",), _mean),
+    "m2": (("originals", "updated"), lambda orig, upd: sum(map(np.maximum, upd, orig))),
+}
+FUSION_METHODS = tuple(_RULES)
 
 
 @dataclass
@@ -46,51 +58,39 @@ class EvaluationReport:
         }
 
 
-def softmax_outputs(models: Sequence[MlpModel], batch: np.ndarray) -> list[np.ndarray]:
-    """Each model's (N, C) softmax matrix on the batch, one pass over it per model."""
-    cache = ForwardCache()
-    return [softmax_temperature(chunked_logits(m, batch, cache), 1.0) for m in models]
-
-
-def _probs(items: Sequence, batch: np.ndarray | None) -> list[np.ndarray]:
-    if not len(items):
+def fuse(
+    method: str,
+    originals: Sequence[np.ndarray] | None,
+    updated: Sequence[np.ndarray] | None,
+) -> PredictionBatch:
+    """Fuse per-model (N, C) softmax matrices, as nn.softmax_outputs returns
+    them, by one of FUSION_METHODS; a role the method does not read may be None."""
+    if method not in _RULES:
+        raise InputError(f"unknown fusion method {method!r}; expected one of {FUSION_METHODS}")
+    roles, rule = _RULES[method]
+    probs = [{"originals": originals, "updated": updated}[role] for role in roles]
+    if any(p is None for p in probs):
+        raise InputError(f"method {method} fuses the {' and '.join(roles)} models' outputs")
+    if not all(map(len, probs)):
         raise InputError("need at least one model to fuse")
-    if batch is not None:
-        return softmax_outputs(items, batch)
-    return [np.asarray(p, dtype=np.float64) for p in items]
+    if len(set(map(len, probs))) > 1:
+        raise InputError("originals and updated must pair up one-to-one")
+    return PredictionBatch.from_scores(rule(*probs))
 
 
-def fuse_m1(updated: Sequence, batch: np.ndarray | None = None) -> PredictionBatch:
-    """Average the updated models' softmax outputs; rows sum to 1.
+# The rules on models, each run over the batch first.
+def fuse_baseline(originals: Sequence[MlpModel], batch: np.ndarray) -> PredictionBatch:
+    return fuse("baseline", softmax_outputs(originals, batch), None)
 
-    updated holds one (N, C) softmax matrix per model; with batch given it
-    holds the models instead, run on batch first. The same goes for
-    fuse_baseline and fuse_m2.
-    """
-    probs = _probs(updated, batch)
-    return PredictionBatch.from_scores(sum(probs) / len(probs))
+
+def fuse_m1(updated: Sequence[MlpModel], batch: np.ndarray) -> PredictionBatch:
+    return fuse("m1", None, softmax_outputs(updated, batch))
 
 
 def fuse_m2(
-    originals: Sequence, updated: Sequence, batch: np.ndarray | None = None
+    originals: Sequence[MlpModel], updated: Sequence[MlpModel], batch: np.ndarray
 ) -> PredictionBatch:
-    """Per-class max over each (original, updated) pair, summed across models.
-
-    The scores are an unnormalized sum of per-class maxima, so rows need not
-    sum to 1; only the argmax is meaningful.
-    """
-    if len(originals) != len(updated):
-        raise InputError("originals and updated must pair up one-to-one")
-    probs_orig = _probs(originals, batch)
-    probs_upd = _probs(updated, batch)
-    scores = sum(np.maximum(u, o) for u, o in zip(probs_upd, probs_orig))
-    return PredictionBatch.from_scores(scores)
-
-
-def fuse_baseline(originals: Sequence, batch: np.ndarray | None = None) -> PredictionBatch:
-    """Score fusion of the unadapted models (mean softmax; same argmax as sum)."""
-    probs = _probs(originals, batch)
-    return PredictionBatch.from_scores(sum(probs) / len(probs))
+    return fuse("m2", softmax_outputs(originals, batch), softmax_outputs(updated, batch))
 
 
 def accuracy(pred: PredictionBatch, labels: np.ndarray) -> float:
@@ -109,19 +109,6 @@ def expanded_accuracy(per_domain: Mapping[str, float]) -> float:
     if not per_domain:
         raise InputError("need at least one domain accuracy")
     return float(np.mean(list(per_domain.values())))
-
-
-def fuse(method: str, originals: Sequence, updated: Sequence | None) -> PredictionBatch:
-    """Fuse per-model (N, C) softmax matrices by one of FUSION_METHODS."""
-    if method == "baseline":
-        return fuse_baseline(originals)
-    if method not in FUSION_METHODS:
-        raise InputError(f"unknown fusion method {method!r}; expected one of {FUSION_METHODS}")
-    if updated is None:
-        raise InputError(f"method {method} needs the updated models")
-    if method == "m1":
-        return fuse_m1(updated)
-    return fuse_m2(originals, updated)
 
 
 def evaluate_expanded(
@@ -144,12 +131,13 @@ def evaluate_expanded(
         raise InputError("need at least one test set")
     if outputs is None:
         outputs = {}
+    roles = _RULES.get(method, ((), None))[0]
     models = {"originals": originals, "updated": updated}
     per_domain = {}
     for name, ds in test_sets.items():
         if ds.labels is None:
             raise InputError(f"test set {name!r} has no labels")
-        for role in _FUSED_ROLES.get(method, ()):
+        for role in roles:
             if models[role] is not None and (role, name) not in outputs:
                 outputs[role, name] = softmax_outputs(models[role], ds.features)
         orig, upd = outputs.get(("originals", name)), outputs.get(("updated", name))

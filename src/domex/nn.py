@@ -265,6 +265,15 @@ def chunked_logits(
     return logits
 
 
+def softmax_outputs(
+    models: Sequence[MlpModel], data: np.ndarray, temperature: float = 1.0
+) -> list[np.ndarray]:
+    """Each model's (N, C) softmax matrix at temperature on a whole set, from
+    one chunked_logits pass per model through one shared cache."""
+    cache = ForwardCache()
+    return [softmax_temperature(chunked_logits(m, data, cache), temperature) for m in models]
+
+
 def softmax_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
     """Temperature-softened softmax along the last axis.
 

@@ -542,6 +542,37 @@ def test_seed_is_refused_by_stages_without_randomness(tmp_path, capsys, stage):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "bad_data",
+    [
+        {"source_shift_sigmas": [0.5]},
+        {"noise_std": 0.0},
+        {"source_rotations_deg": [10.0], "source_shift_sigmas": [0.5]},
+        {"feature_dim": 1},
+    ],
+    ids=["unequal lists", "zero noise", "one source", "rotation in one dimension"],
+)
+def test_every_stage_refuses_a_bad_data_section(tmp_path, capsys, bad_data):
+    _, out = pipeline_through_pretrain(tmp_path)
+    cfg = tiny_config(tmp_path, data=bad_data)
+    for stage in ("synth", "pretrain", "expand", "evaluate", "gradcheck"):
+        capsys.readouterr()
+        assert run(stage, "--config", cfg, "--out", out) == cli.EXIT_CONFIG, stage
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_repeated_evaluate_methods_are_a_one_line_config_error(tmp_path, capsys):
+    cfg = tiny_config(tmp_path, evaluate={"methods": ["m1", "m1", "baseline"]})
+    capsys.readouterr()
+    assert run("evaluate", "--config", cfg, "--out", tmp_path / "run") == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == (
+        "error: invalid section 'evaluate': "
+        "fusion methods listed more than once: ['m1', 'm1', 'baseline']\n"
+    )
+
+
 def test_parser_requires_out(capsys):
     with pytest.raises(SystemExit):
         cli.main(["synth"])

@@ -54,6 +54,12 @@ def test_partial_config_keeps_other_defaults(tmp_path):
         {"evaluate": {"methods": []}},
         {"pretrain": {"momentum": -0.5}},
         {"expansion": {"momentum": -1.0}},
+        {"expansion": {"entropy_at_alignment_temperature": True}},
+        {"evaluate": {"methods": ["m1", "m1", "baseline"]}},
+        {"data": {"source_shift_sigmas": [0.5, 1.25]}},
+        {"data": {"noise_std": 0.0}},
+        {"data": {"source_rotations_deg": [15.0], "source_shift_sigmas": [0.5]}},
+        {"data": {"feature_dim": 1}},
     ],
 )
 def test_bad_configs_are_rejected(tmp_path, raw):

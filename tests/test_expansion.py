@@ -52,13 +52,6 @@ def test_hyperparams_validation():
             expansion.Hyperparams(**bad)
 
 
-def test_hyperparams_entropy_temperature_flag():
-    hp = expansion.Hyperparams()
-    assert hp.entropy_temperature == 1.0
-    hp = expansion.Hyperparams(temperature=3.0, entropy_at_alignment_temperature=True)
-    assert hp.entropy_temperature == 3.0
-
-
 def test_ensemble_state_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(InputError):
@@ -105,15 +98,6 @@ def test_mean_entropy_per_sample_oracle():
         p /= p.sum()
         expected.append(float(-np.sum(p * np.log(p))))
     assert abs(expansion.mean_entropy(model, x) - np.mean(expected)) <= 1e-12
-
-
-def test_mean_entropy_respects_temperature():
-    model = bias_only_model([2.0, -1.0, 0.5])
-    x = np.zeros((1, 2))
-    p = nn.softmax_temperature(np.array([2.0, -1.0, 0.5]), 3.0)
-    expected = float(-np.sum(p * np.log(p)))
-    assert abs(expansion.mean_entropy(model, x, temperature=3.0) - expected) <= 1e-12
-    assert expansion.mean_entropy(model, x, 3.0) > expansion.mean_entropy(model, x)
 
 
 def test_mean_entropy_rejects_empty_batch():

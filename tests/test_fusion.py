@@ -38,13 +38,13 @@ def test_m1_single_model_is_its_softmax():
     rng = np.random.default_rng(0)
     model = random_models(rng, 1)[0]
     batch = rng.normal(size=(6, 3))
-    pred = fusion.fuse_m1(fusion.softmax_outputs([model], batch))
+    pred = fusion.fuse_m1([model], batch)
     assert np.max(np.abs(pred.scores - softmax_rows(model, batch))) <= 1e-12
 
 
 def test_m1_opposite_onehots_average_to_half():
     models = [prob_model([0.999999, 0.000001]), prob_model([0.000001, 0.999999])]
-    pred = fusion.fuse_m1(fusion.softmax_outputs(models, np.zeros((1, 2))))
+    pred = fusion.fuse_m1(models, np.zeros((1, 2)))
     assert np.max(np.abs(pred.scores - 0.5)) <= 1e-5
 
 
@@ -52,7 +52,7 @@ def test_m1_brute_force_oracle():
     rng = np.random.default_rng(1)
     models = random_models(rng, 3)
     batch = rng.normal(size=(5, 3))
-    pred = fusion.fuse_m1(fusion.softmax_outputs(models, batch))
+    pred = fusion.fuse_m1(models, batch)
     expected = np.mean([softmax_rows(m, batch) for m in models], axis=0)
     assert np.max(np.abs(pred.scores - expected)) <= 1e-12
     assert np.max(np.abs(pred.scores.sum(axis=1) - 1.0)) <= 1e-9
@@ -62,13 +62,13 @@ def test_m1_ignores_per_model_logit_offsets():
     rng = np.random.default_rng(2)
     models = random_models(rng, 3)
     batch = rng.normal(size=(4, 3))
-    base = fusion.fuse_m1(fusion.softmax_outputs(models, batch))
+    base = fusion.fuse_m1(models, batch)
     shifted_models = []
     for k, m in enumerate(models):
         shifted = m.copy()
         shifted.layers[-1].bias += 10.0 * (k + 1)  # constant over classes
         shifted_models.append(shifted)
-    shifted_pred = fusion.fuse_m1(fusion.softmax_outputs(shifted_models, batch))
+    shifted_pred = fusion.fuse_m1(shifted_models, batch)
     assert np.max(np.abs(shifted_pred.scores - base.scores)) <= 1e-9
     assert np.array_equal(shifted_pred.predicted, base.predicted)
 
@@ -77,20 +77,30 @@ def test_m1_and_baseline_are_model_order_invariant():
     rng = np.random.default_rng(3)
     models = random_models(rng, 3)
     batch = rng.normal(size=(7, 3))
-    probs = fusion.softmax_outputs(models, batch)
+    probs = nn.softmax_outputs(models, batch)
     reordered = [probs[2], probs[0], probs[1]]
     assert np.max(np.abs(
-        fusion.fuse_m1(probs).scores - fusion.fuse_m1(reordered).scores
+        fusion.fuse("m1", None, probs).scores - fusion.fuse("m1", None, reordered).scores
     )) <= 1e-12
     assert np.array_equal(
-        fusion.fuse_baseline(probs).predicted,
-        fusion.fuse_baseline(reordered).predicted,
+        fusion.fuse("baseline", probs, None).predicted,
+        fusion.fuse("baseline", reordered, None).predicted,
+    )
+
+
+def test_baseline_and_m1_are_one_rule_on_different_models():
+    rng = np.random.default_rng(15)
+    probs = nn.softmax_outputs(random_models(rng, 3), rng.normal(size=(5, 3)))
+    assert np.array_equal(
+        fusion.fuse("baseline", probs, None).scores, fusion.fuse("m1", None, probs).scores
     )
 
 
 def test_m1_rejects_empty_model_list():
     with pytest.raises(InputError):
-        fusion.fuse_m1([])
+        fusion.fuse("m1", None, [])
+    with pytest.raises(InputError):
+        fusion.fuse_m1([], np.zeros((1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +111,8 @@ def test_m2_degenerates_to_m1_argmax_when_nothing_moved():
     rng = np.random.default_rng(4)
     models = random_models(rng, 3)
     batch = rng.normal(size=(6, 3))
-    m2 = fusion.fuse_m2(
-        fusion.softmax_outputs(models, batch),
-        fusion.softmax_outputs([m.copy() for m in models], batch),
-    )
-    m1 = fusion.fuse_m1(fusion.softmax_outputs(models, batch))
+    m2 = fusion.fuse_m2(models, [m.copy() for m in models], batch)
+    m1 = fusion.fuse_m1(models, batch)
     assert np.array_equal(m2.predicted, m1.predicted)
 
 
@@ -113,9 +120,7 @@ def test_m2_elementwise_max_by_hand():
     original = prob_model([0.7, 0.3])
     updated = prob_model([0.4, 0.6])
     x = np.zeros((1, 2))
-    pred = fusion.fuse_m2(
-        fusion.softmax_outputs([original], x), fusion.softmax_outputs([updated], x)
-    )
+    pred = fusion.fuse_m2([original], [updated], x)
     assert np.max(np.abs(pred.scores - np.array([0.7, 0.6]))) <= 1e-9
     assert pred.predicted.tolist() == [0]
 
@@ -125,9 +130,7 @@ def test_m2_brute_force_oracle_and_bounds():
     originals = random_models(rng, 2)
     updated = random_models(rng, 2)
     batch = rng.normal(size=(5, 3))
-    pred = fusion.fuse_m2(
-        fusion.softmax_outputs(originals, batch), fusion.softmax_outputs(updated, batch)
-    )
+    pred = fusion.fuse_m2(originals, updated, batch)
 
     expected = np.zeros((5, 3))
     for o, u in zip(originals, updated):
@@ -149,9 +152,7 @@ def test_m2_scale_of_scores_does_not_change_predictions():
     originals = random_models(rng, 2)
     updated = random_models(rng, 2)
     batch = rng.normal(size=(8, 3))
-    pred = fusion.fuse_m2(
-        fusion.softmax_outputs(originals, batch), fusion.softmax_outputs(updated, batch)
-    )
+    pred = fusion.fuse_m2(originals, updated, batch)
     rescaled = fusion.PredictionBatch.from_scores(pred.scores * 0.37)
     assert np.array_equal(rescaled.predicted, pred.predicted)
 
@@ -160,10 +161,7 @@ def test_m2_rejects_mismatched_lists():
     rng = np.random.default_rng(7)
     x = np.zeros((1, 3))
     with pytest.raises(InputError):
-        fusion.fuse_m2(
-            fusion.softmax_outputs(random_models(rng, 2), x),
-            fusion.softmax_outputs(random_models(rng, 1), x),
-        )
+        fusion.fuse_m2(random_models(rng, 2), random_models(rng, 1), x)
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +172,11 @@ def test_baseline_single_and_identical_models():
     rng = np.random.default_rng(8)
     model = random_models(rng, 1)[0]
     batch = rng.normal(size=(5, 3))
-    single = fusion.fuse_baseline(fusion.softmax_outputs([model], batch))
+    single = fusion.fuse_baseline([model], batch)
     assert np.array_equal(
         single.predicted, np.argmax(softmax_rows(model, batch), axis=1)
     )
-    trio = fusion.fuse_baseline(
-        fusion.softmax_outputs([model.copy() for _ in range(3)], batch)
-    )
+    trio = fusion.fuse_baseline([model.copy() for _ in range(3)], batch)
     assert np.array_equal(trio.predicted, single.predicted)
 
 
@@ -188,7 +184,7 @@ def test_baseline_brute_force_oracle():
     rng = np.random.default_rng(9)
     models = random_models(rng, 3)
     batch = rng.normal(size=(4, 3))
-    pred = fusion.fuse_baseline(fusion.softmax_outputs(models, batch))
+    pred = fusion.fuse_baseline(models, batch)
     expected = np.mean([softmax_rows(m, batch) for m in models], axis=0)
     assert np.max(np.abs(pred.scores - expected)) <= 1e-12
 
@@ -211,7 +207,7 @@ def test_accuracy_counting():
 
 def test_fuse_dispatcher_validates_method():
     rng = np.random.default_rng(10)
-    probs = fusion.softmax_outputs(random_models(rng, 2), np.zeros((1, 3)))
+    probs = nn.softmax_outputs(random_models(rng, 2), np.zeros((1, 3)))
     with pytest.raises(InputError):
         fusion.fuse("m3", probs, probs)
     with pytest.raises(InputError):
@@ -223,12 +219,12 @@ def test_model_form_matches_probability_form_exactly():
     originals = random_models(rng, 3)
     updated = random_models(rng, 3)
     batch = rng.normal(size=(6, 3))
-    p_o = fusion.softmax_outputs(originals, batch)
-    p_u = fusion.softmax_outputs(updated, batch)
+    p_o = nn.softmax_outputs(originals, batch)
+    p_u = nn.softmax_outputs(updated, batch)
     pairs = [
-        (fusion.fuse_baseline(originals, batch), fusion.fuse_baseline(p_o)),
-        (fusion.fuse_m1(updated, batch), fusion.fuse_m1(p_u)),
-        (fusion.fuse_m2(originals, updated, batch), fusion.fuse_m2(p_o, p_u)),
+        (fusion.fuse_baseline(originals, batch), fusion.fuse("baseline", p_o, None)),
+        (fusion.fuse_m1(updated, batch), fusion.fuse("m1", None, p_u)),
+        (fusion.fuse_m2(originals, updated, batch), fusion.fuse("m2", p_o, p_u)),
     ]
     for from_models, from_probs in pairs:
         assert np.array_equal(from_models.scores, from_probs.scores)

@@ -509,6 +509,18 @@ def test_chunked_logits_reject_bad_input():
         nn.chunked_logits(model, np.ones((70, 3)))
 
 
+def test_softmax_outputs_soften_each_models_chunked_logits():
+    rng = np.random.default_rng(37)
+    models = [nn.init_mlp(3, [7], 4, rng) for _ in range(3)]
+    data = rng.normal(size=(130, 3))
+    for args, temperature in (((), 1.0), ((3.0,), 3.0)):
+        probs = nn.softmax_outputs(models, data, *args)
+        assert len(probs) == len(models)
+        for model, p in zip(models, probs):
+            expected = nn.softmax_temperature(nn.chunked_logits(model, data), temperature)
+            assert same_bits(p, expected)
+
+
 # ---------------------------------------------------------------------------
 # finite_diff_gradient
 

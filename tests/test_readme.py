@@ -1,5 +1,8 @@
-"""The README's config block and library example agree with the code."""
+"""The README's config block, library example and code names agree with the code."""
 
+import dataclasses
+import importlib
+import inspect
 import json
 import re
 from pathlib import Path
@@ -23,3 +26,26 @@ def test_library_example_runs_as_written(capsys):
     exec(code_block("## Library use", "python"), {})
     rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
     assert rows == ["Domain", "source_0", "source_1", "source_2", "new", "Expanded"]
+
+
+def defines(module, name):
+    """Whether the domex module has name and, for a function or class, defines it."""
+    module = importlib.import_module(f"domex.{module}")
+    value = getattr(module, name, None)
+    if inspect.isfunction(value) or inspect.isclass(value):
+        return value.__module__ == module.__name__
+    return value is not None
+
+
+def test_backticked_module_names_exist():
+    """Each `module.name` is defined in that module or is a field of its config section."""
+    sections = {f.name: f.default_factory() for f in dataclasses.fields(config.RunConfig)}
+    pattern = r"`(nn|fusion|expansion|data|config|checks)\.([A-Za-z_]\w*)"
+    names = re.findall(pattern, README.read_text())
+    assert names
+    missing = [
+        f"{module}.{name}"
+        for module, name in names
+        if not defines(module, name) and not hasattr(sections.get(module), name)
+    ]
+    assert missing == []
