@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
+# argparse's gettext imports locale when main builds the parser; importing it
+# here makes that part of start-up, not of the stage that runs first.
+import locale  # noqa: F401
 import logging
 import sys
 from pathlib import Path
@@ -91,7 +94,7 @@ def cmd_pretrain(cfg: RunConfig, layout: OutputLayout, args) -> int:
         inputs.append(csv_path)
     # Every source domain must cover the same classes; the whole method
     # assumes one shared label space.
-    label_sets = [frozenset(int(c) for c in np.unique(t.labels)) for t in train_sets]
+    label_sets = [frozenset(t.labels.tolist()) for t in train_sets]
     if len(set(label_sets)) != 1:
         raise ConfigError(
             f"source domains disagree on their label sets: {sorted(map(sorted, label_sets))}"

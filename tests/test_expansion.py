@@ -1,9 +1,11 @@
 """Oracles for entropy weighting, the alignment losses, and the update loop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from domex import data, expansion, nn
 from domex.errors import InputError, ParameterError
@@ -32,6 +34,18 @@ def random_ensemble(rng, m=3, dim=4, hidden=5, classes=3):
 
 def probs_of(model, batch, temperature):
     return nn.softmax_temperature(nn.forward_logits(model, batch)[0], temperature)
+
+
+def overall_loss(ens, i, batch, weights, hp):
+    """Preservation plus lam * w_i * bias, the loss of one expand step of model i.
+
+    The frozen targets run on the batch itself, so a replay built on this
+    stays independent of expand, which gathers them from whole-set passes.
+    """
+    scale = hp.lam * float(weights.weights[i])
+    anchor, peers = expansion.frozen_targets(ens, i, batch, hp.temperature, 1.0, scale)
+    model = ens.updated[i]
+    return expansion.weighted_loss(model, batch, anchor, peers, 1.0, scale, hp.temperature)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +92,29 @@ def test_mean_entropy_uniform_is_log_c():
     model = bias_only_model(np.zeros(5), input_dim=3)
     x = np.random.default_rng(2).normal(size=(7, 3))
     assert abs(expansion.mean_entropy(model, x) - math.log(5.0)) <= 1e-12
+    for c in (2, 3, 10, 1000):
+        uniform = np.full((4, c), 1.0 / c)
+        assert abs(expansion._mean_entropy_of(uniform) - math.log(c)) <= 1e-15 * math.log(c)
+
+
+def test_mean_entropy_one_hot_is_exactly_zero():
+    # [0, -1e4, 1e4] softmaxes to exact zeros beside a 1: each 0 * ln 0 is 0,
+    # and neither ln 0 nor 0 * -inf may warn.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert expansion._mean_entropy_of(np.eye(4)) == 0.0
+        model = bias_only_model([0.0, -1e4, 1e4])
+        assert nn.softmax_outputs([model], np.zeros((3, 2)))[0].tolist() == [[0.0, 0.0, 1.0]] * 3
+        assert expansion.mean_entropy(model, np.zeros((3, 2))) == 0.0
+
+
+def test_mean_entropy_matches_xlogy_reference():
+    rng = np.random.default_rng(23)
+    for scale in (0.1, 1.0, 10.0, 300.0):
+        probs = nn.softmax_temperature(scale * rng.standard_normal((200, 7)), 1.0)
+        entropies = [expansion._mean_entropy_of(row[None]) for row in probs]
+        reference = -xlogy(probs, probs).sum(axis=1)
+        np.testing.assert_allclose(entropies, reference, rtol=1e-15, atol=0.0)
 
 
 def test_mean_entropy_confident_is_near_zero():
@@ -270,7 +307,7 @@ def test_preservation_per_sample_oracle():
 
 
 # ---------------------------------------------------------------------------
-# overall_loss
+# the overall loss: preservation plus lam * w_i * bias
 
 
 def test_overall_lambda_zero_equals_preservation():
@@ -279,7 +316,7 @@ def test_overall_lambda_zero_equals_preservation():
     batch = rng.normal(size=(4, 4))
     hp = expansion.Hyperparams(lam=0.0)
     w = expansion.compute_weights(np.array([0.3, 0.5, 0.7]), hp.weight_temperature)
-    total, grads = expansion.overall_loss(ens, 1, batch, w, hp)
+    total, grads = overall_loss(ens, 1, batch, w, hp)
     pres, pres_grads = expansion.preservation_loss(ens, 1, batch, hp.temperature)
     assert total == pres
     assert np.array_equal(grads, pres_grads)
@@ -292,7 +329,7 @@ def test_overall_combines_terms_linearly():
     hp = expansion.Hyperparams(lam=10.0, temperature=3.0)
     w = expansion.compute_weights(np.array([0.2, 0.9, 0.4]), hp.weight_temperature)
     for i in range(3):
-        total, grads = expansion.overall_loss(ens, i, batch, w, hp)
+        total, grads = overall_loss(ens, i, batch, w, hp)
         l_org, g_org = expansion.preservation_loss(ens, i, batch, hp.temperature)
         l_bias, g_bias = expansion.bias_loss(ens, i, batch, hp.temperature)
         scale = hp.lam * float(w.weights[i])
@@ -311,7 +348,7 @@ def test_loss_value_equals_each_loss_bit_for_bit():
         for (a_org, a_bias), (total, _) in (
             ((0.0, 1.0), expansion.bias_loss(ens, i, batch, hp.temperature)),
             ((1.0, 0.0), expansion.preservation_loss(ens, i, batch, hp.temperature)),
-            ((1.0, scale), expansion.overall_loss(ens, i, batch, w, hp)),
+            ((1.0, scale), overall_loss(ens, i, batch, w, hp)),
         ):
             anchor, peers = expansion.frozen_targets(
                 ens, i, batch, hp.temperature, a_org, a_bias
@@ -322,14 +359,6 @@ def test_loss_value_equals_each_loss_bit_for_bit():
                 ens.updated[i], batch, anchor, peers, a_org, a_bias, hp.temperature
             )
             assert value == total
-
-
-def test_overall_rejects_mismatched_weights():
-    rng = np.random.default_rng(12)
-    ens = random_ensemble(rng, m=3)
-    w = expansion.compute_weights(np.array([0.1, 0.2]), 0.1)
-    with pytest.raises(InputError):
-        expansion.overall_loss(ens, 0, np.zeros((2, 4)), w, expansion.Hyperparams())
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +411,7 @@ def test_round_matches_scripted_reexecution():
         for start in range(0, 8, hp.batch_size):
             batch = new_data[order[start : start + hp.batch_size]]
             view = expansion.EnsembleState(ens.originals, current)
-            _, grads = expansion.overall_loss(view, i, batch, weights, hp)
+            _, grads = overall_loss(view, i, batch, weights, hp)
             current[i] = nn.sgd_step(current[i], grads, opt)
 
     assert np.array_equal(logged_weights(log).weights, weights.weights)
@@ -413,7 +442,7 @@ def test_round_matches_per_batch_replay_at_default_sizes():
             for start in range(0, n, hp.batch_size):
                 batch = new_data[order[start : start + hp.batch_size]]
                 view = expansion.EnsembleState(ens.originals, current)
-                _, grads = expansion.overall_loss(view, i, batch, used_w, hp)
+                _, grads = overall_loss(view, i, batch, used_w, hp)
                 current[i] = nn.sgd_step(current[i], grads, opt)
 
         for scripted, produced in zip(current, result.updated):

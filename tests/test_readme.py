@@ -1,4 +1,5 @@
-"""The README's config block, library example and code names agree with the code."""
+"""The README's config block, library example, code names and Requires line
+agree with the code."""
 
 import dataclasses
 import importlib
@@ -9,7 +10,8 @@ from pathlib import Path
 
 from domex import config
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def code_block(heading, language):
@@ -49,3 +51,12 @@ def test_backticked_module_names_exist():
         if not defines(module, name) and not hasattr(sections.get(module), name)
     ]
     assert missing == []
+
+
+def test_requires_line_names_the_runtime_dependencies():
+    """The packages on the Requires line are pyproject.toml's [project] dependencies."""
+    requires = re.search(r"^Requires Python [\d.]+\+(.*?)\.", README.read_text(), re.M | re.S)
+    named = set(re.findall(r"[a-z][\w.-]*", requires.group(1))) - {"and"}
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    dependencies = re.search(r"^dependencies = \[(.*?)^\]", pyproject, re.M | re.S).group(1)
+    assert named == set(re.findall(r'^\s*"([A-Za-z0-9_.-]+)', dependencies, re.M))
