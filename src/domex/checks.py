@@ -74,31 +74,34 @@ _COEFFICIENTS = {
 }
 
 
-def _gradient_and_loss(loss_name: str, seed: int):
-    """Model 0's analytic gradient, model 0, and its value-only loss function."""
-    ensemble, batch, labels, hp = _tiny_setup(seed)
-    model = ensemble.updated[0]
+def _loss_of_logits(loss_name: str, ensemble, batch, labels, hp):
+    """Model 0's loss as a function of its logits on the batch.
+
+    An expansion loss takes model 0's anchor and peers, which are frozen,
+    from one frozen_targets pass per check.
+    """
     if loss_name == "cross_entropy":
-        logits, cache = nn.forward_logits(model, batch)
-        grads = nn.backward(model, cache, nn.cross_entropy_gradient(logits, labels))
-        loss_fn = lambda m: nn.cross_entropy(nn.forward_logits(m, batch)[0], labels)
-        return grads, model, loss_fn
-    # Model 0's anchor and peers are frozen, so they are run once per check
-    # and both sides take them: the gradient from the loss that every expand
-    # step calls, each probe from one forward and no backward.
+        return lambda logits: nn.cross_entropy(logits, labels)
     a_org, a_bias = _COEFFICIENTS[loss_name](ensemble, batch, hp)
     targets = expansion.frozen_targets(ensemble, 0, batch, hp.temperature, a_org, a_bias)
-    args = (batch, *targets, a_org, a_bias, hp.temperature)
-    grads = expansion.weighted_loss(model, *args)[1]
-    return grads, model, lambda m: expansion.weighted_loss_value(m, *args)
+    return lambda logits: expansion.weighted_loss(logits, *targets, a_org, a_bias, hp.temperature)
 
 
 def check_loss_gradient(loss_name: str, seed: int) -> CheckResult:
-    """Compare one loss's backprop gradient against finite differences."""
+    """Compare one loss's backprop gradient against finite differences.
+
+    Both sides run model 0 forward and then the same loss of its logits: the
+    analytic side backpropagates that loss's gradient(), and each probe takes
+    its value alone.
+    """
     if loss_name not in CHECKED_LOSSES:
         raise InputError(f"unknown loss {loss_name!r}; expected one of {CHECKED_LOSSES}")
-    grads, model, loss_fn = _gradient_and_loss(loss_name, seed)
-    numeric = nn.finite_diff_gradient(loss_fn, model)
+    ensemble, batch, labels, hp = _tiny_setup(seed)
+    model = ensemble.updated[0]
+    loss = _loss_of_logits(loss_name, ensemble, batch, labels, hp)
+    logits, cache = nn.forward_logits(model, batch)
+    grads = nn.backward(model, cache, loss(logits)[1]())
+    numeric = nn.finite_diff_gradient(lambda m: loss(nn.forward_logits(m, batch)[0])[0], model)
     return CheckResult(loss_name, seed, gradient_discrepancy(grads, numeric))
 
 

@@ -55,6 +55,13 @@ def _config_inputs(args) -> list[Path]:
     return [Path(args.config)] if args.config else []
 
 
+def _check_label_range(ds: DomainDataset, cfg: RunConfig) -> None:
+    """Refuse a labelled set whose labels the configured classes cannot hold."""
+    top = int(ds.labels.max())
+    if top >= cfg.data.num_classes:
+        raise ConfigError(f"labels reach {top} but num_classes is {cfg.data.num_classes}")
+
+
 def cmd_synth(cfg: RunConfig, layout: OutputLayout, args) -> int:
     new_transform = benchmark_shifts(cfg.data)[1]
     domains = generate_domains(cfg.data, cfg.data.num_sources, new_transform)
@@ -65,14 +72,16 @@ def cmd_synth(cfg: RunConfig, layout: OutputLayout, args) -> int:
         train, test = split(ds, cfg.data)
         if cfg.data.standardize:
             train, (test,) = standardize(train, [test])
-        for part, part_ds in (("train", train), ("test", test)):
-            path = layout.domain_csv(ds.name, part)
+        test_part = (layout.domain_csv(ds.name, "test"), test)
+        if ds.name == "new":
+            # The new domain's train rows are written once, without labels.
+            unlabelled = DomainDataset("new_unlabelled", train.features)
+            parts = [test_part, (layout.new_unlabelled_csv, unlabelled)]
+        else:
+            parts = [(layout.domain_csv(ds.name, "train"), train), test_part]
+        for path, part_ds in parts:
             write_csv(part_ds, path)
             outputs.append(path)
-        if ds.name == "new":
-            unlabelled = DomainDataset("new_unlabelled", train.features)
-            write_csv(unlabelled, layout.new_unlabelled_csv)
-            outputs.append(layout.new_unlabelled_csv)
     outputs.append(write_manifest(layout, "synth", cfg, _config_inputs(args), outputs[:]))
     logger.info("wrote %d files under %s", len(outputs), layout.data_dir)
     print(f"synth: {len(domains)} domains under {layout.data_dir}")
@@ -99,10 +108,8 @@ def cmd_pretrain(cfg: RunConfig, layout: OutputLayout, args) -> int:
         raise ConfigError(
             f"source domains disagree on their label sets: {sorted(map(sorted, label_sets))}"
         )
-    if max(label_sets[0]) >= cfg.data.num_classes:
-        raise ConfigError(
-            f"labels reach {max(label_sets[0])} but num_classes is {cfg.data.num_classes}"
-        )
+    # The label sets agree, so the first set's range is every set's.
+    _check_label_range(train_sets[0], cfg)
 
     for i, train in enumerate(train_sets):
         rng = np.random.default_rng(seeds[i])
@@ -184,6 +191,7 @@ def cmd_evaluate(cfg: RunConfig, layout: OutputLayout, args) -> int:
         ds = load_csv(path)
         if not ds.labelled:
             raise InputError(f"{path} has no labels; cannot score predictions on it")
+        _check_label_range(ds, cfg)
         ds.name = name
         test_sets[name] = ds
         csv_paths.append(path)

@@ -111,8 +111,16 @@ class DataConfig:
             )
         if self.feature_dim < 1:
             raise ConfigError(f"feature_dim must be >= 1, got {self.feature_dim}")
-        if self.samples_per_class < 1:
-            raise ConfigError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
+        # split's arithmetic: every class needs two samples, and the train
+        # side's ceil(train_fraction * N) must leave one of N for the test side.
+        if self.samples_per_class < 2:
+            raise ConfigError(f"samples_per_class must be >= 2, got {self.samples_per_class}")
+        n = self.num_classes * self.samples_per_class
+        if math.ceil(self.train_fraction * n) >= n:
+            raise ConfigError(
+                f"train_fraction {self.train_fraction} of {n} samples per domain "
+                "leaves the test split empty"
+            )
         if self.noise_std <= 0:
             raise ConfigError(f"noise_std must be > 0, got {self.noise_std}")
         if self.num_sources < 2:

@@ -18,7 +18,7 @@ and one backward pass of model i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -161,13 +161,23 @@ def compute_weights(entropies: np.ndarray, weight_temperature: float) -> WeightV
     return WeightVector(entropies, exps / exps.sum())
 
 
-def _loss_terms(
-    probs: np.ndarray, anchor: np.ndarray | None, peers: Sequence[np.ndarray]
-) -> tuple[np.ndarray | None, list[np.ndarray], float, float]:
-    """The differences probs - anchor and probs - peer, with L_org and L_bias.
+def weighted_loss(
+    logits: np.ndarray,
+    anchor: np.ndarray | None,
+    peers: Sequence[np.ndarray],
+    a_org: float,
+    a_bias: float,
+    temperature: float,
+) -> tuple[float, Callable[[], np.ndarray], float, float]:
+    """a_org * L_org + a_bias * L_bias of one model's logits on a batch.
 
-    A term left out (anchor None, or no peers) contributes 0.
+    L_org is the mean squared distance between the softened probabilities
+    and anchor, the original's on the batch; L_bias sums that distance to
+    each of peers (see frozen_targets). A term left out (anchor None, or no
+    peers) contributes 0. Returns the total, a gradient() that gives
+    dtotal/dlogits when called, L_org and L_bias.
     """
+    probs = softmax_temperature(logits, temperature)
     n = probs.shape[0]
     org_diff = None if anchor is None else probs - anchor
     l_org = 0.0 if org_diff is None else float((org_diff * org_diff).sum()) / n
@@ -176,56 +186,16 @@ def _loss_terms(
         diff = probs - peer
         l_bias += float((diff * diff).sum()) / n
         bias_diffs.append(diff)
-    return org_diff, bias_diffs, l_org, l_bias
 
+    def gradient() -> np.ndarray:
+        dprobs = np.zeros_like(probs)
+        if org_diff is not None:
+            dprobs += (2.0 * a_org / n) * org_diff
+        for diff in bias_diffs:
+            dprobs += (2.0 * a_bias / n) * diff
+        return softmax_temperature_backward(probs, dprobs, temperature)
 
-def weighted_loss_value(
-    model: MlpModel,
-    batch: np.ndarray,
-    anchor: np.ndarray | None,
-    peers: Sequence[np.ndarray],
-    a_org: float,
-    a_bias: float,
-    temperature: float,
-) -> float:
-    """a_org * L_org + a_bias * L_bias on one batch, from one forward and no backward.
-
-    The arguments are those of weighted_loss: anchor holds the original's
-    softened probabilities on the batch and peers each frozen peer's
-    (frozen_targets). The value equals weighted_loss's bit for bit.
-    """
-    probs = softmax_temperature(forward_logits(model, batch)[0], temperature)
-    _, _, l_org, l_bias = _loss_terms(probs, anchor, peers)
-    return a_org * l_org + a_bias * l_bias
-
-
-def weighted_loss(
-    model: MlpModel,
-    batch: np.ndarray,
-    anchor: np.ndarray | None,
-    peers: Sequence[np.ndarray],
-    a_org: float,
-    a_bias: float,
-    temperature: float,
-    cache: ForwardCache | None = None,
-) -> tuple[float, np.ndarray, float, float]:
-    """weighted_loss_value with its gradient for model, through cache.
-
-    Runs one forward and one backward of model, whatever the coefficients.
-    Returns the total, its gradient (which aliases cache), L_org and L_bias.
-    """
-    logits, cache = forward_logits(model, batch, cache)
-    probs = softmax_temperature(logits, temperature)
-    org_diff, bias_diffs, l_org, l_bias = _loss_terms(probs, anchor, peers)
-    n = probs.shape[0]
-    dprobs = np.zeros_like(probs)
-    if org_diff is not None:
-        dprobs += (2.0 * a_org / n) * org_diff
-    for diff in bias_diffs:
-        dprobs += (2.0 * a_bias / n) * diff
-    dlogits = softmax_temperature_backward(probs, dprobs, temperature)
-    total = a_org * l_org + a_bias * l_bias
-    return total, backward(model, cache, dlogits), l_org, l_bias
+    return a_org * l_org + a_bias * l_bias, gradient, l_org, l_bias
 
 
 def frozen_targets(
@@ -257,10 +227,13 @@ def _batch_loss(
     a_org: float,
     a_bias: float,
 ) -> tuple[float, np.ndarray]:
-    """weighted_loss of model i with its frozen targets run on the batch."""
+    """weighted_loss of model i and its parameter gradient, with its frozen
+    targets run on the batch."""
     anchor, peers = frozen_targets(ensemble, i, batch, temperature, a_org, a_bias)
     model = ensemble.updated[i]
-    return weighted_loss(model, batch, anchor, peers, a_org, a_bias, temperature)[:2]
+    logits, cache = forward_logits(model, batch)
+    total, gradient = weighted_loss(logits, anchor, peers, a_org, a_bias, temperature)[:2]
+    return total, backward(model, cache, gradient())
 
 
 def bias_loss(
@@ -330,17 +303,16 @@ def expand(
             org_terms, bias_terms = [], []
             for start in range(0, n, hp.batch_size):
                 rows = order[start : start + hp.batch_size]
-                _, grads, l_org, l_bias = weighted_loss(
-                    updated[i],
-                    new_data[rows],
+                batch_logits, _ = forward_logits(updated[i], new_data[rows], cache)
+                _, gradient, l_org, l_bias = weighted_loss(
+                    batch_logits,
                     anchors[i][rows],
                     [peer[rows] for peer in others],
                     1.0,
                     scale,
                     hp.temperature,
-                    cache,
                 )
-                updated[i] = sgd_step(updated[i], grads, opt)
+                updated[i] = sgd_step(updated[i], backward(updated[i], cache, gradient()), opt)
                 org_terms.append(l_org)
                 bias_terms.append(l_bias)
             # Later models in this round see model i as a trained peer.

@@ -291,12 +291,6 @@ def softmax_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
     return exps / exps.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.ndim != 1:
@@ -306,24 +300,32 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log softmax probability of the true class."""
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = _check_labels(labels, logits.shape[-1])
-    if logits.shape[0] != labels.shape[0]:
-        raise InputError("logits and labels disagree on batch size")
-    logp = log_softmax(logits)
-    return float(-logp[np.arange(labels.shape[0]), labels].mean())
+def cross_entropy(
+    logits: np.ndarray, labels: np.ndarray
+) -> tuple[float, Callable[[], np.ndarray]]:
+    """Mean negative log softmax probability of the true class, and its gradient.
 
-
-def cross_entropy_gradient(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """d(cross_entropy)/d(logits): (softmax - onehot) / N."""
+    gradient() returns dL/dlogits = (softmax - onehot) / N; it is computed
+    only when called, so a caller that needs the value alone pays for no
+    gradient.
+    """
     logits = np.asarray(logits, dtype=np.float64)
     labels = _check_labels(labels, logits.shape[-1])
     n = logits.shape[0]
-    grad = softmax_temperature(logits, 1.0)
-    grad[np.arange(n), labels] -= 1.0
-    return grad / n
+    if n != labels.shape[0]:
+        raise InputError("logits and labels disagree on batch size")
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exps = np.exp(shifted)
+    sums = exps.sum(axis=-1, keepdims=True)
+    rows = np.arange(n)
+    value = -float((shifted[rows, labels] - np.log(sums[:, 0])).sum()) / n
+
+    def gradient() -> np.ndarray:
+        grad = exps / sums
+        grad[rows, labels] -= 1.0
+        return grad / n
+
+    return value, gradient
 
 
 def softmax_temperature_backward(
@@ -443,8 +445,8 @@ def fit_classifier(
         for start in range(0, n, batch_size):
             take = order[start : start + batch_size]
             logits, _ = forward_logits(model, features[take], cache)
-            grads = backward(model, cache, cross_entropy_gradient(logits, labels[take]))
-            model = sgd_step(model, grads, opt)
+            gradient = cross_entropy(logits, labels[take])[1]
+            model = sgd_step(model, backward(model, cache, gradient()), opt)
     return model
 
 

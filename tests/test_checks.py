@@ -18,7 +18,8 @@ def test_suite_passes_on_default_seeds():
 
 def test_corrupted_gradient_is_reported(monkeypatch):
     # negative control: biasing the analytic first-layer weight gradient, in
-    # the backward pass that both training loops call, must trip every check
+    # the backward pass that every check runs after its loss, must trip every
+    # check
     backward = nn.backward
 
     def corrupted(model, cache, dlogits):
@@ -27,7 +28,6 @@ def test_corrupted_gradient_is_reported(monkeypatch):
         return grads
 
     monkeypatch.setattr(nn, "backward", corrupted)
-    monkeypatch.setattr(expansion, "backward", corrupted)
     results = checks.run_gradient_suite(seeds=(0,))
     assert len(results) == len(checks.CHECKED_LOSSES)
     assert not any(r.passed for r in results)
@@ -46,6 +46,32 @@ def test_expansion_check_runs_the_frozen_targets_once(monkeypatch, loss_name):
     monkeypatch.setattr(expansion, "frozen_targets", counted)
     assert checks.check_loss_gradient(loss_name, 0).passed
     assert calls == [0]
+
+
+@pytest.mark.parametrize("loss_name", checks.CHECKED_LOSSES)
+def test_probes_take_the_value_of_the_loss_whose_gradient_is_checked(monkeypatch, loss_name):
+    # one call for the analytic side, two per parameter for the probes; only
+    # the analytic side asks for the gradient
+    calls = {"loss": 0, "gradient": 0}
+
+    def counted(loss):
+        def wrapper(*args, **kwargs):
+            value, gradient, *terms = loss(*args, **kwargs)
+
+            def counted_gradient():
+                calls["gradient"] += 1
+                return gradient()
+
+            calls["loss"] += 1
+            return (value, counted_gradient, *terms)
+
+        return wrapper
+
+    monkeypatch.setattr(nn, "cross_entropy", counted(nn.cross_entropy))
+    monkeypatch.setattr(expansion, "weighted_loss", counted(expansion.weighted_loss))
+    assert checks.check_loss_gradient(loss_name, 0).passed
+    params = checks._tiny_setup(0)[0].updated[0].theta.size
+    assert calls == {"loss": 2 * params + 1, "gradient": 1}
 
 
 def test_single_loss_check_is_deterministic():

@@ -76,14 +76,21 @@ def test_synth_writes_the_expected_files(tmp_path):
     names = sorted(p.name for p in (out / "data").iterdir())
     assert names == [
         "new_test.csv",
-        "new_train.csv",
         "new_unlabelled.csv",
         "source_0_test.csv",
         "source_0_train.csv",
         "source_1_test.csv",
         "source_1_train.csv",
     ]
-    assert (out / "synth_manifest.json").exists()
+    manifest = json.loads((out / "synth_manifest.json").read_text())
+    assert [entry["path"] for entry in manifest["outputs"]] == [
+        "data/source_0_train.csv",
+        "data/source_0_test.csv",
+        "data/source_1_train.csv",
+        "data/source_1_test.csv",
+        "data/new_test.csv",
+        "data/new_unlabelled.csv",
+    ]
     unlabelled = data.load_csv(out / "data" / "new_unlabelled.csv")
     assert not unlabelled.labelled
 
@@ -421,6 +428,26 @@ def test_evaluate_reruns_identically(tmp_path):
     assert sha256_file(OutputLayout(out).report_json) == first
 
 
+def test_evaluate_refuses_test_labels_beyond_num_classes(tmp_path, capsys):
+    # the message and exit code that pretrain gives the same label in a train set
+    cfg, out = pipeline_through_pretrain(tmp_path)
+    assert run("expand", "--config", cfg, "--out", out) == 0
+    path = OutputLayout(out).domain_csv("new", "test")
+    test = data.load_csv(path)
+    test.labels[0] = 7
+    data.write_csv(test, path)
+    capsys.readouterr()
+    assert run("evaluate", "--config", cfg, "--out", out) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: labels reach 7 but num_classes is 3\n"
+    for i in range(2):
+        path = OutputLayout(out).domain_csv(f"source_{i}", "train")
+        train = data.load_csv(path)
+        train.labels[0] = 7
+        data.write_csv(train, path)
+    assert run("pretrain", "--config", cfg, "--out", out) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: labels reach 7 but num_classes is 3\n"
+
+
 def test_evaluate_without_test_sets_is_an_io_error(tmp_path):
     cfg = tiny_config(tmp_path)
     assert run("evaluate", "--config", cfg, "--out", tmp_path / "run") == cli.EXIT_IO
@@ -549,8 +576,17 @@ def test_seed_is_refused_by_stages_without_randomness(tmp_path, capsys, stage):
         {"noise_std": 0.0},
         {"source_rotations_deg": [10.0], "source_shift_sigmas": [0.5]},
         {"feature_dim": 1},
+        {"samples_per_class": 1},
+        {"samples_per_class": 2, "train_fraction": 0.95},
     ],
-    ids=["unequal lists", "zero noise", "one source", "rotation in one dimension"],
+    ids=[
+        "unequal lists",
+        "zero noise",
+        "one source",
+        "rotation in one dimension",
+        "one sample per class",
+        "no test sample",
+    ],
 )
 def test_every_stage_refuses_a_bad_data_section(tmp_path, capsys, bad_data):
     _, out = pipeline_through_pretrain(tmp_path)

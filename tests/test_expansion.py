@@ -45,7 +45,11 @@ def overall_loss(ens, i, batch, weights, hp):
     scale = hp.lam * float(weights.weights[i])
     anchor, peers = expansion.frozen_targets(ens, i, batch, hp.temperature, 1.0, scale)
     model = ens.updated[i]
-    return expansion.weighted_loss(model, batch, anchor, peers, 1.0, scale, hp.temperature)[:2]
+    logits, cache = nn.forward_logits(model, batch)
+    total, gradient, _, _ = expansion.weighted_loss(
+        logits, anchor, peers, 1.0, scale, hp.temperature
+    )
+    return total, nn.backward(model, cache, gradient())
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +359,9 @@ def test_loss_value_equals_each_loss_bit_for_bit():
             )
             assert (anchor is None) == (a_org == 0.0)
             assert len(peers) == (2 if a_bias else 0)
-            value = expansion.weighted_loss_value(
-                ens.updated[i], batch, anchor, peers, a_org, a_bias, hp.temperature
+            logits, _ = nn.forward_logits(ens.updated[i], batch)
+            value, *_ = expansion.weighted_loss(
+                logits, anchor, peers, a_org, a_bias, hp.temperature
             )
             assert value == total
 

@@ -129,17 +129,17 @@ def test_softmax_rejects_bad_inputs():
 
 
 def test_cross_entropy_uniform_prediction():
-    loss = nn.cross_entropy(np.array([[0.0, 0.0]]), np.array([0]))
+    loss, _ = nn.cross_entropy(np.array([[0.0, 0.0]]), np.array([0]))
     assert abs(loss - math.log(2.0)) <= 1e-12
 
 
 def test_cross_entropy_confident_correct():
-    loss = nn.cross_entropy(np.array([[50.0, 0.0, 0.0]]), np.array([0]))
+    loss, _ = nn.cross_entropy(np.array([[50.0, 0.0, 0.0]]), np.array([0]))
     assert loss <= 1e-12
 
 
 def test_cross_entropy_scalar_evaluation():
-    loss = nn.cross_entropy(np.array([[1.0, -1.0]]), np.array([1]))
+    loss, _ = nn.cross_entropy(np.array([[1.0, -1.0]]), np.array([1]))
     assert abs(loss - math.log(1.0 + math.exp(2.0))) <= 1e-12
 
 
@@ -147,10 +147,10 @@ def test_cross_entropy_nonnegative_and_mean_over_batch():
     rng = np.random.default_rng(4)
     logits = rng.normal(size=(10, 3))
     labels = rng.integers(0, 3, size=10)
-    total = nn.cross_entropy(logits, labels)
+    total, _ = nn.cross_entropy(logits, labels)
     assert total >= 0
     per_row = [
-        nn.cross_entropy(logits[n : n + 1], labels[n : n + 1]) for n in range(10)
+        nn.cross_entropy(logits[n : n + 1], labels[n : n + 1])[0] for n in range(10)
     ]
     assert abs(total - np.mean(per_row)) <= 1e-12
 
@@ -165,11 +165,29 @@ def test_cross_entropy_gradient_formula():
     rng = np.random.default_rng(5)
     logits = rng.normal(size=(4, 3))
     labels = np.array([0, 2, 1, 1])
-    grad = nn.cross_entropy_gradient(logits, labels)
+    grad = nn.cross_entropy(logits, labels)[1]()
     probs = nn.softmax_temperature(logits, 1.0)
     onehot = np.zeros_like(probs)
     onehot[np.arange(4), labels] = 1.0
     assert np.max(np.abs(grad - (probs - onehot) / 4.0)) <= 1e-12
+
+
+def test_cross_entropy_gives_the_bits_of_the_separate_formulas():
+    # the value as the mean of log_softmax at the labels, the gradient as
+    # (softmax - onehot) / N, each written out in full
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        n, c = rng.integers(1, 70), rng.integers(2, 12)
+        logits = rng.normal(0.0, rng.uniform(0.1, 30.0), size=(n, c))
+        labels = rng.integers(0, c, size=n)
+        rows = np.arange(n)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        probs = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
+        probs[rows, labels] -= 1.0
+        value, gradient = nn.cross_entropy(logits, labels)
+        assert value == float(-log_probs[rows, labels].mean())
+        assert same_bits(gradient(), probs / n)
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +222,9 @@ def test_backward_matches_finite_differences():
 
     _, cache = nn.forward_logits(model, x)
     logits = cache.activations[-1]
-    analytic = nn.backward(model, cache, nn.cross_entropy_gradient(logits, labels))
+    analytic = nn.backward(model, cache, nn.cross_entropy(logits, labels)[1]())
     numeric = nn.finite_diff_gradient(
-        lambda m: nn.cross_entropy(nn.forward_logits(m, x)[0], labels), model
+        lambda m: nn.cross_entropy(nn.forward_logits(m, x)[0], labels)[0], model
     )
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     assert np.max(np.abs(analytic - numeric) / scale) < 1e-4
@@ -397,7 +415,7 @@ def default_step_setup():
     model = nn.init_mlp(10, [HIDDEN], 5, rng)
     x = rng.normal(size=(ROWS, 10))
     logits, cache = nn.forward_logits(model, x)
-    dlogits = nn.cross_entropy_gradient(logits, rng.integers(0, 5, size=ROWS))
+    dlogits = nn.cross_entropy(logits, rng.integers(0, 5, size=ROWS))[1]()
     return model, x, cache, dlogits
 
 
