@@ -32,6 +32,7 @@ from .data import (
     load_csv,
     split,
     standardize,
+    write_atomic,
     write_csv,
 )
 from .errors import ConfigError, InputError, NumericError, ParameterError, ParseError
@@ -160,7 +161,7 @@ def cmd_expand(cfg: RunConfig, layout: OutputLayout, args) -> int:
         nn.save_model(model, path)
         outputs.append(path)
     log_lines = [json.dumps(record) for record in log]
-    layout.training_log.write_text("\n".join(log_lines) + ("\n" if log_lines else ""))
+    write_atomic(layout.training_log, "\n".join(log_lines) + ("\n" if log_lines else ""))
     outputs.append(layout.training_log)
 
     inputs = _config_inputs(args) + model_paths + [layout.new_unlabelled_csv]
@@ -203,12 +204,12 @@ def cmd_evaluate(cfg: RunConfig, layout: OutputLayout, args) -> int:
         for method in cfg.evaluate.methods
     }
     layout.eval_dir.mkdir(parents=True, exist_ok=True)
-    layout.report_json.write_text(
-        json.dumps({"reports": [r.to_dict() for r in reports.values()]}, indent=2)
-        + "\n"
+    write_atomic(
+        layout.report_json,
+        json.dumps({"reports": [r.to_dict() for r in reports.values()]}, indent=2) + "\n",
     )
     table = fusion.format_results_table(reports, domain_order=_domain_names(cfg))
-    layout.results_table.write_text(table + "\n")
+    write_atomic(layout.results_table, table + "\n")
 
     outputs = [layout.report_json, layout.results_table]
     inputs = _config_inputs(args) + model_paths + csv_paths
@@ -234,7 +235,7 @@ def cmd_gradcheck(cfg: RunConfig, layout: OutputLayout, args) -> int:
         ],
         "all_passed": all_passed,
     }
-    layout.gradcheck_json.write_text(json.dumps(payload, indent=2) + "\n")
+    write_atomic(layout.gradcheck_json, json.dumps(payload, indent=2) + "\n")
     write_manifest(
         layout, "gradcheck", cfg, _config_inputs(args), [layout.gradcheck_json]
     )

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
-from .data import DataConfig
+from .data import DataConfig, write_atomic
 from .errors import ConfigError
 from .expansion import Hyperparams
 from .fusion import FUSION_METHODS
@@ -260,5 +260,5 @@ def write_manifest(
         "outputs": [{"path": rel(p), "sha256": sha256_file(p)} for p in outputs],
     }
     path = layout.manifest(stage)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    write_atomic(path, json.dumps(payload, indent=2) + "\n")
     return path

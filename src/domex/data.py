@@ -9,9 +9,10 @@ expansion algorithm targets.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
+import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -137,52 +138,101 @@ class DataConfig:
 SplitSpec = DataConfig
 
 
+# numpy's reader, told the dialect csv.reader read: comma-separated cells,
+# optionally double-quoted, and no comment syntax.
+_CSV_DIALECT = dict(delimiter=",", quotechar='"', comments=None)
+# The row numbers in numpy's errors count the lines after the header (no blank
+# line reaches numpy): from 0 when a cell does not parse, from 1 when a row
+# has the wrong cell count.
+_BAD_CELL = re.compile(r"could not convert string (.*) to \w+ at row (\d+), column (\d+)")
+_BAD_COUNT = re.compile(r"requires \d+ columns but (\d+) were found at row (\d+)")
+
+
+def _body_lines(handle, path: Path, n_columns: int):
+    """The lines after the header, refusing the blank line that np.loadtxt
+    would skip and the empty body that it would only warn about."""
+    line_no = 1
+    for line_no, line in enumerate(handle, start=2):
+        if line == "\n":
+            raise ParseError(f"expected {n_columns} values, found 0", line=line_no)
+        yield line
+    if line_no == 1:
+        raise ParseError(f"{path} has a header but no data rows", line=2)
+
+
+def _located(exc: ValueError, n_columns: int, n_features: int) -> ParseError:
+    """numpy's error for a malformed row, as a ParseError naming its file line."""
+    message = str(exc)
+    if cell := _BAD_CELL.search(message):
+        text, row, column = cell.groups()
+        what = "non-integer label" if int(column) > n_features else "non-numeric feature cell"
+        return ParseError(f"{what} {text}", line=int(row) + 2)
+    if count := _BAD_COUNT.search(message):
+        return ParseError(
+            f"expected {n_columns} values, found {count[1]}", line=int(count[2]) + 1
+        )
+    return ParseError(message)
+
+
 def load_csv(path: str | Path) -> DomainDataset:
     """Parse a feature CSV: header row, decimal features, optional trailing
-    integer "label" column. Malformed content raises ParseError naming the
-    1-based line."""
+    integer "label" column. numpy's C reader parses every line in one pass;
+    malformed content raises ParseError naming the 1-based line."""
     path = Path(path)
     try:
-        with path.open(newline="") as handle:
-            rows = list(csv.reader(handle))
+        # An open handle, not the path: np.loadtxt(path) imports gzip.
+        with path.open() as handle:
+            first = handle.readline()
+            if not first:
+                raise ParseError(f"{path} is empty")
+            # numpy splits the header as it splits the rows. max_rows=1 keeps
+            # its str parse from allocating an object buffer for 50000 rows.
+            cells = [] if first == "\n" else np.loadtxt(
+                [first], dtype=str, ndmin=1, max_rows=1, **_CSV_DIALECT
+            )
+            header = [cell.strip() for cell in cells]
+            labelled = bool(header) and header[-1] == LABEL_COLUMN
+            n_features = len(header) - 1 if labelled else len(header)
+            if n_features < 1:
+                raise ParseError(f"{path} declares no feature columns", line=1)
+            # One record per row: the dtype fixes every row's cell count, and
+            # numpy's int64 parser refuses a label such as 3.0 or 1e0.
+            fields = [("features", "<f8", (n_features,))]
+            if labelled:
+                fields.append(("label", "<i8"))
+            rows = np.loadtxt(
+                _body_lines(handle, path, len(header)), dtype=fields, ndmin=1, **_CSV_DIALECT
+            )
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if not rows:
-        raise ParseError(f"{path} is empty")
-    header = [h.strip() for h in rows[0]]
-    labelled = bool(header) and header[-1] == LABEL_COLUMN
-    n_features = len(header) - 1 if labelled else len(header)
-    if n_features < 1:
-        raise ParseError(f"{path} declares no feature columns", line=1)
-
-    features, labels = [], []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} values, found {len(row)}", line=line_no
-            )
-        try:
-            features.append([float(cell) for cell in row[:n_features]])
-        except ValueError as exc:
-            raise ParseError(f"non-numeric feature cell: {exc}", line=line_no) from exc
-        if labelled:
-            try:
-                labels.append(int(row[-1]))
-            except ValueError as exc:
-                raise ParseError(f"non-integer label: {exc}", line=line_no) from exc
-    if not features:
-        raise ParseError(f"{path} has a header but no data rows", line=2)
+    except ParseError:
+        raise
+    except ValueError as exc:  # numpy's, on a malformed row
+        raise _located(exc, len(header), n_features) from exc
     return DomainDataset(
         path.stem,
-        np.asarray(features, dtype=np.float64),
-        np.asarray(labels, dtype=np.int64) if labelled else None,
+        np.ascontiguousarray(rows["features"]),
+        np.ascontiguousarray(rows["label"]) if labelled else None,
     )
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write text to path through a sibling `<path>.tmp` that then replaces
+    path, so a failed write leaves any earlier file at path as it was. Every
+    file the pipeline writes goes through here."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_csv(ds: DomainDataset, path: str | Path) -> None:
     """Write a dataset as CSV, with a label column if it is labelled; floats
     use repr so a reload is value-identical."""
-    path = Path(path)
     header = [f"f{i}" for i in range(ds.dim)]
     if ds.labelled:
         header.append(LABEL_COLUMN)
@@ -192,7 +242,7 @@ def write_csv(ds: DomainDataset, path: str | Path) -> None:
         if ds.labelled:
             line += f",{int(ds.labels[row_index])}"
         lines.append(line)
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def split(ds: DomainDataset, spec: DataConfig) -> tuple[DomainDataset, DomainDataset]:

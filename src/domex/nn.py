@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import base64
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .data import write_atomic
 from .errors import InputError, NumericError, ParameterError, ParseError
 
 ACTIVATIONS = ("relu", "identity")
@@ -314,6 +314,8 @@ def cross_entropy(
     n = logits.shape[0]
     if n != labels.shape[0]:
         raise InputError("logits and labels disagree on batch size")
+    if n == 0:
+        raise InputError("cross-entropy needs a nonempty batch")
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
     sums = exps.sum(axis=-1, keepdims=True)
@@ -479,21 +481,11 @@ def model_from_dict(doc: dict) -> MlpModel:
 
 
 def save_model(model: MlpModel, path: str | Path) -> None:
-    """Write the model JSON; a model with a non-finite parameter is refused.
-
-    The document goes to a sibling temporary file that then replaces path, so
-    a failed write leaves any earlier file at path as it was.
-    """
+    """Write the model JSON atomically; a model with a non-finite parameter
+    is refused."""
     if not np.isfinite(model.theta).all():
         raise NumericError(f"refusing to save {path}: model parameters are not finite")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_atomic(path, json.dumps(model_to_dict(model), indent=2) + "\n")
 
 
 def load_model(path: str | Path) -> MlpModel:

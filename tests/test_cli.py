@@ -544,6 +544,52 @@ def test_non_utf8_input_is_a_one_line_error(tmp_path, capsys, stage, target, cod
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _replace_cell(lines, line, column, text):
+    cells = lines[line - 1].split(",")
+    cells[column] = text
+    lines[line - 1] = ",".join(cells)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "corrupt, line",
+    [
+        (lambda lines: _replace_cell(lines, 3, 0, "banana"), 3),
+        (lambda lines: _replace_cell(lines, 4, -1, "1.0"), 4),
+        (lambda lines: lines[:3] + [lines[3] + ",0.5"] + lines[4:], 4),
+        (lambda lines: [lines[0]] + [line + ",0" for line in lines[1:]], 2),
+        (lambda lines: lines[:3] + [""] + lines[3:], 4),
+        (lambda lines: lines + [""], None),  # None: the last line
+        (lambda lines: lines[:2] + ["#" + lines[2]] + lines[3:], 3),
+        (lambda lines: lines[:1], 2),
+    ],
+    ids=[
+        "non-numeric cell",
+        "non-integer label",
+        "ragged row",
+        "every row too long",
+        "blank line",
+        "trailing blank line",
+        "comment row",
+        "header only",
+    ],
+)
+def test_malformed_data_csv_is_a_one_line_error_naming_the_line(
+    tmp_path, capsys, corrupt, line
+):
+    cfg = tiny_config(tmp_path)
+    out = tmp_path / "run"
+    assert run("synth", "--config", cfg, "--out", out) == 0
+    path = out / "data" / "source_1_train.csv"
+    lines = corrupt(path.read_text().splitlines())
+    line = line or len(lines)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("pretrain", "--config", cfg, "--out", out) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "stage, overrides",
     [
@@ -653,8 +699,9 @@ def test_expanded_models_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 # The import is every invocation's start-up: it loads numpy.random, which four
-# of the five stages use, and no stage then loads scipy or numpy.ma (which
-# np.unique pulls in) on top of it.
+# of the five stages use, and no stage then loads a module on top of it, such
+# as scipy, numpy.ma (which np.unique pulls in) or gzip (which np.loadtxt
+# pulls in when given a path).
 def test_stages_run_on_numpy_alone(tmp_path):
     script = (
         "import json, sys\n"
@@ -670,3 +717,4 @@ def test_stages_run_on_numpy_alone(tmp_path):
     after_import, after_stages = map(set, json.loads(out.splitlines()[-1]))
     assert "numpy.random" in after_import
     assert sorted({"scipy", "numpy.ma"} & after_stages) == []
+    assert sorted(after_stages - after_import) == []

@@ -1,6 +1,10 @@
 """CSV ingestion, splits, the synthetic domain generator, and standardization."""
 
 import math
+import os
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +96,126 @@ def test_load_csv_other_malformed_inputs(tmp_path):
     write_lines(header_only, ["f0,f1,label"])
     with pytest.raises(ParseError):
         data.load_csv(header_only)
+
+
+@pytest.mark.parametrize(
+    "lines, line",
+    [
+        (["f0,f1", "1.0,2.0", "1.0,banana"], 3),
+        (["f0,f1", "1,2,3", "4,5,6"], 2),
+        (["f0,f1,label", "1,2", "3,4"], 2),
+        (["f0,f1", "1,2,3", "4,5"], 2),
+        (["f0,label", "1.0,0", "2.0,3.0"], 3),
+        (["f0,label", "1.0,1e0"], 2),
+        (["f0,f1", "1,2", "", "3,4"], 3),
+        (["f0,f1", "1,2", ""], 3),
+        (["f0,f1", "1,2", "   "], 3),
+        (["f0,f1", "1,2", "#3,4"], 3),
+        (["f0,f1,label"], 2),
+        (["", "1,2"], 1),
+    ],
+    ids=[
+        "non-numeric cell",
+        "every row too long",
+        "every row too short",
+        "first row too long",
+        "label 3.0",
+        "label 1e0",
+        "blank line in the body",
+        "trailing blank line",
+        "whitespace line",
+        "comment row",
+        "header only",
+        "blank header",
+    ],
+)
+def test_load_csv_names_the_malformed_line(tmp_path, lines, line):
+    path = tmp_path / "bad.csv"
+    write_lines(path, lines)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError) as err:
+            data.load_csv(path)
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: ")
+
+
+def test_load_csv_reads_quoted_cells_and_crlf_line_ends(tmp_path):
+    path = tmp_path / "dialect.csv"
+    path.write_bytes(b'"f0", "f1" ,"label"\r\n"1.5",-2.0,"3"\r\n4.0, 5.0 , 0\r\n')
+    ds = data.load_csv(path)
+    assert np.array_equal(ds.features, np.array([[1.5, -2.0], [4.0, 5.0]]))
+    assert ds.labels.tolist() == [3, 0]
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (4, 1), (1, 1)])
+@pytest.mark.parametrize("labelled", [False, True])
+def test_load_csv_keeps_the_matrix_shape(tmp_path, n, d, labelled):
+    rng = np.random.default_rng(n + d)
+    labels = rng.integers(0, 3, size=n) if labelled else None
+    ds = data.DomainDataset("small", rng.normal(size=(n, d)), labels)
+    path = tmp_path / "small.csv"
+    data.write_csv(ds, path)
+    back = data.load_csv(path)
+    assert back.features.shape == (n, d)
+    assert back.features.dtype == np.float64 and back.features.flags.c_contiguous
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert back.labelled == labelled
+    if labelled:
+        assert back.labels.dtype == np.int64 and back.labels.tolist() == labels.tolist()
+
+
+# numpy's parsers are narrower than float() and int(): they refuse digit-group
+# underscores and non-ASCII digits, and an int64 label parses or is refused.
+@pytest.mark.parametrize(
+    "row", ["1_0,0", "\u0661,0", "1.0,1_0", "1.0,99999999999999999999"]
+)
+def test_load_csv_refuses_cells_numpy_cannot_parse(tmp_path, row):
+    path = tmp_path / "narrow.csv"
+    write_lines(path, ["f0,label", "1.0,0", row])
+    with pytest.raises(ParseError) as err:
+        data.load_csv(path)
+    assert err.value.line == 3
+
+
+def test_load_csv_memory_follows_the_file_size(tmp_path):
+    ds = data.DomainDataset("wide", np.ones((2, 64)), np.array([0, 1]))
+    path = tmp_path / "wide.csv"
+    data.write_csv(ds, path)
+    tracemalloc.start()
+    try:
+        data.load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # About 35 kB; a header parse that sized its buffer for numpy's default
+    # chunk of 50000 rows would take 26 MB here.
+    assert peak < 1 << 20
+
+
+def test_write_csv_failure_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "domain.csv"
+    data.write_csv(data.DomainDataset("old", np.zeros((2, 2)), np.array([0, 1])), path)
+    before = path.read_bytes()
+    newer = data.DomainDataset("new", np.ones((3, 2)), np.array([1, 0, 1]))
+
+    def half_written(self, text):
+        Path.write_bytes(self, text[: len(text) // 2].encode())
+        raise OSError("no space left on device")
+
+    def failed_replace(src, dst):
+        raise OSError("replace failed")
+
+    for target, name, failure in (
+        (Path, "write_text", half_written),
+        (os, "replace", failed_replace),
+    ):
+        with monkeypatch.context() as patched:
+            patched.setattr(target, name, failure)
+            with pytest.raises(OSError):
+                data.write_csv(newer, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["domain.csv"]
 
 
 def test_csv_round_trip_is_exact(tmp_path):

@@ -3,6 +3,7 @@
 import base64
 import json
 import math
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -158,6 +159,11 @@ def test_cross_entropy_nonnegative_and_mean_over_batch():
 def test_cross_entropy_rejects_out_of_range_label():
     with pytest.raises(InputError):
         nn.cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
+
+
+def test_cross_entropy_rejects_an_empty_batch():
+    with pytest.raises(InputError):
+        nn.cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=int))
 
 
 def test_cross_entropy_gradient_formula():
@@ -777,7 +783,7 @@ def test_save_model_failure_keeps_the_previous_file(tmp_path, monkeypatch):
 
     for target, name, failure in (
         (Path, "write_text", half_written),
-        (nn.os, "replace", failed_replace),
+        (os, "replace", failed_replace),
     ):
         with monkeypatch.context() as patched:
             patched.setattr(target, name, failure)
