@@ -29,6 +29,17 @@ logger = logging.getLogger(__name__)
 LABEL_COLUMN = "label"
 
 
+def class_indices(labels: np.ndarray) -> np.ndarray:
+    """labels as int64, refusing rather than truncating a label that is not a
+    whole number; integral floats such as 2.0 are accepted."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind == "f":
+        whole = np.isfinite(labels) & (labels == np.floor(labels))
+        if not whole.all():
+            raise InputError(f"labels must be whole numbers, got {labels[~whole][0]}")
+    return labels.astype(np.int64)
+
+
 @dataclass
 class DomainDataset:
     """Feature vectors belonging to one domain, optionally labelled."""
@@ -46,7 +57,7 @@ class DomainDataset:
         if not np.isfinite(self.features).all():
             raise InputError(f"dataset {self.name!r} contains non-finite features")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
+            self.labels = class_indices(self.labels)
             if self.labels.shape != (self.features.shape[0],):
                 raise InputError("labels must align one-to-one with feature rows")
             if self.labels.size and self.labels.min() < 0:
@@ -154,30 +165,30 @@ def _body_lines(handle, path: Path, n_columns: int):
     line_no = 1
     for line_no, line in enumerate(handle, start=2):
         if line == "\n":
-            raise ParseError(f"expected {n_columns} values, found 0", line=line_no)
+            raise ParseError(f"{path}: expected {n_columns} values, found 0", line=line_no)
         yield line
     if line_no == 1:
         raise ParseError(f"{path} has a header but no data rows", line=2)
 
 
-def _located(exc: ValueError, n_columns: int, n_features: int) -> ParseError:
-    """numpy's error for a malformed row, as a ParseError naming its file line."""
+def _located(exc: ValueError, path: Path, n_columns: int, n_features: int) -> ParseError:
+    """numpy's error for a malformed row, as a ParseError naming its file and line."""
     message = str(exc)
     if cell := _BAD_CELL.search(message):
         text, row, column = cell.groups()
         what = "non-integer label" if int(column) > n_features else "non-numeric feature cell"
-        return ParseError(f"{what} {text}", line=int(row) + 2)
+        return ParseError(f"{path}: {what} {text}", line=int(row) + 2)
     if count := _BAD_COUNT.search(message):
         return ParseError(
-            f"expected {n_columns} values, found {count[1]}", line=int(count[2]) + 1
+            f"{path}: expected {n_columns} values, found {count[1]}", line=int(count[2]) + 1
         )
-    return ParseError(message)
+    return ParseError(f"{path}: {message}")
 
 
 def load_csv(path: str | Path) -> DomainDataset:
     """Parse a feature CSV: header row, decimal features, optional trailing
     integer "label" column. numpy's C reader parses every line in one pass;
-    malformed content raises ParseError naming the 1-based line."""
+    malformed content raises ParseError naming the file and its 1-based line."""
     path = Path(path)
     try:
         # An open handle, not the path: np.loadtxt(path) imports gzip.
@@ -208,7 +219,7 @@ def load_csv(path: str | Path) -> DomainDataset:
     except ParseError:
         raise
     except ValueError as exc:  # numpy's, on a malformed row
-        raise _located(exc, len(header), n_features) from exc
+        raise _located(exc, path, len(header), n_features) from exc
     return DomainDataset(
         path.stem,
         np.ascontiguousarray(rows["features"]),

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import InputError, ParameterError
 from .nn import (
-    ForwardCache,
     MlpModel,
     OptimizerState,
     backward,
@@ -140,25 +139,16 @@ def mean_entropy(model: MlpModel, new_data: np.ndarray) -> float:
 
 
 def compute_weights(entropies: np.ndarray, weight_temperature: float) -> WeightVector:
-    """Softmax of entropies at the given temperature, max-subtracted.
+    """Softmax of entropies at the given temperature (softmax_temperature).
 
     Higher entropy (poorer new-domain fit) yields a larger weight, so weaker
     models feel more alignment pressure. At a small weight_temperature the
     softmax saturates and weights may round to exactly 0 or 1.
     """
-    if weight_temperature <= 0:
-        raise ParameterError(
-            f"weight_temperature must be > 0, got {weight_temperature}"
-        )
     entropies = np.asarray(entropies, dtype=np.float64)
     if entropies.ndim != 1 or entropies.shape[0] < 2:
         raise InputError("need entropies for at least two models")
-    if not np.isfinite(entropies).all():
-        raise InputError("entropies must be finite")
-    scaled = entropies / weight_temperature
-    scaled = scaled - scaled.max()
-    exps = np.exp(scaled)
-    return WeightVector(entropies, exps / exps.sum())
+    return WeightVector(entropies, softmax_temperature(entropies, weight_temperature))
 
 
 def weighted_loss(
@@ -281,15 +271,13 @@ def expand(
     # Batches gather their anchor and peer rows from these (N, C) arrays on
     # the whole new set, computed in the batches' chunk size; an updated model
     # still equal to its original (as after EnsembleState.initialize) shares
-    # its pass. One cache serves every step and pass, so no buffer is freed
-    # and page-faulted in again between epochs.
-    cache = ForwardCache()
+    # its pass.
     updated = list(ensemble.updated)
-    logits = [chunked_logits(m, new_data, cache) for m in ensemble.originals]
+    logits = [chunked_logits(m, new_data) for m in ensemble.originals]
     anchors = [softmax_temperature(z, hp.temperature) for z in logits]
     for i, (model, original) in enumerate(zip(updated, ensemble.originals)):
         if not np.array_equal(model.theta, original.theta):
-            logits[i] = chunked_logits(model, new_data, cache)
+            logits[i] = chunked_logits(model, new_data)
     softened = [softmax_temperature(z, hp.temperature) for z in logits]
     log: list[dict] = []
     for round_index in range(1, hp.epochs + 1):
@@ -303,7 +291,7 @@ def expand(
             org_terms, bias_terms = [], []
             for start in range(0, n, hp.batch_size):
                 rows = order[start : start + hp.batch_size]
-                batch_logits, _ = forward_logits(updated[i], new_data[rows], cache)
+                batch_logits, cache = forward_logits(updated[i], new_data[rows])
                 _, gradient, l_org, l_bias = weighted_loss(
                     batch_logits,
                     anchors[i][rows],
@@ -316,7 +304,7 @@ def expand(
                 org_terms.append(l_org)
                 bias_terms.append(l_bias)
             # Later models in this round see model i as a trained peer.
-            logits[i] = chunked_logits(updated[i], new_data, cache)
+            logits[i] = chunked_logits(updated[i], new_data)
             softened[i] = softmax_temperature(logits[i], hp.temperature)
             log.append(
                 {

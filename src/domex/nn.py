@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .data import write_atomic
+from .data import class_indices, write_atomic
 from .errors import InputError, NumericError, ParameterError, ParseError
 
 ACTIVATIONS = ("relu", "identity")
@@ -150,28 +150,12 @@ class MlpModel:
         return self._with_theta(self.theta.copy())
 
 
-class ForwardCache:
-    """The buffers of forward_logits and backward, reused from call to call.
+class ForwardCache(NamedTuple):
+    """One forward pass as backward replays it: the input batch and every
+    layer's activation, the last being the logits."""
 
-    forward_logits writes every layer's activation here and backward its
-    deltas, ReLU masks and gradient vector. Each buffer is allocated once,
-    for the largest batch seen, and a smaller batch uses its first rows;
-    arrays that these calls return alias the buffers, so they hold only until
-    the next call through the same cache. inputs and activations describe the
-    last forward pass.
-    """
-
-    def __init__(self):
-        self.inputs: np.ndarray | None = None
-        self.activations: list[np.ndarray] = []
-        self._buffers: dict[tuple, np.ndarray] = {}
-
-    def _buffer(self, key: tuple, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        """The first shape[0] rows of buffer key, reallocated if it does not fit."""
-        buf = self._buffers.get(key)
-        if buf is None or buf.shape[0] < shape[0] or buf.shape[1:] != shape[1:]:
-            buf = self._buffers[key] = np.empty(shape, dtype)
-        return buf[: shape[0]]
+    inputs: np.ndarray
+    activations: list[np.ndarray]
 
 
 @dataclass
@@ -216,52 +200,38 @@ def _as_batch(batch: np.ndarray, input_dim: int) -> np.ndarray:
     return batch
 
 
-def forward_logits(
-    model: MlpModel, batch: np.ndarray, cache: ForwardCache | None = None
-) -> tuple[np.ndarray, ForwardCache]:
+def forward_logits(model: MlpModel, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on a batch, returning (N, C) logits and the cache.
 
     The cache records every layer's activation so that backward() can replay
-    the chain rule without recomputation. Each layer's product goes into the
-    cache's buffer for it, then the bias is added and ReLU applied in place,
-    which gives the same bits as np.maximum(act @ W.T + b, 0.0). cache=None
-    uses a fresh cache; the logits alias the cache until its next use.
+    the chain rule without recomputation. Each layer's product is a new
+    array; the bias is added and ReLU applied to it in place, which gives the
+    same bits as np.maximum(act @ W.T + b, 0.0).
     """
     batch = _as_batch(batch, model.input_dim)
-    if cache is None:
-        cache = ForwardCache()
-    rows = batch.shape[0]
-    cache.inputs, cache.activations = batch, []
-    act = batch
-    for idx, layer in enumerate(model.layers):
-        out = cache._buffer(("act", idx), (rows, layer.out_dim))
-        act = np.matmul(act, layer.weights.T, out=out)
+    act, activations = batch, []
+    for layer in model.layers:
+        act = act @ layer.weights.T
         act += layer.bias
         if layer.activation == "relu":
             np.maximum(act, 0.0, out=act)
-        cache.activations.append(act)
+        activations.append(act)
     if not np.isfinite(act).all():
         raise NumericError("forward pass produced non-finite logits")
-    return act, cache
+    return act, ForwardCache(batch, activations)
 
 
-def chunked_logits(
-    model: MlpModel, data: np.ndarray, cache: ForwardCache | None = None
-) -> np.ndarray:
+def chunked_logits(model: MlpModel, data: np.ndarray) -> np.ndarray:
     """The model's (N, C) logits on a whole set, CHUNK_ROWS rows at a time.
 
-    The chunks share one cache (a fresh one if cache is None), so the set's
-    size does not change the size of any intermediate array, and each row's
-    logits are those of a forward on its chunk alone. The result is a new
-    array that aliases no cache.
+    The set's size does not change the size of any intermediate array, and
+    each row's logits are those of a forward on its chunk alone.
     """
     data = _as_batch(data, model.input_dim)
     logits = np.empty((data.shape[0], model.num_classes))
-    if cache is None:
-        cache = ForwardCache()
     for start in range(0, data.shape[0], CHUNK_ROWS):
         stop = start + CHUNK_ROWS
-        logits[start:stop] = forward_logits(model, data[start:stop], cache)[0]
+        logits[start:stop] = forward_logits(model, data[start:stop])[0]
     return logits
 
 
@@ -269,9 +239,8 @@ def softmax_outputs(
     models: Sequence[MlpModel], data: np.ndarray, temperature: float = 1.0
 ) -> list[np.ndarray]:
     """Each model's (N, C) softmax matrix at temperature on a whole set, from
-    one chunked_logits pass per model through one shared cache."""
-    cache = ForwardCache()
-    return [softmax_temperature(chunked_logits(m, data, cache), temperature) for m in models]
+    one chunked_logits pass per model."""
+    return [softmax_temperature(chunked_logits(m, data), temperature) for m in models]
 
 
 def softmax_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
@@ -297,7 +266,7 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
         raise InputError(f"labels must be 1-D, got shape {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise InputError(f"labels must lie in [0, {num_classes})")
-    return labels.astype(np.int64)
+    return class_indices(labels)
 
 
 def cross_entropy(
@@ -341,11 +310,10 @@ def softmax_temperature_backward(
 def backward(model: MlpModel, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
     """Backpropagate dL/dlogits through the cached forward pass.
 
-    Returns dL/dtheta, laid out like model.theta, in the cache's gradient
-    buffer: it aliases the cache until its next use. The ReLU mask is read
-    from the activations (act > 0 exactly where z > 0) into a mask buffer and
-    multiplied into delta in place; delta lives in the cache's buffers, as
-    the last layer is linear, so dlogits is never written.
+    Returns dL/dtheta, laid out like model.theta. The ReLU mask is read from
+    the activations (act > 0 exactly where z > 0) and multiplied in place
+    into delta, which by then is a new array, as the last layer is linear:
+    dlogits is never written.
     """
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != cache.activations[-1].shape:
@@ -353,22 +321,18 @@ def backward(model: MlpModel, cache: ForwardCache, dlogits: np.ndarray) -> np.nd
             f"dlogits shape {dlogits.shape} does not match cached logits "
             f"{cache.activations[-1].shape}"
         )
-    rows = dlogits.shape[0]
-    grads = cache._buffer(("grad",), model.theta.shape)
+    grads = np.empty_like(model.theta)
     grad_layers = _layer_views(grads, model.layers)
     delta = dlogits
     for idx in range(len(model.layers) - 1, -1, -1):
         layer, out = model.layers[idx], grad_layers[idx]
         if layer.activation == "relu":
-            act = cache.activations[idx]
-            mask = np.greater(act, 0.0, out=cache._buffer(("mask", idx), act.shape, np.bool_))
-            np.multiply(delta, mask, out=delta)
+            delta *= cache.activations[idx] > 0.0
         prev_act = cache.inputs if idx == 0 else cache.activations[idx - 1]
         np.matmul(delta.T, prev_act, out=out.weights)
         delta.sum(axis=0, out=out.bias)
         if idx > 0:
-            shape = (rows, layer.in_dim)
-            delta = np.matmul(delta, layer.weights, out=cache._buffer(("delta", idx - 1), shape))
+            delta = delta @ layer.weights
     return grads
 
 
@@ -441,12 +405,11 @@ def fit_classifier(
     n = features.shape[0]
     if n == 0:
         raise InputError("cannot fit on an empty dataset")
-    cache = ForwardCache()
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             take = order[start : start + batch_size]
-            logits, _ = forward_logits(model, features[take], cache)
+            logits, cache = forward_logits(model, features[take])
             gradient = cross_entropy(logits, labels[take])[1]
             model = sgd_step(model, backward(model, cache, gradient()), opt)
     return model

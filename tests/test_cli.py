@@ -587,7 +587,7 @@ def test_malformed_data_csv_is_a_one_line_error_naming_the_line(
     capsys.readouterr()
     assert run("pretrain", "--config", cfg, "--out", out) == cli.EXIT_IO
     err = capsys.readouterr().err
-    assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+    assert err.startswith(f"error: line {line}: {path}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -718,3 +718,32 @@ def test_stages_run_on_numpy_alone(tmp_path):
     assert "numpy.random" in after_import
     assert sorted({"scipy", "numpy.ma"} & after_stages) == []
     assert sorted(after_stages - after_import) == []
+
+
+# The benchmark runs every stage of a pass in one interpreter, as cli.main
+# calls; a user runs one stage per process. Both must write the same bytes.
+def test_one_interpreter_and_one_process_per_stage_write_the_same_files(tmp_path):
+    cfg = tiny_config(tmp_path, gradcheck={"seeds": [0]})
+    stages = ("synth", "pretrain", "expand", "evaluate", "gradcheck")
+
+    def argv(stage, out):
+        seed = ["--seed", "3"] if stage in ("synth", "pretrain", "expand") else []
+        return [stage, "--out", out, "--config", cfg, *seed]
+
+    together, apart = tmp_path / "together", tmp_path / "apart"
+    script = (
+        "import json, sys\n"
+        "from domex import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    if cli.main(argv):\n"
+        "        sys.exit(argv[0] + ' failed')\n"
+    )
+    run_python(script, json.dumps([list(map(str, argv(s, together))) for s in stages]))
+    one_stage = "import sys\nfrom domex import cli\nsys.exit(cli.main(sys.argv[1:]))"
+    for stage in stages:
+        run_python(one_stage, *argv(stage, apart))
+    written = digests(together)
+    # 6 CSVs, 4 models and the training log, 2 evaluation files, the
+    # gradcheck report and 5 manifests
+    assert len(written) == 19
+    assert written == digests(apart)

@@ -45,6 +45,13 @@ def test_dataset_validation():
         data.DomainDataset("d", np.zeros((2, 2)), np.array([0, -1]))
 
 
+def test_dataset_refuses_fractional_labels_and_keeps_integral_floats():
+    with pytest.raises(InputError, match="whole numbers"):
+        data.DomainDataset("d", np.zeros((2, 2)), [0.5, 1.9])
+    ds = data.DomainDataset("d", np.zeros((2, 2)), [0.0, 1.0])
+    assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1]
+
+
 def test_dataset_take_keeps_alignment():
     ds = data.DomainDataset("d", np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]))
     sub = ds.take(np.array([2, 1]))

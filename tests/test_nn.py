@@ -161,6 +161,15 @@ def test_cross_entropy_rejects_out_of_range_label():
         nn.cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
 
 
+@pytest.mark.parametrize("labels", [[0.5, 2.9], [0.0, np.nan]])
+def test_cross_entropy_refuses_labels_that_are_not_whole_numbers(labels):
+    # truncating would score [0.5, 2.9] as classes 0 and 2
+    with pytest.raises(InputError, match="whole numbers"):
+        nn.cross_entropy(np.zeros((2, 3)), np.array(labels))
+    logits = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 2.0]])
+    assert nn.cross_entropy(logits, np.array([0.0, 2.0]))[0] == nn.cross_entropy(logits, [0, 2])[0]
+
+
 def test_cross_entropy_rejects_an_empty_batch():
     with pytest.raises(InputError):
         nn.cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=int))
@@ -448,52 +457,17 @@ def test_sgd_step_allocates_one_parameter_vector():
     assert peak <= 1.1 * model.theta.nbytes
 
 
-def test_step_through_a_reused_cache_allocates_no_activation_sized_array():
-    model, x, _, dlogits = default_step_setup()
-    cache = nn.ForwardCache()
-
-    def step(rows):
-        nn.forward_logits(model, x[:rows], cache)
-        return nn.backward(model, cache, dlogits[:rows])
-
-    step(ROWS)
-    # a full batch, then a partial one in the first rows of the same buffers;
-    # what is left is numpy's iterator buffer plus logit-sized arrays and
-    # Python objects (measured 5 KB), well below a fresh 64 KB ReLU mask
-    for rows in (ROWS, 10):
-        peak, _ = traced_peak(lambda: step(rows))
-        assert peak <= UFUNC_BUFFER_BYTES + 16 * 1024
-
-
-def test_reused_cache_gives_the_bits_of_fresh_ones():
+def test_results_survive_the_next_forward_and_backward():
     model, x, dlogits = zero_pre_activation_setup()
-    cache = nn.ForwardCache()
-    for rows in (7, 3, 7, 0):
-        logits, returned = nn.forward_logits(model, x[:rows], cache)
-        fresh_logits, fresh = nn.forward_logits(model, x[:rows])
-        assert returned is cache and same_bits(logits, fresh_logits)
-        for got, want in zip(cache.activations, fresh.activations):
-            assert same_bits(got, want)
-        grads = nn.backward(model, cache, dlogits[:rows])
-        assert same_bits(grads, nn.backward(model, fresh, dlogits[:rows]))
-    # another architecture through the same cache gets buffers of its shapes
-    other = nn.init_mlp(4, [9], 3, np.random.default_rng(33))
-    logits, _ = nn.forward_logits(other, x, cache)
-    assert same_bits(logits, nn.forward_logits(other, x)[0])
-    _, fresh = nn.forward_logits(other, x)
-    assert same_bits(nn.backward(other, cache, dlogits), nn.backward(other, fresh, dlogits))
-
-
-def test_results_alias_the_cache_until_its_next_use():
-    model, x, dlogits = zero_pre_activation_setup()
-    cache = nn.ForwardCache()
-    logits, _ = nn.forward_logits(model, x, cache)
+    logits, cache = nn.forward_logits(model, x)
     grads = nn.backward(model, cache, dlogits)
-    first_logits, first_grads = logits.copy(), grads.copy()
-    logits_again, _ = nn.forward_logits(model, -x, cache)
-    grads_again = nn.backward(model, cache, -dlogits)
-    assert np.shares_memory(logits, logits_again) and np.shares_memory(grads, grads_again)
-    assert not same_bits(logits, first_logits) and not same_bits(grads, first_grads)
+    kept = [logits.copy(), grads.copy(), *(a.copy() for a in cache.activations)]
+    _, again = nn.forward_logits(model, -x)
+    nn.backward(model, again, -dlogits)
+    assert same_bits(logits, kept[0]) and same_bits(grads, kept[1])
+    for got, want in zip(cache.activations, kept[2:]):
+        assert same_bits(got, want)
+    assert not same_bits(again.activations[-1], logits)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +494,6 @@ def test_chunked_logits_own_their_memory():
     model = nn.init_mlp(3, [7], 4, rng)
     for n in (0, 5, 64, 130):
         logits = nn.chunked_logits(model, rng.normal(size=(n, 3)))
-        # not a view into a cache buffer (or into anything else)
         assert logits.base is None and logits.flags.owndata
 
 
