@@ -19,7 +19,9 @@ import json
 import locale  # noqa: F401
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,16 +46,9 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-# The stages that take --seed, and the config section whose seed it overrides.
-SEEDED_SECTIONS = {"synth": "data", "pretrain": "pretrain", "expand": "expansion"}
-
 
 def _domain_names(cfg: RunConfig) -> list[str]:
     return [f"source_{i}" for i in range(cfg.data.num_sources)] + ["new"]
-
-
-def _config_inputs(args) -> list[Path]:
-    return [Path(args.config)] if args.config else []
 
 
 def _check_label_range(ds: DomainDataset, cfg: RunConfig) -> None:
@@ -63,7 +58,7 @@ def _check_label_range(ds: DomainDataset, cfg: RunConfig) -> None:
         raise ConfigError(f"labels reach {top} but num_classes is {cfg.data.num_classes}")
 
 
-def cmd_synth(cfg: RunConfig, layout: OutputLayout, args) -> int:
+def cmd_synth(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -> int:
     new_transform = benchmark_shifts(cfg.data)[1]
     domains = generate_domains(cfg.data, cfg.data.num_sources, new_transform)
     layout.data_dir.mkdir(parents=True, exist_ok=True)
@@ -83,17 +78,17 @@ def cmd_synth(cfg: RunConfig, layout: OutputLayout, args) -> int:
         for path, part_ds in parts:
             write_csv(part_ds, path)
             outputs.append(path)
-    outputs.append(write_manifest(layout, "synth", cfg, _config_inputs(args), outputs[:]))
+    write_manifest(layout, "synth", cfg, config_paths, outputs)
     logger.info("wrote %d files under %s", len(outputs), layout.data_dir)
     print(f"synth: {len(domains)} domains under {layout.data_dir}")
     return EXIT_OK
 
 
-def cmd_pretrain(cfg: RunConfig, layout: OutputLayout, args) -> int:
+def cmd_pretrain(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -> int:
     layout.models_dir.mkdir(parents=True, exist_ok=True)
     seeds = np.random.SeedSequence(cfg.pretrain.seed).spawn(cfg.data.num_sources)
 
-    inputs, outputs = _config_inputs(args), []
+    inputs, outputs = list(config_paths), []
     train_sets = []
     for i in range(cfg.data.num_sources):
         csv_path = layout.domain_csv(f"source_{i}", "train")
@@ -139,12 +134,12 @@ def cmd_pretrain(cfg: RunConfig, layout: OutputLayout, args) -> int:
                 train.labels,
             )
             logger.info("source_%d train accuracy %.4f", i, train_acc)
-    outputs.append(write_manifest(layout, "pretrain", cfg, inputs, outputs[:]))
+    write_manifest(layout, "pretrain", cfg, inputs, outputs)
     print(f"pretrain: {cfg.data.num_sources} source models under {layout.models_dir}")
     return EXIT_OK
 
 
-def cmd_expand(cfg: RunConfig, layout: OutputLayout, args) -> int:
+def cmd_expand(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -> int:
     # Source-free by construction: inputs are the source models plus the
     # unlabelled new-domain features, nothing else.
     model_paths = [layout.original_model(i) for i in range(cfg.data.num_sources)]
@@ -164,8 +159,8 @@ def cmd_expand(cfg: RunConfig, layout: OutputLayout, args) -> int:
     write_atomic(layout.training_log, "\n".join(log_lines) + ("\n" if log_lines else ""))
     outputs.append(layout.training_log)
 
-    inputs = _config_inputs(args) + model_paths + [layout.new_unlabelled_csv]
-    outputs.append(write_manifest(layout, "expand", cfg, inputs, outputs[:]))
+    inputs = config_paths + model_paths + [layout.new_unlabelled_csv]
+    write_manifest(layout, "expand", cfg, inputs, outputs)
     print(
         f"expand: {len(ensemble.updated)} updated models after "
         f"{cfg.expansion.epochs} rounds under {layout.expanded_dir}"
@@ -184,7 +179,7 @@ def _load_models(layout: OutputLayout, cfg: RunConfig) -> tuple[list, list, list
     return originals, updated, paths
 
 
-def cmd_evaluate(cfg: RunConfig, layout: OutputLayout, args) -> int:
+def cmd_evaluate(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -> int:
     originals, updated, model_paths = _load_models(layout, cfg)
     test_sets, csv_paths = {}, []
     for name in _domain_names(cfg):
@@ -211,14 +206,13 @@ def cmd_evaluate(cfg: RunConfig, layout: OutputLayout, args) -> int:
     table = fusion.format_results_table(reports, domain_order=_domain_names(cfg))
     write_atomic(layout.results_table, table + "\n")
 
-    outputs = [layout.report_json, layout.results_table]
-    inputs = _config_inputs(args) + model_paths + csv_paths
-    outputs.append(write_manifest(layout, "evaluate", cfg, inputs, outputs[:]))
+    inputs = config_paths + model_paths + csv_paths
+    write_manifest(layout, "evaluate", cfg, inputs, [layout.report_json, layout.results_table])
     print(table)
     return EXIT_OK
 
 
-def cmd_gradcheck(cfg: RunConfig, layout: OutputLayout, args) -> int:
+def cmd_gradcheck(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -> int:
     results = checks.run_gradient_suite(tuple(cfg.gradcheck.seeds))
     all_passed = all(r.passed for r in results)
     layout.checks_dir.mkdir(parents=True, exist_ok=True)
@@ -236,9 +230,7 @@ def cmd_gradcheck(cfg: RunConfig, layout: OutputLayout, args) -> int:
         "all_passed": all_passed,
     }
     write_atomic(layout.gradcheck_json, json.dumps(payload, indent=2) + "\n")
-    write_manifest(
-        layout, "gradcheck", cfg, _config_inputs(args), [layout.gradcheck_json]
-    )
+    write_manifest(layout, "gradcheck", cfg, config_paths, [layout.gradcheck_json])
     worst = max(r.max_error for r in results)
     print(
         f"gradcheck: {len(results)} checks, worst error {worst:.3e}, "
@@ -249,12 +241,21 @@ def cmd_gradcheck(cfg: RunConfig, layout: OutputLayout, args) -> int:
     return EXIT_OK
 
 
-COMMANDS = {
-    "synth": cmd_synth,
-    "pretrain": cmd_pretrain,
-    "expand": cmd_expand,
-    "evaluate": cmd_evaluate,
-    "gradcheck": cmd_gradcheck,
+class Stage(NamedTuple):
+    run: Callable[[RunConfig, OutputLayout, list[Path]], int]
+    help: str
+    # The config section whose seed --seed overrides; None: no --seed flag.
+    seeded_section: str | None = None
+
+
+STAGES = {
+    "synth": Stage(cmd_synth, "generate the synthetic multi-domain benchmark", "data"),
+    "pretrain": Stage(cmd_pretrain, "train one classifier per source domain", "pretrain"),
+    "expand": Stage(
+        cmd_expand, "update source models on unlabelled new-domain data", "expansion"
+    ),
+    "evaluate": Stage(cmd_evaluate, "score fused classifiers on every domain's test split"),
+    "gradcheck": Stage(cmd_gradcheck, "verify analytic gradients against finite differences"),
 }
 
 
@@ -265,19 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "synth": "generate the synthetic multi-domain benchmark",
-        "pretrain": "train one classifier per source domain",
-        "expand": "update source models on unlabelled new-domain data",
-        "evaluate": "score fused classifiers on every domain's test split",
-        "gradcheck": "verify analytic gradients against finite differences",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
+    for name, stage in STAGES.items():
+        p = sub.add_parser(name, help=stage.help)
         p.add_argument("--config", type=Path, default=None, help="JSON config file")
         p.add_argument("--out", type=Path, required=True, help="run directory")
-        if name in SEEDED_SECTIONS:
-            p.add_argument("--seed", type=int, help=f"override {SEEDED_SECTIONS[name]}.seed")
+        if stage.seeded_section:
+            p.add_argument("--seed", type=int, help=f"override {stage.seeded_section}.seed")
         p.add_argument(
             "--log-level",
             choices=["debug", "info", "warning", "error"],
@@ -297,18 +291,20 @@ def main(argv: list[str] | None = None) -> int:
     # basicConfig does nothing once the root logger has handlers (a host
     # application, pytest); the package logger's level applies either way.
     logging.getLogger("domex").setLevel(level)
+    stage = STAGES[args.command]
     try:
         cfg = load_config(args.config)
         if getattr(args, "seed", None) is not None:
-            getattr(cfg, SEEDED_SECTIONS[args.command]).seed = args.seed
-        cfg.check_seeds()
+            # replace reruns the section's checks on the new seed.
+            section = getattr(cfg, stage.seeded_section)
+            cfg = replace(cfg, **{stage.seeded_section: replace(section, seed=args.seed)})
         layout = OutputLayout(args.out)
         layout.root.mkdir(parents=True, exist_ok=True)
         # Diverged training overflows in numpy; the finiteness checks on
         # logits and saved parameters report it as one NumericError. Set once
         # per stage: a per-call errstate costs about 5% of gradcheck.
         with np.errstate(over="ignore", invalid="ignore"):
-            return COMMANDS[args.command](cfg, layout, args)
+            return stage.run(cfg, layout, [args.config] if args.config else [])
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
@@ -36,35 +36,38 @@ _SCALAR_TYPES = {
 }
 
 
-def _check_type(value, annotation, where: str) -> None:
+def _read(value, annotation, where: str):
+    """Return value once it has the annotated type; a dataclass type reads
+    a JSON object into that class."""
+    if is_dataclass(annotation):
+        return _from_mapping(annotation, value, where)
     if get_origin(annotation) is list:
         if not isinstance(value, list):
             raise ConfigError(f"{where} must be a list, got {value!r}")
         (item_type,) = get_args(annotation)
-        for k, item in enumerate(value):
-            _check_type(item, item_type, f"{where}[{k}]")
-        return
+        return [_read(item, item_type, f"{where}[{k}]") for k, item in enumerate(value)]
     expected, accepts = _SCALAR_TYPES[annotation]
     if not accepts(value):
         raise ConfigError(f"{where} must be {expected}, got {value!r}")
+    return value
 
 
-def _from_mapping(cls, raw: dict, section: str):
+def _from_mapping(cls, raw, where: str = ""):
+    """Read a JSON object into the dataclass cls; where is its dotted path,
+    empty for the config root. A missing key keeps the field's default."""
+    name = f"section {where!r}" if where else "config root"
     if not isinstance(raw, dict):
-        raise ConfigError(f"section {section!r} must be an object")
-    known = {f.name for f in fields(cls)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(
-            f"unknown keys in section {section!r}: {sorted(unknown)}"
-        )
+        raise ConfigError(f"{name} must be a JSON object")
     hints = get_type_hints(cls)
-    for name, value in raw.items():
-        _check_type(value, hints[name], f"{section}.{name}")
+    unknown = set(raw) - set(hints)
+    if unknown:
+        raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
+    prefix = f"{where}." if where else ""
+    kwargs = {key: _read(value, hints[key], prefix + key) for key, value in raw.items()}
     try:
-        return cls(**raw)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid section {section!r}: {exc}") from exc
+        raise ConfigError(f"invalid {name}: {exc}") from exc
 
 
 @dataclass
@@ -91,6 +94,8 @@ class PretrainConfig:
             raise ConfigError("pretrain needs epochs >= 0, batch_size >= 1, lr > 0")
         if self.momentum < 0:
             raise ConfigError(f"momentum must be >= 0, got {self.momentum}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -114,6 +119,8 @@ class GradcheckConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("gradcheck needs at least one seed")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
 
 
 @dataclass
@@ -125,35 +132,8 @@ class RunConfig:
     evaluate: EvaluateConfig = field(default_factory=EvaluateConfig)
     gradcheck: GradcheckConfig = field(default_factory=GradcheckConfig)
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        sections = get_type_hints(cls)
-        unknown = set(raw) - set(sections)
-        if unknown:
-            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-        kwargs = {
-            name: _from_mapping(section_cls, raw.get(name, {}), name)
-            for name, section_cls in sections.items()
-        }
-        return cls(**kwargs)
-
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def check_seeds(self) -> None:
-        """Reject a negative seed: numpy seeds its generators from
-        non-negative integers only."""
-        seeds = [
-            ("data.seed", self.data.seed),
-            ("pretrain.seed", self.pretrain.seed),
-            ("expansion.seed", self.expansion.seed),
-        ]
-        seeds += [(f"gradcheck.seeds[{k}]", s) for k, s in enumerate(self.gradcheck.seeds)]
-        for where, seed in seeds:
-            if seed < 0:
-                raise ConfigError(f"{where} must be >= 0, got {seed}")
 
 
 def load_config(path: str | Path | None) -> RunConfig:
@@ -164,7 +144,7 @@ def load_config(path: str | Path | None) -> RunConfig:
         raw = json.loads(Path(path).read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return RunConfig.from_dict(raw)
+    return _from_mapping(RunConfig, raw)
 
 
 @dataclass
@@ -243,7 +223,7 @@ def write_manifest(
     cfg: RunConfig,
     inputs: list[Path],
     outputs: list[Path],
-) -> Path:
+) -> None:
     """Record what a stage consumed and produced, digesting every output."""
 
     def rel(p: Path) -> str:
@@ -259,6 +239,4 @@ def write_manifest(
         "inputs": [rel(p) for p in inputs],
         "outputs": [{"path": rel(p), "sha256": sha256_file(p)} for p in outputs],
     }
-    path = layout.manifest(stage)
-    write_atomic(path, json.dumps(payload, indent=2) + "\n")
-    return path
+    write_atomic(layout.manifest(stage), json.dumps(payload, indent=2) + "\n")

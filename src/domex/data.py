@@ -135,10 +135,15 @@ class DataConfig:
             )
         if self.noise_std <= 0:
             raise ConfigError(f"noise_std must be > 0, got {self.noise_std}")
+        if self.mean_scale < 0:
+            raise ConfigError(f"mean_scale must be >= 0, got {self.mean_scale}")
         if self.num_sources < 2:
             raise ConfigError(f"need at least two source domains, got {self.num_sources}")
         if self.feature_dim < 2 and any([*self.source_rotations_deg, self.new_rotation_deg]):
             raise ConfigError("rotation needs feature_dim >= 2")
+        # numpy seeds its generators from non-negative integers only.
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def num_sources(self) -> int:

@@ -73,6 +73,8 @@ class Hyperparams:
             raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.momentum < 0:
             raise ParameterError(f"momentum must be >= 0, got {self.momentum}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -95,6 +95,19 @@ def test_synth_writes_the_expected_files(tmp_path):
     assert not unlabelled.labelled
 
 
+def test_synth_logs_the_number_of_data_files_at_info_level(tmp_path, caplog):
+    cfg = tiny_config(tmp_path)
+    out = tmp_path / "run"
+    package_logger = logging.getLogger("domex")
+    prior = package_logger.level
+    try:
+        assert run("synth", "--config", cfg, "--out", out, "--log-level", "info") == 0
+    finally:
+        package_logger.setLevel(prior)
+    written = len(list((out / "data").iterdir()))
+    assert f"wrote {written} files under {out / 'data'}" in caplog.text
+
+
 def test_synth_reruns_byte_identically(tmp_path):
     cfg = tiny_config(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -624,6 +637,7 @@ def test_seed_is_refused_by_stages_without_randomness(tmp_path, capsys, stage):
         {"feature_dim": 1},
         {"samples_per_class": 1},
         {"samples_per_class": 2, "train_fraction": 0.95},
+        {"mean_scale": -1.0},
     ],
     ids=[
         "unequal lists",
@@ -632,6 +646,7 @@ def test_seed_is_refused_by_stages_without_randomness(tmp_path, capsys, stage):
         "rotation in one dimension",
         "one sample per class",
         "no test sample",
+        "negative mean scale",
     ],
 )
 def test_every_stage_refuses_a_bad_data_section(tmp_path, capsys, bad_data):

@@ -60,6 +60,11 @@ def test_partial_config_keeps_other_defaults(tmp_path):
         {"data": {"noise_std": 0.0}},
         {"data": {"source_rotations_deg": [15.0], "source_shift_sigmas": [0.5]}},
         {"data": {"feature_dim": 1}},
+        {"data": {"mean_scale": -1.0}},
+        {"data": {"seed": -1}},
+        {"pretrain": {"seed": -1}},
+        {"expansion": {"seed": -1}},
+        {"gradcheck": {"seeds": [0, -1]}},
     ],
 )
 def test_bad_configs_are_rejected(tmp_path, raw):

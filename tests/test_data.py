@@ -337,6 +337,8 @@ def test_generate_domains_rejects_bad_setups():
         data.generate_domains(cfg, 1, new_t)
     with pytest.raises(ConfigError):
         data.make_benchmark(source_rotations_deg=(10.0,), source_shift_sigmas=(1.0, 2.0))
+    with pytest.raises(ConfigError):
+        data.make_benchmark(seed=-1)
 
 
 def test_identity_transforms_leave_domains_interchangeable():

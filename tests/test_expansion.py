@@ -65,6 +65,7 @@ def test_hyperparams_validation():
         dict(epochs=-1),
         dict(batch_size=0),
         dict(learning_rate=0.0),
+        dict(seed=-1),
     ):
         with pytest.raises(ParameterError):
             expansion.Hyperparams(**bad)

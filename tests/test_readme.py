@@ -8,7 +8,7 @@ import json
 import re
 from pathlib import Path
 
-from domex import config
+from domex import cli, config
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -51,6 +51,13 @@ def test_backticked_module_names_exist():
         if not defines(module, name) and not hasattr(sections.get(module), name)
     ]
     assert missing == []
+
+
+def test_seed_sentence_names_each_seeded_stage():
+    """README names `section.seed` for `stage` for exactly the stages that take --seed."""
+    named = set(re.findall(r"`(\w+)\.seed` for `(\w+)`", README.read_text()))
+    seeded = {(s.seeded_section, name) for name, s in cli.STAGES.items() if s.seeded_section}
+    assert named == seeded
 
 
 def test_requires_line_names_the_runtime_dependencies():
