@@ -184,10 +184,10 @@ class OutputLayout:
         return self.data_dir / "new_unlabelled.csv"
 
     def original_model(self, index: int) -> Path:
-        return self.models_dir / f"original_{index}.json"
+        return self.models_dir / f"original_{index}.model"
 
     def updated_model(self, index: int) -> Path:
-        return self.expanded_dir / f"updated_{index}.json"
+        return self.expanded_dir / f"updated_{index}.model"
 
     @property
     def training_log(self) -> Path:

@@ -9,7 +9,6 @@ expansion algorithm targets.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 import re
@@ -23,8 +22,6 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .errors import ConfigError, InputError, ParseError
-
-logger = logging.getLogger(__name__)
 
 LABEL_COLUMN = "label"
 
@@ -232,14 +229,14 @@ def load_csv(path: str | Path) -> DomainDataset:
     )
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write text to path through a sibling `<path>.tmp` that then replaces
-    path, so a failed write leaves any earlier file at path as it was. Every
-    file the pipeline writes goes through here."""
+def write_atomic(path: str | Path, content: str | bytes) -> None:
+    """Write content, text as UTF-8, to path through a sibling `<path>.tmp`
+    that then replaces path, so a failed write leaves any earlier file at path
+    as it was. Every file the pipeline writes goes through here."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_bytes(content.encode() if isinstance(content, str) else content)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -266,8 +263,7 @@ def split(ds: DomainDataset, spec: DataConfig) -> tuple[DomainDataset, DomainDat
 
     The train side gets ceil(train_fraction * N) samples overall; per-class
     counts are allocated by largest remainder so every class lands within one
-    sample of its proportional share. A class with a single sample always
-    goes to train (with a warning) since it cannot be split.
+    sample of its proportional share.
     """
     if ds.n < 2:
         raise InputError("need at least two samples to split")
@@ -278,46 +274,27 @@ def split(ds: DomainDataset, spec: DataConfig) -> tuple[DomainDataset, DomainDat
     classes = sorted(set(ds.labels.tolist()))
     strata = {c: np.flatnonzero(ds.labels == c) for c in classes}
 
-    forced = [c for c, idx in strata.items() if idx.size == 1]
-    for c in forced:
-        logger.warning(
-            "class %s of %r has a single sample; placing it in train", c, ds.name
-        )
-    open_strata = {c: idx for c, idx in strata.items() if idx.size > 1}
-    remaining_target = target_train - len(forced)
-
-    quotas = {}
-    if open_strata:
-        shares = {
-            c: remaining_target * idx.size / (ds.n - len(forced))
-            for c, idx in open_strata.items()
-        }
-        quotas = {c: math.floor(s) for c, s in shares.items()}
-        leftover = remaining_target - sum(quotas.values())
-        # Hand out the leftover units by largest fractional remainder,
-        # breaking ties on the lower class index.
-        order = sorted(shares, key=lambda c: (-(shares[c] - quotas[c]), c))
-        for c in order:
-            if leftover == 0:
-                break
-            if quotas[c] < open_strata[c].size:
-                quotas[c] += 1
-                leftover -= 1
+    shares = {c: target_train * idx.size / ds.n for c, idx in strata.items()}
+    quotas = {c: math.floor(s) for c, s in shares.items()}
+    leftover = target_train - sum(quotas.values())
+    # Hand out the leftover units by largest fractional remainder,
+    # breaking ties on the lower class index.
+    order = sorted(shares, key=lambda c: (-(shares[c] - quotas[c]), c))
+    for c in order:
+        if leftover == 0:
+            break
+        if quotas[c] < strata[c].size:
+            quotas[c] += 1
+            leftover -= 1
 
     train_idx, test_idx = [], []
-    for c in sorted(strata):
-        idx = strata[c]
-        if c in forced:
-            train_idx.append(idx)
-            continue
-        shuffled = rng.permutation(idx)
+    for c in classes:
+        shuffled = rng.permutation(strata[c])
         k = quotas[c]
         train_idx.append(shuffled[:k])
         test_idx.append(shuffled[k:])
     train_indices = np.sort(np.concatenate(train_idx))
-    test_indices = (
-        np.sort(np.concatenate(test_idx)) if test_idx else np.empty(0, dtype=np.int64)
-    )
+    test_indices = np.sort(np.concatenate(test_idx))
     if test_indices.size == 0:
         raise InputError(
             f"split of {ds.name!r} left the test side empty; use more data or a "
@@ -384,6 +361,14 @@ def _apply_shift(
     return out + shift.translation
 
 
+def _refuse_overflow(values: np.ndarray, message: str) -> np.ndarray:
+    """values, once all are finite. Synthesized values overflow float64 only
+    when the config's scales are too large, so the error is a ConfigError."""
+    if not np.isfinite(values).all():
+        raise ConfigError(message)
+    return values
+
+
 def generate_domains(
     cfg: DataConfig,
     num_source_domains: int,
@@ -419,6 +404,7 @@ def generate_domains(
         means = _rebalance_means(means, u, v, cfg.plane_signal_fraction)
     else:
         u = v = np.zeros(cfg.feature_dim)
+    _refuse_overflow(means, f"data.mean_scale {cfg.mean_scale} overflows the class means")
 
     names = [f"source_{i}" for i in range(num_source_domains)] + ["new"]
     all_transforms = transforms + [new_domain_transform]
@@ -428,9 +414,16 @@ def generate_domains(
         blocks, labels = [], []
         for c in range(cfg.num_classes):
             noise = rng.standard_normal((cfg.samples_per_class, cfg.feature_dim))
-            blocks.append(means[c] + cfg.noise_std * noise)
+            noise = _refuse_overflow(
+                cfg.noise_std * noise, f"data.noise_std {cfg.noise_std} overflows the noise"
+            )
+            blocks.append(means[c] + noise)
             labels.append(np.full(cfg.samples_per_class, c, dtype=np.int64))
-        features = _apply_shift(np.vstack(blocks), shift, u, v)
+        features = _refuse_overflow(
+            _apply_shift(np.vstack(blocks), shift, u, v),
+            f"the features of domain {name!r} overflow; lower data.mean_scale, "
+            "data.noise_std or the domain's shift",
+        )
         domains.append(DomainDataset(name, features, np.concatenate(labels)))
     return domains
 

@@ -5,17 +5,16 @@ central finite-difference oracle for verifying any scalar loss defined on the
 network output. Everything runs in float64 on numpy arrays.
 
 Each model keeps its parameters in one contiguous vector `theta`, laid out
-layer by layer as the weights (row-major) followed by the bias; the model
-JSON stores it as one base64 block of little-endian float64. Each layer's
-weights and bias are views into it, and a gradient is a vector with the same
-layout. Parameters are checked once, where they enter from outside (building
-a model from layers, loading one); training returns new models instead of
-mutating.
+layer by layer as the weights (row-major) followed by the bias; a model file
+is one JSON header line with the layer shapes, then theta's little-endian
+float64 bytes. Each layer's weights and bias are views into theta, and a
+gradient is a vector with the same layout. Parameters are checked once,
+where they enter from outside (building a model from layers, loading one);
+training returns new models instead of mutating.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -133,7 +132,7 @@ class MlpModel:
         # The last layer stays linear so downstream losses see raw logits.
         if last.activation != "identity":
             raise InputError("final layer activation must be identity")
-        theta = np.concatenate([np.concatenate([l.weights.ravel(), l.bias]) for l in layers])
+        theta = np.concatenate([part for l in layers for part in (l.weights.ravel(), l.bias)])
         if not np.isfinite(theta).all():
             raise NumericError("layer parameters must be finite")
         self.theta = theta
@@ -415,47 +414,44 @@ def fit_classifier(
     return model
 
 
-def model_to_dict(model: MlpModel) -> dict:
-    """The model as a JSON document.
-
-    Layers list only their shapes; "theta" holds the base64 of the parameter
-    vector's little-endian float64 bytes, which round-trips bit for bit.
-    """
-    return {
+def save_model(model: MlpModel, path: str | Path) -> None:
+    """Write the model file atomically: one compact JSON header line, then
+    theta's little-endian float64 bytes. A model with a non-finite parameter
+    is refused."""
+    if not np.isfinite(model.theta).all():
+        raise NumericError(f"refusing to save {path}: model parameters are not finite")
+    header = {
         "input_dim": model.input_dim,
         "num_classes": model.num_classes,
         "layers": [
             {"in": layer.in_dim, "out": layer.out_dim, "activation": layer.activation}
             for layer in model.layers
         ],
-        "theta": base64.b64encode(model.theta.astype("<f8", copy=False).tobytes()).decode(),
     }
-
-
-def model_from_dict(doc: dict) -> MlpModel:
-    try:
-        shapes = [
-            _LayerShape(spec["out"], spec["in"], spec["activation"]) for spec in doc["layers"]
-        ]
-        theta = np.frombuffer(base64.b64decode(doc["theta"], validate=True), dtype="<f8")
-        return MlpModel(_layer_views(theta, shapes), doc["input_dim"], doc["num_classes"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed model document: {exc}") from exc
-
-
-def save_model(model: MlpModel, path: str | Path) -> None:
-    """Write the model JSON atomically; a model with a non-finite parameter
-    is refused."""
-    if not np.isfinite(model.theta).all():
-        raise NumericError(f"refusing to save {path}: model parameters are not finite")
-    write_atomic(path, json.dumps(model_to_dict(model), indent=2) + "\n")
+    head = json.dumps(header, separators=(",", ":")).encode() + b"\n"
+    write_atomic(path, head + model.theta.astype("<f8", copy=False).tobytes())
 
 
 def load_model(path: str | Path) -> MlpModel:
+    """Read a model file that save_model wrote; theta is a view of its bytes
+    until MlpModel copies and checks it."""
+    raw = Path(path).read_bytes()
+    # Every earlier format was one JSON document that json.dumps indented.
+    if raw.startswith(b"{\n"):
+        raise ParseError(f"{path} is a model file in an older format; rerun pretrain and expand")
+    end = raw.find(b"\n")  # -1 without a line end; json refuses the empty header
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc.msg}", line=exc.lineno) from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return model_from_dict(doc)
+        header = json.loads(raw[: max(end, 0)].decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{path}: the header line is not JSON in UTF-8: {exc}", line=1) from exc
+    body = len(raw) - end - 1
+    if body % 8:
+        raise InputError(f"{path}: theta holds {body} bytes, not a whole number of float64s")
+    try:
+        shapes = [
+            _LayerShape(spec["out"], spec["in"], spec["activation"]) for spec in header["layers"]
+        ]
+        theta = np.frombuffer(raw, dtype="<f8", offset=end + 1)
+        return MlpModel(_layer_views(theta, shapes), header["input_dim"], header["num_classes"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed model file: {exc}") from exc

@@ -3,7 +3,9 @@
 import base64
 import json
 import logging
+import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -181,7 +183,7 @@ def test_pretrain_reaches_high_accuracy_on_separable_domains(tmp_path):
     assert run("pretrain", "--config", cfg, "--out", out) == 0
 
     for i in range(2):
-        model = nn.load_model(out / "models" / f"original_{i}.json")
+        model = nn.load_model(OutputLayout(out).original_model(i))
         train = data.load_csv(out / "data" / f"source_{i}_train.csv")
         logits, _ = nn.forward_logits(model, train.features)
         acc = float(np.mean(np.argmax(logits, axis=1) == train.labels))
@@ -196,8 +198,8 @@ def test_pretrain_zero_epochs_ignores_the_data(tmp_path):
     assert run("pretrain", "--config", cfg, "--out", out_a) == 0
     assert run("pretrain", "--config", cfg, "--out", out_b) == 0
     for i in range(2):
-        assert sha256_file(out_a / "models" / f"original_{i}.json") == sha256_file(
-            out_b / "models" / f"original_{i}.json"
+        assert sha256_file(OutputLayout(out_a).original_model(i)) == sha256_file(
+            OutputLayout(out_b).original_model(i)
         )
 
 
@@ -283,8 +285,8 @@ def test_expand_lambda_zero_leaves_model_files_equivalent(tmp_path):
     cfg, out = pipeline_through_pretrain(tmp_path, expansion={"lam": 0.0})
     assert run("expand", "--config", cfg, "--out", out) == 0
     for i in range(2):
-        original = nn.load_model(out / "models" / f"original_{i}.json")
-        updated = nn.load_model(out / "expanded" / f"updated_{i}.json")
+        original = nn.load_model(OutputLayout(out).original_model(i))
+        updated = nn.load_model(OutputLayout(out).updated_model(i))
         assert np.array_equal(updated.theta, original.theta)
 
 
@@ -300,13 +302,40 @@ def test_expand_manifest_lists_no_source_data(tmp_path):
 
 def test_expand_refuses_a_truncated_model_file(tmp_path, capsys):
     cfg, out = pipeline_through_pretrain(tmp_path)
-    path = out / "models" / "original_0.json"
-    doc = json.loads(path.read_text())
-    theta = base64.b64decode(doc["theta"])
-    doc["theta"] = base64.b64encode(theta[:-8]).decode()  # one value short
-    path.write_text(json.dumps(doc))
+    path = OutputLayout(out).original_model(0)
+    path.write_bytes(path.read_bytes()[:-8])  # one value short
     capsys.readouterr()
     assert run("expand", "--config", cfg, "--out", out) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_expand_refuses_a_model_file_in_the_older_json_format(tmp_path, capsys):
+    cfg, out = pipeline_through_pretrain(tmp_path)
+    path = OutputLayout(out).original_model(0)
+    model = nn.load_model(path)
+    older = {
+        "input_dim": model.input_dim,
+        "num_classes": model.num_classes,
+        "layers": [
+            {"in": l.in_dim, "out": l.out_dim, "activation": l.activation} for l in model.layers
+        ],
+        "theta": base64.b64encode(model.theta.tobytes()).decode(),
+    }
+    path.write_text(json.dumps(older, indent=2) + "\n")
+    capsys.readouterr()
+    assert run("expand", "--config", cfg, "--out", out) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "rerun pretrain and expand" in err
+
+
+def test_expand_refuses_a_non_finite_model_parameter(tmp_path, capsys):
+    cfg, out = pipeline_through_pretrain(tmp_path)
+    path = OutputLayout(out).original_model(0)
+    path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", math.inf))
+    capsys.readouterr()
+    assert run("expand", "--config", cfg, "--out", out) == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -542,9 +571,9 @@ def test_negative_seeds_are_a_one_line_config_error(tmp_path, capsys, stage, ove
     [
         ("synth", None, cli.EXIT_CONFIG),
         ("pretrain", "data/source_0_train.csv", cli.EXIT_IO),
-        ("expand", "models/original_0.json", cli.EXIT_IO),
+        ("expand", OutputLayout("").original_model(0), cli.EXIT_IO),
     ],
-    ids=["config", "data csv", "model json"],
+    ids=["config", "data csv", "model file"],
 )
 def test_non_utf8_input_is_a_one_line_error(tmp_path, capsys, stage, target, code):
     cfg, out = pipeline_through_pretrain(tmp_path)
@@ -657,6 +686,23 @@ def test_every_stage_refuses_a_bad_data_section(tmp_path, capsys, bad_data):
         assert run(stage, "--config", cfg, "--out", out) == cli.EXIT_CONFIG, stage
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "bad_data, named",
+    [
+        ({"mean_scale": 1e308}, "data.mean_scale 1e+308"),
+        ({"noise_std": 1e308}, "data.noise_std 1e+308"),
+        ({"noise_std": 1e307, "source_shift_sigmas": [0.5, 1e3]}, "the features of domain"),
+    ],
+    ids=["mean scale", "noise", "shift"],
+)
+def test_synth_refuses_scales_whose_features_overflow(tmp_path, capsys, bad_data, named):
+    cfg = tiny_config(tmp_path, data=bad_data)
+    capsys.readouterr()
+    assert run("synth", "--config", cfg, "--out", tmp_path / "run") == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named} ") and err.count("\n") == 1
 
 
 def test_repeated_evaluate_methods_are_a_one_line_config_error(tmp_path, capsys):

@@ -4,6 +4,7 @@ import base64
 import json
 import math
 import os
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -637,31 +638,29 @@ def test_fit_classifier_zero_epochs_is_identity():
 def test_model_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(18)
     model = nn.init_mlp(4, [6], 3, rng)
-    path = tmp_path / "model.json"
+    path = tmp_path / "net.model"
     nn.save_model(model, path)
     loaded = nn.load_model(path)
     assert np.array_equal(loaded.theta, model.theta)
     assert loaded.input_dim == 4 and loaded.num_classes == 3
     # writing the loaded model again must reproduce the file byte for byte
-    again = tmp_path / "model2.json"
+    again = tmp_path / "net2.model"
     nn.save_model(loaded, again)
     assert path.read_bytes() == again.read_bytes()
 
 
-def theta_text(values):
-    return base64.b64encode(np.array(values, "<f8").tobytes()).decode()
+def model_header(layers, input_dim, num_classes):
+    """A model file's header line, built by hand: layers as (in, out, activation)."""
+    header = {
+        "input_dim": input_dim,
+        "num_classes": num_classes,
+        "layers": [{"in": i, "out": o, "activation": a} for i, o, a in layers],
+    }
+    return json.dumps(header, separators=(",", ":")).encode() + b"\n"
 
 
-def model_document(layers, values, input_dim, num_classes):
-    """A model file built by hand: layers as (in, out, activation)."""
-    return json.dumps(
-        {
-            "input_dim": input_dim,
-            "num_classes": num_classes,
-            "layers": [{"in": i, "out": o, "activation": a} for i, o, a in layers],
-            "theta": theta_text(values),
-        }
-    )
+def model_file(layers, values, input_dim, num_classes):
+    return model_header(layers, input_dim, num_classes) + struct.pack(f"<{len(values)}d", *values)
 
 
 def test_model_file_round_trips_extreme_values_bit_for_bit(tmp_path):
@@ -670,7 +669,7 @@ def test_model_file_round_trips_extreme_values_bit_for_bit(tmp_path):
               0.30000000000000004, 0.1, -5e-324, 1.0, 2.0**-1022]
     assert repr(0.30000000000000004) != f"{0.30000000000000004:.16g}"  # needs 17 digits
     model.theta[:] = values
-    path = tmp_path / "extreme.json"
+    path = tmp_path / "extreme.model"
     nn.save_model(model, path)
     loaded = nn.load_model(path)
     assert loaded.theta.tobytes() == np.array(values, "<f8").tobytes()
@@ -680,82 +679,81 @@ def test_model_file_round_trips_extreme_values_bit_for_bit(tmp_path):
 def test_hand_built_model_file_pins_byte_order_and_layout(tmp_path):
     # layer 0: 1 -> 2 relu, layer 1: 2 -> 2 identity; weights row-major, then bias
     values = [1.5, -2.0, 0.25, 3.0, -0.5, 4.0, 8.0, -16.0, 0.125, 32.0]
-    path = tmp_path / "hand.json"
-    path.write_text(model_document([(1, 2, "relu"), (2, 2, "identity")], values, 1, 2))
+    written = (
+        b'{"input_dim":1,"num_classes":2,"layers":[{"in":1,"out":2,"activation":"relu"},'
+        b'{"in":2,"out":2,"activation":"identity"}]}\n'
+        + b"".join(struct.pack("<d", v) for v in values)
+    )
+    path = tmp_path / "hand.model"
+    path.write_bytes(written)
     model = nn.load_model(path)
     assert model.layers[0].weights.tolist() == [[1.5], [-2.0]]
     assert model.layers[0].bias.tolist() == [0.25, 3.0]
     assert model.layers[1].weights.tolist() == [[-0.5, 4.0], [8.0, -16.0]]
     assert model.layers[1].bias.tolist() == [0.125, 32.0]
-    assert nn.model_to_dict(model)["theta"] == theta_text(values)
+    again = tmp_path / "again.model"
+    nn.save_model(model, again)
+    assert again.read_bytes() == written
 
 
 def test_load_model_rejects_malformed_files(tmp_path):
-    bad_json = tmp_path / "broken.json"
-    bad_json.write_text("{not json")
-    with pytest.raises(ParseError):
-        nn.load_model(bad_json)
+    identity_2x2 = [(2, 2, "identity")]  # 2 x 2 weights plus 2 biases: 6 values
+    header = model_header(identity_2x2, 2, 2)
+    cases = [
+        (b"{not json\n" + bytes(48), ParseError),
+        (header.replace(b'"identity"', b'"identit\xff"') + bytes(48), ParseError),
+        (header[:-1], ParseError),  # no line end after the header
+        (b'["a list"]\n' + bytes(48), InputError),
+        (b'{"input_dim":2}\n' + bytes(48), InputError),
+        (model_file(identity_2x2, [1.0, 2.0, 3.0, 4.0, 0.0], 2, 2), InputError),  # short
+        (model_file(identity_2x2, [0.0] * 7, 2, 2), InputError),  # long
+        (header + bytes(47), InputError),  # ends inside a value
+        (model_file([(1, 1, "identity")], [math.nan, 0.0], 1, 1), NumericError),
+    ]
+    for index, (content, error) in enumerate(cases):
+        path = tmp_path / f"bad_{index}.model"
+        path.write_bytes(content)
+        with pytest.raises(error):
+            nn.load_model(path)
 
-    missing_keys = tmp_path / "incomplete.json"
-    missing_keys.write_text('{"input_dim": 2}')
-    with pytest.raises(InputError):
-        nn.load_model(missing_keys)
-
-    # 2 x 2 weights plus 2 biases need 6 values
-    identity_2x2 = [(2, 2, "identity")]
-    wrong_count = tmp_path / "short.json"
-    wrong_count.write_text(model_document(identity_2x2, [1.0, 2.0, 3.0, 4.0, 0.0], 2, 2))
-    with pytest.raises(InputError):
-        nn.load_model(wrong_count)
-
-    too_long = tmp_path / "long.json"
-    too_long.write_text(model_document(identity_2x2, [0.0] * 7, 2, 2))
-    with pytest.raises(InputError):
-        nn.load_model(too_long)
-
-    partial_value = tmp_path / "partial.json"
-    doc = json.loads(model_document(identity_2x2, [0.0] * 6, 2, 2))
-    doc["theta"] = base64.b64encode(bytes(47)).decode()
-    partial_value.write_text(json.dumps(doc))
-    with pytest.raises(InputError):
-        nn.load_model(partial_value)
-
-    not_base64 = tmp_path / "garbled.json"
-    doc["theta"] = "not base64!"
-    not_base64.write_text(json.dumps(doc))
-    with pytest.raises(InputError):
-        nn.load_model(not_base64)
-
-    nan_weight = tmp_path / "nan.json"
-    nan_weight.write_text(model_document([(1, 1, "identity")], [math.nan, 0.0], 1, 1))
-    with pytest.raises(NumericError):
-        nn.load_model(nan_weight)
+    # The older formats: one indented JSON document, theta as base64 or as
+    # per-layer number lists.
+    with_base64 = json.loads(header)
+    with_base64["theta"] = base64.b64encode(bytes(48)).decode()
+    with_lists = json.loads(header)
+    with_lists["layers"] = [{"weights": [[0.0] * 2] * 2, "bias": [0.0] * 2, "activation": "identity"}]
+    for index, doc in enumerate([with_base64, with_lists]):
+        path = tmp_path / f"older_{index}.json"
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        with pytest.raises(ParseError, match="rerun pretrain and expand"):
+            nn.load_model(path)
 
 
 def test_save_model_refuses_non_finite_parameters(tmp_path):
     model = nn.init_mlp(2, [3], 2, np.random.default_rng(19))
     model.layers[1].bias[0] = np.nan
-    path = tmp_path / "diverged.json"
+    path = tmp_path / "diverged.model"
     with pytest.raises(NumericError):
         nn.save_model(model, path)
     assert list(tmp_path.iterdir()) == []
 
 
 def test_save_model_failure_keeps_the_previous_file(tmp_path, monkeypatch):
-    path = tmp_path / "model.json"
+    path = tmp_path / "net.model"
     nn.save_model(nn.init_mlp(2, [3], 2, np.random.default_rng(20)), path)
     before = path.read_bytes()
     newer = nn.init_mlp(2, [3], 2, np.random.default_rng(21))
 
-    def half_written(self, text):
-        Path.write_bytes(self, text[: len(text) // 2].encode())
+    def half_written(self, content):
+        with open(self, "wb") as handle:
+            handle.write(content[: len(content) // 2])
         raise OSError("no space left on device")
 
     def failed_replace(src, dst):
         raise OSError("replace failed")
 
     for target, name, failure in (
-        (Path, "write_text", half_written),
+        (Path, "write_bytes", half_written),
         (os, "replace", failed_replace),
     ):
         with monkeypatch.context() as patched:
@@ -763,4 +761,4 @@ def test_save_model_failure_keeps_the_previous_file(tmp_path, monkeypatch):
             with pytest.raises(OSError):
                 nn.save_model(newer, path)
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+        assert [p.name for p in tmp_path.iterdir()] == ["net.model"]

@@ -1,5 +1,5 @@
-"""The README's config block, library example, code names and Requires line
-agree with the code."""
+"""The README's config block, library example, code names, Requires line and
+model file names agree with the code."""
 
 import dataclasses
 import importlib
@@ -67,3 +67,14 @@ def test_requires_line_names_the_runtime_dependencies():
     pyproject = (ROOT / "pyproject.toml").read_text()
     dependencies = re.search(r"^dependencies = \[(.*?)^\]", pyproject, re.M | re.S).group(1)
     assert named == set(re.findall(r'^\s*"([A-Za-z0-9_.-]+)', dependencies, re.M))
+
+
+def test_output_layout_names_the_model_files_as_the_code_does():
+    """Each model file's line in the Output layout block spells its name as
+    OutputLayout does, with the index as {i}."""
+    block = code_block("## Output layout", "")
+    layout = config.OutputLayout("run")
+    for path in (layout.original_model(0), layout.updated_model(0)):
+        name = path.name.replace("0", "{i}", 1)
+        line = re.search(rf"^  {path.parent.name}/ .*$", block, re.M).group(0)
+        assert name in re.split(r"[\s,]+", line)
