@@ -105,7 +105,7 @@ def check_loss_gradient(loss_name: str, seed: int) -> CheckResult:
     return CheckResult(loss_name, seed, gradient_discrepancy(grads, numeric))
 
 
-def run_gradient_suite(seeds: tuple[int, ...] = (0, 1, 2, 3, 4)) -> list[CheckResult]:
+def run_gradient_suite(seeds: tuple[int, ...]) -> list[CheckResult]:
     """Check every trained loss over the given seeds; returns all results."""
     return [
         check_loss_gradient(name, seed)

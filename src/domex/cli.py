@@ -6,8 +6,8 @@ The expand stage deliberately takes no source-domain data: it consumes only
 the saved source models and the unlabelled new-domain features, which the
 manifest makes auditable.
 
-Exit codes: 0 success, 2 bad configuration, 3 missing or malformed files,
-4 numeric failure.
+Exit codes: 0 success, 2 bad configuration (ConfigError), 3 missing or
+malformed files (InputError, OSError), 4 numeric failure (NumericError).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .data import (
     write_atomic,
     write_csv,
 )
-from .errors import ConfigError, InputError, NumericError, ParameterError, ParseError
+from .errors import ConfigError, InputError, NumericError
 
 logger = logging.getLogger(__name__)
 
@@ -188,7 +188,6 @@ def cmd_evaluate(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path])
         if not ds.labelled:
             raise InputError(f"{path} has no labels; cannot score predictions on it")
         _check_label_range(ds, cfg)
-        ds.name = name
         test_sets[name] = ds
         csv_paths.append(path)
 
@@ -203,7 +202,7 @@ def cmd_evaluate(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path])
         layout.report_json,
         json.dumps({"reports": [r.to_dict() for r in reports.values()]}, indent=2) + "\n",
     )
-    table = fusion.format_results_table(reports, domain_order=_domain_names(cfg))
+    table = fusion.format_results_table(reports)
     write_atomic(layout.results_table, table + "\n")
 
     inputs = config_paths + model_paths + csv_paths
@@ -305,10 +304,10 @@ def main(argv: list[str] | None = None) -> int:
         # per stage: a per-call errstate costs about 5% of gradcheck.
         with np.errstate(over="ignore", invalid="ignore"):
             return stage.run(cfg, layout, [args.config] if args.config else [])
-    except (ConfigError, ParameterError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ParseError, InputError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (NumericError, FloatingPointError) as exc:

@@ -21,7 +21,7 @@ import numpy as np
 # the package import rather than inside the first stage that seeds an RNG.
 from numpy.random import SeedSequence, default_rng
 
-from .errors import ConfigError, InputError, ParseError
+from .errors import ConfigError, InputError
 
 LABEL_COLUMN = "label"
 
@@ -167,37 +167,37 @@ def _body_lines(handle, path: Path, n_columns: int):
     line_no = 1
     for line_no, line in enumerate(handle, start=2):
         if line == "\n":
-            raise ParseError(f"{path}: expected {n_columns} values, found 0", line=line_no)
+            raise InputError(f"line {line_no}: {path}: expected {n_columns} values, found 0")
         yield line
     if line_no == 1:
-        raise ParseError(f"{path} has a header but no data rows", line=2)
+        raise InputError(f"line 2: {path} has a header but no data rows")
 
 
-def _located(exc: ValueError, path: Path, n_columns: int, n_features: int) -> ParseError:
-    """numpy's error for a malformed row, as a ParseError naming its file and line."""
+def _located(exc: ValueError, path: Path, n_columns: int, n_features: int) -> InputError:
+    """numpy's error for a malformed row, as an InputError naming its line and file."""
     message = str(exc)
     if cell := _BAD_CELL.search(message):
         text, row, column = cell.groups()
         what = "non-integer label" if int(column) > n_features else "non-numeric feature cell"
-        return ParseError(f"{path}: {what} {text}", line=int(row) + 2)
+        return InputError(f"line {int(row) + 2}: {path}: {what} {text}")
     if count := _BAD_COUNT.search(message):
-        return ParseError(
-            f"{path}: expected {n_columns} values, found {count[1]}", line=int(count[2]) + 1
+        return InputError(
+            f"line {int(count[2]) + 1}: {path}: expected {n_columns} values, found {count[1]}"
         )
-    return ParseError(f"{path}: {message}")
+    return InputError(f"{path}: {message}")
 
 
 def load_csv(path: str | Path) -> DomainDataset:
     """Parse a feature CSV: header row, decimal features, optional trailing
     integer "label" column. numpy's C reader parses every line in one pass;
-    malformed content raises ParseError naming the file and its 1-based line."""
+    malformed content raises InputError naming its 1-based line and the file."""
     path = Path(path)
     try:
         # An open handle, not the path: np.loadtxt(path) imports gzip.
         with path.open() as handle:
             first = handle.readline()
             if not first:
-                raise ParseError(f"{path} is empty")
+                raise InputError(f"{path} is empty")
             # numpy splits the header as it splits the rows. max_rows=1 keeps
             # its str parse from allocating an object buffer for 50000 rows.
             cells = [] if first == "\n" else np.loadtxt(
@@ -207,7 +207,7 @@ def load_csv(path: str | Path) -> DomainDataset:
             labelled = bool(header) and header[-1] == LABEL_COLUMN
             n_features = len(header) - 1 if labelled else len(header)
             if n_features < 1:
-                raise ParseError(f"{path} declares no feature columns", line=1)
+                raise InputError(f"line 1: {path} declares no feature columns")
             # One record per row: the dtype fixes every row's cell count, and
             # numpy's int64 parser refuses a label such as 3.0 or 1e0.
             fields = [("features", "<f8", (n_features,))]
@@ -217,8 +217,8 @@ def load_csv(path: str | Path) -> DomainDataset:
                 _body_lines(handle, path, len(header)), dtype=fields, ndmin=1, **_CSV_DIALECT
             )
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    except ParseError:
+        raise InputError(f"{path}: {exc}") from exc
+    except InputError:
         raise
     except ValueError as exc:  # numpy's, on a malformed row
         raise _located(exc, path, len(header), n_features) from exc
@@ -432,12 +432,19 @@ def standardize(
     train: DomainDataset, others: list[DomainDataset] | tuple[DomainDataset, ...] = ()
 ) -> tuple[DomainDataset, list[DomainDataset]]:
     """Z-score train and others with train's per-feature mean and population
-    standard deviation; zero-variance features are mapped to 0."""
-    mean, std = train.features.mean(axis=0), train.features.std(axis=0)
+    standard deviation; zero-variance features are mapped to 0. An overflow
+    is a ConfigError: the std squares the features, so it overflows at
+    scales far below float64's."""
+    message = (
+        "data.standardize overflows on these features; lower data.mean_scale, "
+        "data.noise_std or the shift sigmas"
+    )
+    mean = _refuse_overflow(train.features.mean(axis=0), message)
+    std = _refuse_overflow(train.features.std(axis=0), message)
     safe_std = np.where(std == 0.0, 1.0, std)
 
     def apply(ds: DomainDataset) -> DomainDataset:
-        z = (ds.features - mean) / safe_std
+        z = _refuse_overflow((ds.features - mean) / safe_std, message)
         z[:, std == 0.0] = 0.0
         return DomainDataset(ds.name, z, ds.labels)
 

@@ -1,31 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one class per CLI exit code."""
 
 
 class DomexError(Exception):
     """Base class for every error raised by this package."""
 
 
-class InputError(DomexError, ValueError):
-    """Malformed or inconsistent input data (shapes, indices, empty sets)."""
-
-
-class ParameterError(DomexError, ValueError):
-    """Invalid hyperparameter value, e.g. a non-positive temperature."""
-
-
-class ParseError(DomexError, ValueError):
-    """Unreadable file content; carries the offending line number when known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
-
 class ConfigError(DomexError, ValueError):
-    """Invalid or inconsistent run configuration."""
+    """Invalid run configuration or hyperparameter value (exit code 2)."""
+
+
+class InputError(DomexError, ValueError):
+    """Malformed, unreadable or inconsistent input: files, shapes, indices,
+    empty sets (exit code 3). A file's error names its 1-based line when known."""
 
 
 class NumericError(DomexError, ArithmeticError):
-    """Non-finite values appeared where finite ones are required."""
+    """Non-finite values appeared where finite ones are required (exit code 4)."""

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError, ParameterError
+from .errors import ConfigError, InputError
 from .nn import (
     MlpModel,
     OptimizerState,
@@ -58,23 +58,23 @@ class Hyperparams:
 
     def __post_init__(self):
         if self.lam < 0:
-            raise ParameterError(f"lam must be >= 0, got {self.lam}")
+            raise ConfigError(f"lam must be >= 0, got {self.lam}")
         if self.temperature <= 0:
-            raise ParameterError(f"temperature must be > 0, got {self.temperature}")
+            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
         if self.weight_temperature <= 0:
-            raise ParameterError(
+            raise ConfigError(
                 f"weight_temperature must be > 0, got {self.weight_temperature}"
             )
         if self.epochs < 0:
-            raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
-            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
-            raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.momentum < 0:
-            raise ParameterError(f"momentum must be >= 0, got {self.momentum}")
+            raise ConfigError(f"momentum must be >= 0, got {self.momentum}")
         if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

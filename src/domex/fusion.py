@@ -114,7 +114,7 @@ def expanded_accuracy(per_domain: Mapping[str, float]) -> float:
 def evaluate_expanded(
     method: str,
     originals: Sequence[MlpModel],
-    updated: Sequence[MlpModel] | None,
+    updated: Sequence[MlpModel],
     test_sets: Mapping[str, DomainDataset],
     outputs: dict | None = None,
 ) -> EvaluationReport:
@@ -138,7 +138,7 @@ def evaluate_expanded(
         if ds.labels is None:
             raise InputError(f"test set {name!r} has no labels")
         for role in roles:
-            if models[role] is not None and (role, name) not in outputs:
+            if (role, name) not in outputs:
                 outputs[role, name] = softmax_outputs(models[role], ds.features)
         orig, upd = outputs.get(("originals", name)), outputs.get(("updated", name))
         per_domain[name] = accuracy(fuse(method, orig, upd), ds.labels)
@@ -149,10 +149,9 @@ def evaluate_expanded(
     )
 
 
-def format_results_table(
-    reports: Mapping[str, EvaluationReport], domain_order: Sequence[str] | None = None
-) -> str:
-    """Aligned plain-text table: one row per domain plus the expanded mean.
+def format_results_table(reports: Mapping[str, EvaluationReport]) -> str:
+    """Aligned plain-text table: one row per domain, in the reports' order,
+    plus the expanded mean.
 
     Columns follow the method order baseline / m1 / m2 restricted to the
     reports given; accuracies are shown in percent.
@@ -160,8 +159,7 @@ def format_results_table(
     if not reports:
         raise InputError("no reports to format")
     methods = [m for m in FUSION_METHODS if m in reports]
-    if domain_order is None:
-        domain_order = list(next(iter(reports.values())).per_domain_accuracy)
+    domain_order = list(next(iter(reports.values())).per_domain_accuracy)
     header = {"baseline": "Base", "m1": "M1", "m2": "M2"}
     name_width = max(len("Expanded"), *(len(d) for d in domain_order))
     lines = [

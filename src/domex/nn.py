@@ -23,12 +23,14 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .data import class_indices, write_atomic
-from .errors import InputError, NumericError, ParameterError, ParseError
+from .errors import ConfigError, InputError, NumericError
 
 ACTIVATIONS = ("relu", "identity")
 # Rows per forward when a model runs over a whole set; the default batch size
 # of pretraining and expansion.
 CHUNK_ROWS = 64
+# The step of finite_diff_gradient's central differences.
+FINITE_DIFF_EPSILON = 1e-5
 
 
 @dataclass
@@ -168,9 +170,9 @@ class OptimizerState:
     def __post_init__(self):
         # lr = 0 is allowed: a zero step must be an exact no-op.
         if self.learning_rate < 0:
-            raise ParameterError(f"learning_rate must be >= 0, got {self.learning_rate}")
+            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.momentum < 0:
-            raise ParameterError(f"momentum must be >= 0, got {self.momentum}")
+            raise ConfigError(f"momentum must be >= 0, got {self.momentum}")
 
 
 def init_mlp(
@@ -249,7 +251,7 @@ def softmax_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
     sum to 1. Accepts a single logit vector or an (N, C) batch.
     """
     if temperature <= 0:
-        raise ParameterError(f"temperature must be > 0, got {temperature}")
+        raise ConfigError(f"temperature must be > 0, got {temperature}")
     logits = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(logits).all():
         raise InputError("logits must be finite")
@@ -355,18 +357,13 @@ def sgd_step(model: MlpModel, grads: np.ndarray, opt: OptimizerState) -> MlpMode
     return model._with_theta(new_theta)
 
 
-def finite_diff_gradient(
-    loss_fn: Callable[[MlpModel], float], model: MlpModel, epsilon: float = 1e-5
-) -> np.ndarray:
+def finite_diff_gradient(loss_fn: Callable[[MlpModel], float], model: MlpModel) -> np.ndarray:
     """Central-difference gradient of loss_fn over every model parameter.
 
     Exhaustive, so only usable on tiny models; this is the oracle against
     which all analytic gradients are checked. loss_fn gets one probe copy of
     the model whose parameters are each shifted in place and restored.
     """
-    if epsilon <= 0:
-        raise ParameterError(f"epsilon must be > 0, got {epsilon}")
-
     probe = model.copy()
     theta = probe.theta
 
@@ -383,9 +380,9 @@ def finite_diff_gradient(
 
     grads = np.zeros_like(model.theta)
     for index in range(grads.size):
-        plus = eval_perturbed(index, epsilon)
-        minus = eval_perturbed(index, -epsilon)
-        grads[index] = (plus - minus) / (2.0 * epsilon)
+        plus = eval_perturbed(index, FINITE_DIFF_EPSILON)
+        minus = eval_perturbed(index, -FINITE_DIFF_EPSILON)
+        grads[index] = (plus - minus) / (2.0 * FINITE_DIFF_EPSILON)
     return grads
 
 
@@ -438,12 +435,12 @@ def load_model(path: str | Path) -> MlpModel:
     raw = Path(path).read_bytes()
     # Every earlier format was one JSON document that json.dumps indented.
     if raw.startswith(b"{\n"):
-        raise ParseError(f"{path} is a model file in an older format; rerun pretrain and expand")
+        raise InputError(f"{path} is a model file in an older format; rerun pretrain and expand")
     end = raw.find(b"\n")  # -1 without a line end; json refuses the empty header
     try:
         header = json.loads(raw[: max(end, 0)].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: the header line is not JSON in UTF-8: {exc}", line=1) from exc
+        raise InputError(f"line 1: {path}: the header line is not JSON in UTF-8: {exc}") from exc
     body = len(raw) - end - 1
     if body % 8:
         raise InputError(f"{path}: theta holds {body} bytes, not a whole number of float64s")

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from domex import checks, expansion, nn
+from domex.config import GradcheckConfig
 from domex.errors import InputError
 
 
 def test_suite_passes_on_default_seeds():
-    results = checks.run_gradient_suite()
+    results = checks.run_gradient_suite(tuple(GradcheckConfig().seeds))
     assert len(results) == len(checks.CHECKED_LOSSES) * 5
     assert {r.loss_name for r in results} == set(checks.CHECKED_LOSSES)
     for r in results:

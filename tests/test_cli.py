@@ -15,6 +15,7 @@ import pytest
 
 from domex import checks, cli, data, nn
 from domex.config import OutputLayout, sha256_file
+from domex.errors import ConfigError, DomexError, InputError, NumericError
 
 
 def tiny_config(tmp_path, **overrides):
@@ -517,6 +518,25 @@ def test_gradcheck_failure_exits_with_numeric_code(tmp_path, monkeypatch):
     assert run("gradcheck", "--out", tmp_path / "run") == cli.EXIT_NUMERIC
 
 
+def test_errors_define_one_class_per_exit_code():
+    assert set(DomexError.__subclasses__()) == {ConfigError, InputError, NumericError}
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(ConfigError, cli.EXIT_CONFIG), (InputError, cli.EXIT_IO), (NumericError, cli.EXIT_NUMERIC)],
+)
+def test_main_maps_each_error_class_to_its_exit_code(tmp_path, monkeypatch, capsys, error, code):
+    def failing_stage(cfg, layout, config_paths):
+        raise error("the stage failed")
+
+    stage = cli.STAGES["gradcheck"]._replace(run=failing_stage)
+    monkeypatch.setitem(cli.STAGES, "gradcheck", stage)
+    capsys.readouterr()
+    assert run("gradcheck", "--out", tmp_path / "run") == code
+    assert capsys.readouterr().err == "error: the stage failed\n"
+
+
 def test_config_errors_map_to_exit_codes(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert run("synth", "--config", missing, "--out", tmp_path / "r1") == cli.EXIT_IO
@@ -694,8 +714,10 @@ def test_every_stage_refuses_a_bad_data_section(tmp_path, capsys, bad_data):
         ({"mean_scale": 1e308}, "data.mean_scale 1e+308"),
         ({"noise_std": 1e308}, "data.noise_std 1e+308"),
         ({"noise_std": 1e307, "source_shift_sigmas": [0.5, 1e3]}, "the features of domain"),
+        # Finite features, but their std squares them and overflows.
+        ({"new_shift_sigma": 1e300, "standardize": True}, "data.standardize"),
     ],
-    ids=["mean scale", "noise", "shift"],
+    ids=["mean scale", "noise", "shift", "standardize"],
 )
 def test_synth_refuses_scales_whose_features_overflow(tmp_path, capsys, bad_data, named):
     cfg = tiny_config(tmp_path, data=bad_data)

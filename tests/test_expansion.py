@@ -8,7 +8,7 @@ import pytest
 from scipy.special import xlogy
 
 from domex import data, expansion, nn
-from domex.errors import InputError, ParameterError
+from domex.errors import ConfigError, InputError
 
 
 def bias_only_model(logits, input_dim=2):
@@ -67,7 +67,7 @@ def test_hyperparams_validation():
         dict(learning_rate=0.0),
         dict(seed=-1),
     ):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             expansion.Hyperparams(**bad)
 
 
@@ -202,7 +202,7 @@ def test_weights_worst_model_gets_largest_weight():
 
 
 def test_weights_rejects_bad_arguments():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         expansion.compute_weights(np.array([0.1, 0.2]), 0.0)
     with pytest.raises(InputError):
         expansion.compute_weights(np.array([0.1]), 0.1)

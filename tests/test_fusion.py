@@ -255,7 +255,7 @@ def test_evaluate_expanded_reports_mean_of_domains():
         )
         for name in ("source_0", "source_1", "new")
     }
-    report = fusion.evaluate_expanded("baseline", models, None, test_sets)
+    report = fusion.evaluate_expanded("baseline", models, models, test_sets)
     assert set(report.per_domain_accuracy) == set(test_sets)
     mean = np.mean(list(report.per_domain_accuracy.values()))
     assert abs(report.expanded_accuracy - mean) <= 1e-12
@@ -270,10 +270,10 @@ def test_evaluate_expanded_rejects_unusable_test_sets():
     rng = np.random.default_rng(12)
     models = random_models(rng, 2)
     with pytest.raises(InputError):
-        fusion.evaluate_expanded("baseline", models, None, {})
+        fusion.evaluate_expanded("baseline", models, models, {})
     unlabelled = {"new": DomainDataset("new", rng.normal(size=(3, 3)))}
     with pytest.raises(InputError):
-        fusion.evaluate_expanded("baseline", models, None, unlabelled)
+        fusion.evaluate_expanded("baseline", models, models, unlabelled)
 
 
 def test_evaluate_runs_one_forward_per_model_and_domain(monkeypatch):
@@ -324,7 +324,7 @@ def test_results_table_layout():
         )
         for method in ("baseline", "m1", "m2")
     }
-    table = fusion.format_results_table(reports, domain_order=["source_0", "new"])
+    table = fusion.format_results_table(reports)
     lines = table.splitlines()
     assert "Base" in lines[0] and "M1" in lines[0] and "M2" in lines[0]
     assert lines[1].startswith("source_0")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from domex import nn
-from domex.errors import InputError, NumericError, ParameterError, ParseError
+from domex.errors import ConfigError, InputError, NumericError
 
 
 def linear_model(weights, bias, activation="identity"):
@@ -118,9 +118,9 @@ def test_softmax_entropy_nondecreasing_in_temperature():
 
 
 def test_softmax_rejects_bad_inputs():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         nn.softmax_temperature(np.array([1.0, 2.0]), 0.0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         nn.softmax_temperature(np.array([1.0, 2.0]), -1.0)
     with pytest.raises(InputError):
         nn.softmax_temperature(np.array([1.0, np.nan]), 1.0)
@@ -293,7 +293,7 @@ def test_sgd_momentum_accumulates():
 
 
 def test_optimizer_rejects_negative_rate():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         nn.OptimizerState(learning_rate=-0.1)
 
 
@@ -546,14 +546,12 @@ def test_finite_diff_rejects_non_finite_loss():
     model = linear_model(np.eye(2), np.zeros(2))
     with pytest.raises(NumericError):
         nn.finite_diff_gradient(lambda m: float("nan"), model)
-    with pytest.raises(ParameterError):
-        nn.finite_diff_gradient(lambda m: 0.0, model, epsilon=0.0)
 
 
 def test_finite_diff_probes_one_parameter_at_a_time_and_restores_it():
     rng = np.random.default_rng(15)
     model = nn.init_mlp(2, [3], 2, rng)
-    theta, eps, seen = model.theta.copy(), 1e-5, []
+    theta, eps, seen = model.theta.copy(), nn.FINITE_DIFF_EPSILON, []
 
     def loss(m):
         seen.append(m.theta.copy())
@@ -562,7 +560,7 @@ def test_finite_diff_probes_one_parameter_at_a_time_and_restores_it():
         return 0.0
 
     with pytest.raises(RuntimeError):
-        nn.finite_diff_gradient(loss, model, epsilon=eps)
+        nn.finite_diff_gradient(loss, model)
     assert same_bits(model.theta, theta)
     for call, probed in enumerate(seen):
         expected = theta.copy()
@@ -570,7 +568,7 @@ def test_finite_diff_probes_one_parameter_at_a_time_and_restores_it():
         assert same_bits(probed, expected)
 
     seen.clear()
-    nn.finite_diff_gradient(lambda m: seen.append(m) or 0.0, model, epsilon=eps)
+    nn.finite_diff_gradient(lambda m: seen.append(m) or 0.0, model)
     assert len(seen) == 2 * theta.size and all(m is seen[0] for m in seen)
     assert same_bits(seen[0].theta, theta) and seen[0] is not model
 
@@ -700,9 +698,9 @@ def test_load_model_rejects_malformed_files(tmp_path):
     identity_2x2 = [(2, 2, "identity")]  # 2 x 2 weights plus 2 biases: 6 values
     header = model_header(identity_2x2, 2, 2)
     cases = [
-        (b"{not json\n" + bytes(48), ParseError),
-        (header.replace(b'"identity"', b'"identit\xff"') + bytes(48), ParseError),
-        (header[:-1], ParseError),  # no line end after the header
+        (b"{not json\n" + bytes(48), InputError),
+        (header.replace(b'"identity"', b'"identit\xff"') + bytes(48), InputError),
+        (header[:-1], InputError),  # no line end after the header
         (b'["a list"]\n' + bytes(48), InputError),
         (b'{"input_dim":2}\n' + bytes(48), InputError),
         (model_file(identity_2x2, [1.0, 2.0, 3.0, 4.0, 0.0], 2, 2), InputError),  # short
@@ -725,7 +723,7 @@ def test_load_model_rejects_malformed_files(tmp_path):
     for index, doc in enumerate([with_base64, with_lists]):
         path = tmp_path / f"older_{index}.json"
         path.write_text(json.dumps(doc, indent=2) + "\n")
-        with pytest.raises(ParseError, match="rerun pretrain and expand"):
+        with pytest.raises(InputError, match="rerun pretrain and expand"):
             nn.load_model(path)
 
 
