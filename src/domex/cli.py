@@ -146,7 +146,9 @@ def cmd_expand(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -
     originals = [nn.load_model(p) for p in model_paths]
     new_data = load_csv(layout.new_unlabelled_csv)
 
-    ensemble = expansion.EnsembleState.initialize(originals)
+    # Each updated model starts as its original object, not a copy: expand
+    # replaces models and never writes into a theta.
+    ensemble = expansion.EnsembleState(originals, list(originals))
     ensemble, log = expansion.expand(ensemble, new_data.features, cfg.expansion)
 
     layout.expanded_dir.mkdir(parents=True, exist_ok=True)

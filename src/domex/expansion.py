@@ -272,8 +272,8 @@ def expand(
     rng = np.random.default_rng(hp.seed)
     # Batches gather their anchor and peer rows from these (N, C) arrays on
     # the whole new set, computed in the batches' chunk size; an updated model
-    # still equal to its original (as after EnsembleState.initialize) shares
-    # its pass.
+    # still equal to its original (a copy from EnsembleState.initialize, or
+    # the original itself, as the CLI passes it) shares its pass.
     updated = list(ensemble.updated)
     logits = [chunked_logits(m, new_data) for m in ensemble.originals]
     anchors = [softmax_temperature(z, hp.temperature) for z in logits]

@@ -426,7 +426,20 @@ def save_model(model: MlpModel, path: str | Path) -> None:
         ],
     }
     head = json.dumps(header, separators=(",", ":")).encode() + b"\n"
-    write_atomic(path, head + model.theta.astype("<f8", copy=False).tobytes())
+    # One copy of theta: the join reads it through the buffer protocol.
+    write_atomic(path, b"".join((head, memoryview(model.theta.astype("<f8", copy=False)))))
+
+
+def _header_count(fields: dict, key: str, where: str = "") -> int:
+    """fields[key] of a model file's header, which must be a positive int.
+    Unchecked, JSON's true reads as 1, and 3.0 or "3" fail later with a
+    message that does not name the key."""
+    value = fields[key]
+    if type(value) is not int or value < 1:
+        raise InputError(
+            f"header key {where}{key} must be a positive integer, got {json.dumps(value)}"
+        )
+    return value
 
 
 def load_model(path: str | Path) -> MlpModel:
@@ -446,9 +459,15 @@ def load_model(path: str | Path) -> MlpModel:
         raise InputError(f"{path}: theta holds {body} bytes, not a whole number of float64s")
     try:
         shapes = [
-            _LayerShape(spec["out"], spec["in"], spec["activation"]) for spec in header["layers"]
+            _LayerShape(
+                _header_count(spec, "out", f"layers[{k}]."),
+                _header_count(spec, "in", f"layers[{k}]."),
+                spec["activation"],
+            )
+            for k, spec in enumerate(header["layers"])
         ]
+        dims = [_header_count(header, key) for key in ("input_dim", "num_classes")]
         theta = np.frombuffer(raw, dtype="<f8", offset=end + 1)
-        return MlpModel(_layer_views(theta, shapes), header["input_dim"], header["num_classes"])
+        return MlpModel(_layer_views(theta, shapes), *dims)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed model file: {exc}") from exc

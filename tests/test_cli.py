@@ -331,6 +331,25 @@ def test_expand_refuses_a_model_file_in_the_older_json_format(tmp_path, capsys):
     assert "rerun pretrain and expand" in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("input_dim", "4"), ("num_classes", -3), ("layers[0].out", True), ("layers[0].in", 4.0)],
+)
+def test_expand_refuses_a_header_count_that_is_not_a_positive_int(tmp_path, capsys, key, value):
+    cfg, out = pipeline_through_pretrain(tmp_path)
+    path = OutputLayout(out).original_model(0)
+    head, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    fields = header["layers"][0] if key.startswith("layers[0].") else header
+    fields[key.removeprefix("layers[0].")] = value
+    path.write_bytes(json.dumps(header, separators=(",", ":")).encode() + b"\n" + body)
+    capsys.readouterr()
+    assert run("expand", "--config", cfg, "--out", out) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"header key {key} must be a positive integer, got {json.dumps(value)}" in err
+
+
 def test_expand_refuses_a_non_finite_model_parameter(tmp_path, capsys):
     cfg, out = pipeline_through_pretrain(tmp_path)
     path = OutputLayout(out).original_model(0)
@@ -363,6 +382,32 @@ def test_expand_identical_sources_log_zero_bias(tmp_path):
     assert {tuple(sorted(r)) for r in records} == {
         ("E_i", "mean_L_bias", "mean_L_org", "model_index", "round", "w_i")
     }
+
+
+def test_expand_holds_each_model_once_per_role(tmp_path, traced_peak):
+    """expand holds m originals, m updated models and a step's gradient and
+    new vector; a load's file bytes, a step's activations and a saved file's
+    image stay within the other two theta sizes of the budget."""
+    m, dim, classes = 3, 64, 10
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "data": {"feature_dim": dim, "num_classes": classes},
+        "expansion": {"epochs": 2},
+    }))
+    layout = OutputLayout(tmp_path / "run")
+    layout.models_dir.mkdir(parents=True)
+    layout.data_dir.mkdir(parents=True)
+    rng = np.random.default_rng(41)
+    for i in range(m):
+        model = nn.init_mlp(dim, [1000], classes, rng)
+        nn.save_model(model, layout.original_model(i))
+    data.write_csv(
+        data.DomainDataset("new_unlabelled", rng.normal(size=(128, dim))),
+        layout.new_unlabelled_csv,
+    )
+    peak, code = traced_peak(lambda: run("expand", "--config", cfg, "--out", layout.root))
+    assert code == 0
+    assert peak <= (2 * m + 4) * model.theta.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 import math
 import os
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -183,16 +182,11 @@ def test_load_csv_refuses_cells_numpy_cannot_parse(tmp_path, row):
     assert str(err.value).startswith("line 3: ")
 
 
-def test_load_csv_memory_follows_the_file_size(tmp_path):
+def test_load_csv_memory_follows_the_file_size(tmp_path, traced_peak):
     ds = data.DomainDataset("wide", np.ones((2, 64)), np.array([0, 1]))
     path = tmp_path / "wide.csv"
     data.write_csv(ds, path)
-    tracemalloc.start()
-    try:
-        data.load_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: data.load_csv(path))
     # About 35 kB; a header parse that sized its buffer for numpy's default
     # chunk of 50000 rows would take 26 MB here.
     assert peak < 1 << 20

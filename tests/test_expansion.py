@@ -500,6 +500,22 @@ def test_expand_never_touches_the_originals():
     assert any(changed)
 
 
+def test_expand_on_the_originals_themselves_equals_expand_on_copies():
+    """The CLI passes each original as its own updated model, without a copy:
+    expand must give the bits it gives on copies and write into no theta."""
+    rng = np.random.default_rng(25)
+    models = [nn.init_mlp(4, [6], 3, rng) for _ in range(3)]
+    before = [m.theta.tobytes() for m in models]
+    x = rng.normal(size=(20, 4))
+    hp = expansion.Hyperparams(epochs=2, batch_size=8, learning_rate=0.05, momentum=0.5, seed=4)
+    shared, shared_log = expansion.expand(expansion.EnsembleState(models, list(models)), x, hp)
+    copied, copied_log = expansion.expand(expansion.EnsembleState.initialize(models), x, hp)
+    assert repr(shared_log) == repr(copied_log)
+    for s_model, c_model, model in zip(shared.updated, copied.updated, models):
+        assert s_model.theta.tobytes() == c_model.theta.tobytes() != model.theta.tobytes()
+    assert [m.theta.tobytes() for m in models] == before
+
+
 def test_expand_is_deterministic():
     rng = np.random.default_rng(19)
     models = [nn.init_mlp(3, [5], 2, rng) for _ in range(2)]

@@ -5,7 +5,6 @@ import json
 import math
 import os
 import struct
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -414,18 +413,6 @@ ACTIVATION_BYTES = ROWS * HIDDEN * 8
 UFUNC_BUFFER_BYTES = np.getbufsize() * 8
 
 
-def traced_peak(fn):
-    """Peak bytes traced while fn runs (numpy reports its buffers), and its result."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        result = fn()
-        return tracemalloc.get_traced_memory()[1] - before, result
-    finally:
-        tracemalloc.stop()
-
-
 def default_step_setup():
     rng = np.random.default_rng(32)
     model = nn.init_mlp(10, [HIDDEN], 5, rng)
@@ -435,13 +422,13 @@ def default_step_setup():
     return model, x, cache, dlogits
 
 
-def test_forward_allocates_one_array_per_layer():
+def test_forward_allocates_one_array_per_layer(traced_peak):
     model, x, _, _ = default_step_setup()
     peak, _ = traced_peak(lambda: nn.forward_logits(model, x))
     assert peak <= 1.1 * (ACTIVATION_BYTES + UFUNC_BUFFER_BYTES)
 
 
-def test_backward_allocates_the_gradient_one_delta_and_one_mask():
+def test_backward_allocates_the_gradient_one_delta_and_one_mask(traced_peak):
     model, _, cache, dlogits = default_step_setup()
     peak, _ = traced_peak(lambda: nn.backward(model, cache, dlogits))
     mask_bytes = ROWS * HIDDEN
@@ -449,7 +436,7 @@ def test_backward_allocates_the_gradient_one_delta_and_one_mask():
     assert peak <= 1.1 * budget
 
 
-def test_sgd_step_allocates_one_parameter_vector():
+def test_sgd_step_allocates_one_parameter_vector(traced_peak):
     model, _, cache, dlogits = default_step_setup()
     grads = nn.backward(model, cache, dlogits)
     opt = nn.OptimizerState(learning_rate=0.1)
@@ -645,6 +632,13 @@ def test_model_save_load_round_trip(tmp_path):
     again = tmp_path / "net2.model"
     nn.save_model(loaded, again)
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_save_model_copies_theta_once(tmp_path, traced_peak):
+    model = default_step_setup()[0]
+    peak, _ = traced_peak(lambda: nn.save_model(model, tmp_path / "net.model"))
+    # the file image: the header line and one copy of theta
+    assert peak <= 1.1 * model.theta.nbytes + 4096
 
 
 def model_header(layers, input_dim, num_classes):
