@@ -77,14 +77,14 @@ _COEFFICIENTS = {
 def _loss_of_logits(loss_name: str, ensemble, batch, labels, hp):
     """Model 0's loss as a function of its logits on the batch.
 
-    An expansion loss takes model 0's anchor and peers, which are frozen,
-    from one frozen_targets pass per check.
+    An expansion loss takes model 0's target stack, which is frozen, from
+    one frozen_targets pass per check.
     """
     if loss_name == "cross_entropy":
         return lambda logits: nn.cross_entropy(logits, labels)
     a_org, a_bias = _COEFFICIENTS[loss_name](ensemble, batch, hp)
-    targets = expansion.frozen_targets(ensemble, 0, batch, hp.temperature, a_org, a_bias)
-    return lambda logits: expansion.weighted_loss(logits, *targets, a_org, a_bias, hp.temperature)
+    targets = expansion.frozen_targets(ensemble, 0, batch, hp.temperature)
+    return lambda logits: expansion.weighted_loss(logits, targets, a_org, a_bias, hp.temperature)
 
 
 def check_loss_gradient(loss_name: str, seed: int) -> CheckResult:

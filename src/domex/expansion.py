@@ -155,60 +155,49 @@ def compute_weights(entropies: np.ndarray, weight_temperature: float) -> WeightV
 
 def weighted_loss(
     logits: np.ndarray,
-    anchor: np.ndarray | None,
-    peers: Sequence[np.ndarray],
+    targets: np.ndarray,
     a_org: float,
     a_bias: float,
     temperature: float,
 ) -> tuple[float, Callable[[], np.ndarray], float, float]:
     """a_org * L_org + a_bias * L_bias of one model's logits on a batch.
 
-    L_org is the mean squared distance between the softened probabilities
-    and anchor, the original's on the batch; L_bias sums that distance to
-    each of peers (see frozen_targets). A term left out (anchor None, or no
-    peers) contributes 0. Returns the total, a gradient() that gives
+    targets is the model's (k, n, C) stack (see frozen_targets). L_org is
+    the mean squared distance between the softened probabilities and
+    targets[0], the original's on the batch; L_bias sums that distance to
+    each peer in targets[1:]. Returns the total, a gradient() that gives
     dtotal/dlogits when called, L_org and L_bias.
     """
     probs = softmax_temperature(logits, temperature)
     n = probs.shape[0]
-    org_diff = None if anchor is None else probs - anchor
-    l_org = 0.0 if org_diff is None else float((org_diff * org_diff).sum()) / n
-    bias_diffs, l_bias = [], 0.0
-    for peer in peers:
-        diff = probs - peer
-        l_bias += float((diff * diff).sum()) / n
-        bias_diffs.append(diff)
+    diffs = probs - targets
+    # One contiguous sum per target: the bits of float((d * d).sum()) on each.
+    distances = (diffs * diffs).reshape(len(diffs), -1).sum(axis=1) / n
+    l_org, l_bias = float(distances[0]), 0.0
+    for distance in distances[1:]:
+        l_bias += float(distance)
 
     def gradient() -> np.ndarray:
         dprobs = np.zeros_like(probs)
-        if org_diff is not None:
-            dprobs += (2.0 * a_org / n) * org_diff
-        for diff in bias_diffs:
-            dprobs += (2.0 * a_bias / n) * diff
+        for k, diff in enumerate(diffs):
+            dprobs += (2.0 * (a_bias if k else a_org) / n) * diff
         return softmax_temperature_backward(probs, dprobs, temperature)
 
     return a_org * l_org + a_bias * l_bias, gradient, l_org, l_bias
 
 
 def frozen_targets(
-    ensemble: EnsembleState,
-    i: int,
-    batch: np.ndarray,
-    temperature: float,
-    a_org: float,
-    a_bias: float,
-) -> tuple[np.ndarray | None, list[np.ndarray]]:
-    """Model i's anchor and peer probabilities on the batch, unless weighted 0.
+    ensemble: EnsembleState, i: int, batch: np.ndarray, temperature: float
+) -> np.ndarray:
+    """Model i's (m, n, C) stack of frozen targets on the batch.
 
-    The anchor is original i's softened output and the peers every other
-    updated model's; both stay constant while model i trains.
+    Row 0 is original i's softened output, the anchor; the rest are every
+    other updated model's in index order, the peers. All stay constant while
+    model i trains.
     """
     _check_index(i, ensemble.m)
-    batch = _check_batch(batch)
-    anchor = [ensemble.originals[i]] if a_org else []
-    others = ensemble.updated[:i] + ensemble.updated[i + 1 :] if a_bias else []
-    probs = softmax_outputs(anchor + others, batch, temperature)
-    return (probs.pop(0) if a_org else None), probs
+    models = [ensemble.originals[i], *ensemble.updated[:i], *ensemble.updated[i + 1 :]]
+    return np.stack(softmax_outputs(models, _check_batch(batch), temperature))
 
 
 def _batch_loss(
@@ -221,10 +210,10 @@ def _batch_loss(
 ) -> tuple[float, np.ndarray]:
     """weighted_loss of model i and its parameter gradient, with its frozen
     targets run on the batch."""
-    anchor, peers = frozen_targets(ensemble, i, batch, temperature, a_org, a_bias)
+    targets = frozen_targets(ensemble, i, batch, temperature)
     model = ensemble.updated[i]
     logits, cache = forward_logits(model, batch)
-    total, gradient = weighted_loss(logits, anchor, peers, a_org, a_bias, temperature)[:2]
+    total, gradient = weighted_loss(logits, targets, a_org, a_bias, temperature)[:2]
     return total, backward(model, cache, gradient())
 
 
@@ -270,8 +259,8 @@ def expand(
     new_data = _check_batch(new_data)
     n = new_data.shape[0]
     rng = np.random.default_rng(hp.seed)
-    # Batches gather their anchor and peer rows from these (N, C) arrays on
-    # the whole new set, computed in the batches' chunk size; an updated model
+    # Each model's target stack is built from these (N, C) arrays on the
+    # whole new set, computed in the batches' chunk size; an updated model
     # still equal to its original (a copy from EnsembleState.initialize, or
     # the original itself, as the CLI passes it) shares its pass.
     updated = list(ensemble.updated)
@@ -289,18 +278,14 @@ def expand(
             opt = OptimizerState(hp.learning_rate, hp.momentum)
             order = rng.permutation(n)
             scale = hp.lam * float(weights[i])
-            others = softened[:i] + softened[i + 1 :]
+            targets = np.stack([anchors[i], *softened[:i], *softened[i + 1 :]])
             org_terms, bias_terms = [], []
             for start in range(0, n, hp.batch_size):
                 rows = order[start : start + hp.batch_size]
                 batch_logits, cache = forward_logits(updated[i], new_data[rows])
+                # take, unlike targets[:, rows], returns a C-contiguous stack.
                 _, gradient, l_org, l_bias = weighted_loss(
-                    batch_logits,
-                    anchors[i][rows],
-                    [peer[rows] for peer in others],
-                    1.0,
-                    scale,
-                    hp.temperature,
+                    batch_logits, np.take(targets, rows, axis=1), 1.0, scale, hp.temperature
                 )
                 updated[i] = sgd_step(updated[i], backward(updated[i], cache, gradient()), opt)
                 org_terms.append(l_org)

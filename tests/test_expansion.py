@@ -43,12 +43,10 @@ def overall_loss(ens, i, batch, weights, hp):
     stays independent of expand, which gathers them from whole-set passes.
     """
     scale = hp.lam * float(weights.weights[i])
-    anchor, peers = expansion.frozen_targets(ens, i, batch, hp.temperature, 1.0, scale)
+    targets = expansion.frozen_targets(ens, i, batch, hp.temperature)
     model = ens.updated[i]
     logits, cache = nn.forward_logits(model, batch)
-    total, gradient, _, _ = expansion.weighted_loss(
-        logits, anchor, peers, 1.0, scale, hp.temperature
-    )
+    total, gradient, _, _ = expansion.weighted_loss(logits, targets, 1.0, scale, hp.temperature)
     return total, nn.backward(model, cache, gradient())
 
 
@@ -355,16 +353,66 @@ def test_loss_value_equals_each_loss_bit_for_bit():
             ((1.0, 0.0), expansion.preservation_loss(ens, i, batch, hp.temperature)),
             ((1.0, scale), overall_loss(ens, i, batch, w, hp)),
         ):
-            anchor, peers = expansion.frozen_targets(
-                ens, i, batch, hp.temperature, a_org, a_bias
-            )
-            assert (anchor is None) == (a_org == 0.0)
-            assert len(peers) == (2 if a_bias else 0)
+            targets = expansion.frozen_targets(ens, i, batch, hp.temperature)
             logits, _ = nn.forward_logits(ens.updated[i], batch)
-            value, *_ = expansion.weighted_loss(
-                logits, anchor, peers, a_org, a_bias, hp.temperature
-            )
+            value, *_ = expansion.weighted_loss(logits, targets, a_org, a_bias, hp.temperature)
             assert value == total
+
+
+def test_frozen_targets_stack_the_original_then_the_peers_in_order():
+    rng = np.random.default_rng(26)
+    ens = random_ensemble(rng, m=4)
+    batch = rng.normal(size=(5, 4))
+    for i in range(4):
+        targets = expansion.frozen_targets(ens, i, batch, 3.0)
+        peers = [m for j, m in enumerate(ens.updated) if j != i]
+        expected = [probs_of(m, batch, 3.0) for m in [ens.originals[i], *peers]]
+        assert targets.shape == (4, 5, 3)
+        assert np.array_equal(targets, np.stack(expected))
+
+
+def separate_terms_loss(probs, anchor, peers, a_org, a_bias):
+    """L_org, L_bias and dtotal/dprobs with each target summed on its own."""
+    n = probs.shape[0]
+    org_diff = probs - anchor
+    l_org = float((org_diff * org_diff).sum()) / n
+    dprobs = np.zeros_like(probs)
+    dprobs += (2.0 * a_org / n) * org_diff
+    l_bias = 0.0
+    for peer in peers:
+        diff = probs - peer
+        l_bias += float((diff * diff).sum()) / n
+        dprobs += (2.0 * a_bias / n) * diff
+    return l_org, l_bias, dprobs
+
+
+@pytest.mark.parametrize("k", [2, 3, 8])
+def test_weighted_loss_on_a_stack_equals_each_target_summed_alone(monkeypatch, k):
+    # the dtotal/dprobs that weighted_loss backpropagates is caught on its way
+    # into softmax_temperature_backward
+    seen = []
+
+    def catch(probs, dprobs, temperature):
+        seen.append(dprobs.copy())
+        return nn.softmax_temperature_backward(probs, dprobs, temperature)
+
+    monkeypatch.setattr(expansion, "softmax_temperature_backward", catch)
+    rng = np.random.default_rng(27)
+    for n in (1, 60, 64):
+        for c in (5, 10):
+            logits = 4.0 * rng.standard_normal((n, c))
+            targets = nn.softmax_temperature(4.0 * rng.standard_normal((k, n, c)), 3.0)
+            probs = nn.softmax_temperature(logits, 3.0)
+            for a_org in (0.0, 1.0):
+                for a_bias in (0.0, 3.7):
+                    total, gradient, l_org, l_bias = expansion.weighted_loss(
+                        logits, targets, a_org, a_bias, 3.0
+                    )
+                    gradient()
+                    expected = separate_terms_loss(probs, targets[0], targets[1:], a_org, a_bias)
+                    assert (l_org, l_bias) == expected[:2]
+                    assert total == a_org * expected[0] + a_bias * expected[1]
+                    assert np.array_equal(seen.pop(), expected[2])
 
 
 # ---------------------------------------------------------------------------
