@@ -170,19 +170,28 @@ def cmd_expand(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -
     return EXIT_OK
 
 
-def _load_models(layout: OutputLayout, cfg: RunConfig) -> tuple[list, list, list[Path]]:
-    paths = []
-    originals, updated = [], []
-    for i in range(cfg.data.num_sources):
-        orig_path, upd_path = layout.original_model(i), layout.updated_model(i)
-        originals.append(nn.load_model(orig_path))
-        updated.append(nn.load_model(upd_path))
-        paths += [orig_path, upd_path]
-    return originals, updated, paths
+def _load_models(
+    layout: OutputLayout, cfg: RunConfig
+) -> tuple[expansion.EnsembleState, list[Path]]:
+    """Each source's original and updated model, refused unless every one
+    emits the configured classes and all share one input width."""
+    paths = [
+        role(i)
+        for i in range(cfg.data.num_sources)
+        for role in (layout.original_model, layout.updated_model)
+    ]
+    models = [nn.load_model(path) for path in paths]
+    for path, model in zip(paths, models):
+        if model.num_classes != cfg.data.num_classes:
+            raise InputError(
+                f"{path} emits {model.num_classes} classes but num_classes is "
+                f"{cfg.data.num_classes}"
+            )
+    return expansion.EnsembleState(models[0::2], models[1::2]), paths
 
 
 def cmd_evaluate(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -> int:
-    originals, updated, model_paths = _load_models(layout, cfg)
+    ensemble, model_paths = _load_models(layout, cfg)
     test_sets, csv_paths = {}, []
     for name in _domain_names(cfg):
         path = layout.domain_csv(name, "test")
@@ -196,7 +205,9 @@ def cmd_evaluate(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path])
     # Shared by all methods: one pass per (model, test set).
     outputs: dict = {}
     reports = {
-        method: fusion.evaluate_expanded(method, originals, updated, test_sets, outputs=outputs)
+        method: fusion.evaluate_expanded(
+            method, ensemble.originals, ensemble.updated, test_sets, outputs=outputs
+        )
         for method in cfg.evaluate.methods
     }
     layout.eval_dir.mkdir(parents=True, exist_ok=True)

@@ -6,11 +6,12 @@ network output. Everything runs in float64 on numpy arrays.
 
 Each model keeps its parameters in one contiguous vector `theta`, laid out
 layer by layer as the weights (row-major) followed by the bias; a model file
-is one JSON header line with the layer shapes, then theta's little-endian
+is one JSON header line with the layer widths, then theta's little-endian
 float64 bytes. Each layer's weights and bias are views into theta, and a
-gradient is a vector with the same layout. Parameters are checked once,
-where they enter from outside (building a model from layers, loading one);
-training returns new models instead of mutating.
+gradient is a vector with the same layout. ReLU follows every layer but the
+last, which emits logits. Parameters are checked once, where they enter
+from outside (building a model from layers, loading one); training returns
+new models instead of mutating.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 from .data import class_indices, write_atomic
 from .errors import ConfigError, InputError, NumericError
 
-ACTIVATIONS = ("relu", "identity")
 # Rows per forward when a model runs over a whole set; the default batch size
 # of pretraining and expansion.
 CHUNK_ROWS = 64
@@ -35,7 +35,8 @@ FINITE_DIFF_EPSILON = 1e-5
 
 @dataclass
 class DenseLayer:
-    """One fully-connected layer: out = act(weights @ x + bias).
+    """One fully-connected layer: out = weights @ x + bias, then ReLU unless
+    it is its model's last layer.
 
     weights has shape (out_dim, in_dim); bias has shape (out_dim,). Inside a
     model both are views into its parameter vector, so change them in place.
@@ -43,7 +44,6 @@ class DenseLayer:
 
     weights: np.ndarray
     bias: np.ndarray
-    activation: str
 
     @property
     def in_dim(self) -> int:
@@ -54,51 +54,38 @@ class DenseLayer:
         return self.weights.shape[0]
 
 
-class _LayerShape(NamedTuple):
-    """The shape of a layer without its parameters, as a model file lists it."""
-
-    out_dim: int
-    in_dim: int
-    activation: str
-
-
-def _layer_views(
-    theta: np.ndarray, layers: Sequence[DenseLayer | _LayerShape]
-) -> list[DenseLayer]:
-    """Layers shaped like `layers` whose weights and bias are views into theta.
+def _layer_views(theta: np.ndarray, dims: Sequence[int]) -> list[DenseLayer]:
+    """The layers of widths dims, whose weights and bias are views into theta.
 
     theta must hold exactly the parameters of those layers; otherwise this
-    raises InputError, or ValueError from the reshape when theta ends inside a
-    weight matrix.
+    raises InputError.
     """
+    pairs = list(zip(dims, dims[1:]))
+    need = sum(n_out * (n_in + 1) for n_in, n_out in pairs)
+    if need != theta.size:
+        raise InputError(f"parameter vector holds {theta.size} values, the layers need {need}")
     views, offset = [], 0
-    for layer in layers:
-        n_out, n_in = layer.out_dim, layer.in_dim
+    for n_in, n_out in pairs:
         weights = theta[offset : offset + n_out * n_in].reshape(n_out, n_in)
         offset += n_out * n_in
-        views.append(DenseLayer(weights, theta[offset : offset + n_out], layer.activation))
+        views.append(DenseLayer(weights, theta[offset : offset + n_out]))
         offset += n_out
-    if offset != theta.size:
-        raise InputError(f"parameter vector holds {theta.size} values, the layers need {offset}")
     return views
 
 
 @dataclass
 class MlpModel:
-    """A dense feedforward classifier whose final layer emits raw logits.
+    """A dense feedforward classifier: ReLU follows every layer but the last,
+    which emits raw logits.
 
     Args:
         layers: ordered dense layers; consecutive dimensions must chain.
-        input_dim: expected feature count of the input batch.
-        num_classes: size of the logit vector produced by the last layer.
 
     The layers' parameters are copied into theta, and layers is rebound to
     views into it.
     """
 
     layers: list[DenseLayer]
-    input_dim: int
-    num_classes: int
     theta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -114,37 +101,35 @@ class MlpModel:
                 raise InputError(
                     f"bias shape {bias.shape} does not match out_dim {weights.shape[0]}"
                 )
-            if layer.activation not in ACTIVATIONS:
-                raise InputError(f"unknown activation {layer.activation!r}")
-            layers.append(DenseLayer(weights, bias, layer.activation))
-        if layers[0].in_dim != self.input_dim:
-            raise InputError(
-                f"first layer expects {layers[0].in_dim} inputs, input_dim is {self.input_dim}"
-            )
+            layers.append(DenseLayer(weights, bias))
         for prev, nxt in zip(layers, layers[1:]):
             if nxt.in_dim != prev.out_dim:
                 raise InputError(
                     f"layer dims do not chain: {prev.out_dim} -> {nxt.in_dim}"
                 )
-        last = layers[-1]
-        if last.out_dim != self.num_classes:
-            raise InputError(
-                f"final layer emits {last.out_dim} values, num_classes is {self.num_classes}"
-            )
-        # The last layer stays linear so downstream losses see raw logits.
-        if last.activation != "identity":
-            raise InputError("final layer activation must be identity")
         theta = np.concatenate([part for l in layers for part in (l.weights.ravel(), l.bias)])
         if not np.isfinite(theta).all():
             raise NumericError("layer parameters must be finite")
-        self.theta = theta
-        self.layers = _layer_views(theta, layers)
+        self.layers, self.theta = layers, theta
+        self.layers = _layer_views(theta, self.dims)
+
+    @property
+    def dims(self) -> list[int]:
+        """The layer widths: the input's, then each layer's output's."""
+        return [self.layers[0].in_dim, *(layer.out_dim for layer in self.layers)]
+
+    @property
+    def input_dim(self) -> int:
+        return self.layers[0].in_dim
+
+    @property
+    def num_classes(self) -> int:
+        return self.layers[-1].out_dim
 
     def _with_theta(self, theta: np.ndarray) -> "MlpModel":
         """This architecture over theta, which is neither copied nor checked."""
         model = object.__new__(MlpModel)
-        model.input_dim, model.num_classes = self.input_dim, self.num_classes
-        model.theta, model.layers = theta, _layer_views(theta, self.layers)
+        model.theta, model.layers = theta, _layer_views(theta, self.dims)
         return model
 
     def copy(self) -> "MlpModel":
@@ -184,12 +169,11 @@ def init_mlp(
     """Build a relu MLP with uniform Glorot initialization and zero biases."""
     dims = [input_dim, *hidden_units, num_classes]
     layers = []
-    for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
+    for fan_in, fan_out in zip(dims, dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         weights = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-        activation = "identity" if i == len(dims) - 2 else "relu"
-        layers.append(DenseLayer(weights, np.zeros(fan_out), activation))
-    return MlpModel(layers, input_dim, num_classes)
+        layers.append(DenseLayer(weights, np.zeros(fan_out)))
+    return MlpModel(layers)
 
 
 def _as_batch(batch: np.ndarray, input_dim: int) -> np.ndarray:
@@ -210,11 +194,11 @@ def forward_logits(model: MlpModel, batch: np.ndarray) -> tuple[np.ndarray, Forw
     same bits as np.maximum(act @ W.T + b, 0.0).
     """
     batch = _as_batch(batch, model.input_dim)
-    act, activations = batch, []
-    for layer in model.layers:
+    act, activations, last = batch, [], len(model.layers) - 1
+    for idx, layer in enumerate(model.layers):
         act = act @ layer.weights.T
         act += layer.bias
-        if layer.activation == "relu":
+        if idx < last:
             np.maximum(act, 0.0, out=act)
         activations.append(act)
     if not np.isfinite(act).all():
@@ -323,11 +307,11 @@ def backward(model: MlpModel, cache: ForwardCache, dlogits: np.ndarray) -> np.nd
             f"{cache.activations[-1].shape}"
         )
     grads = np.empty_like(model.theta)
-    grad_layers = _layer_views(grads, model.layers)
-    delta = dlogits
-    for idx in range(len(model.layers) - 1, -1, -1):
+    grad_layers = _layer_views(grads, model.dims)
+    delta, last = dlogits, len(model.layers) - 1
+    for idx in range(last, -1, -1):
         layer, out = model.layers[idx], grad_layers[idx]
-        if layer.activation == "relu":
+        if idx < last:
             delta *= cache.activations[idx] > 0.0
         prev_act = cache.inputs if idx == 0 else cache.activations[idx - 1]
         np.matmul(delta.T, prev_act, out=out.weights)
@@ -417,57 +401,44 @@ def save_model(model: MlpModel, path: str | Path) -> None:
     is refused."""
     if not np.isfinite(model.theta).all():
         raise NumericError(f"refusing to save {path}: model parameters are not finite")
-    header = {
-        "input_dim": model.input_dim,
-        "num_classes": model.num_classes,
-        "layers": [
-            {"in": layer.in_dim, "out": layer.out_dim, "activation": layer.activation}
-            for layer in model.layers
-        ],
-    }
-    head = json.dumps(header, separators=(",", ":")).encode() + b"\n"
+    head = json.dumps({"dims": model.dims}, separators=(",", ":")).encode() + b"\n"
     # One copy of theta: the join reads it through the buffer protocol.
     write_atomic(path, b"".join((head, memoryview(model.theta.astype("<f8", copy=False)))))
-
-
-def _header_count(fields: dict, key: str, where: str = "") -> int:
-    """fields[key] of a model file's header, which must be a positive int.
-    Unchecked, JSON's true reads as 1, and 3.0 or "3" fail later with a
-    message that does not name the key."""
-    value = fields[key]
-    if type(value) is not int or value < 1:
-        raise InputError(
-            f"header key {where}{key} must be a positive integer, got {json.dumps(value)}"
-        )
-    return value
 
 
 def load_model(path: str | Path) -> MlpModel:
     """Read a model file that save_model wrote; theta is a view of its bytes
     until MlpModel copies and checks it."""
     raw = Path(path).read_bytes()
-    # Every earlier format was one JSON document that json.dumps indented.
+    older = f"{path} is a model file in an older format; rerun pretrain and expand"
+    # The formats before the header line were one JSON document that
+    # json.dumps indented.
     if raw.startswith(b"{\n"):
-        raise InputError(f"{path} is a model file in an older format; rerun pretrain and expand")
+        raise InputError(older)
     end = raw.find(b"\n")  # -1 without a line end; json refuses the empty header
     try:
         header = json.loads(raw[: max(end, 0)].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"line 1: {path}: the header line is not JSON in UTF-8: {exc}") from exc
+    if not isinstance(header, dict) or "dims" not in header:
+        # The format before dims listed each layer's in, out and activation.
+        if isinstance(header, dict) and "layers" in header:
+            raise InputError(older)
+        raise InputError(f"{path}: the header line is not a JSON object with the key dims")
+    dims = header["dims"]
+    if type(dims) is not list or len(dims) < 2:
+        raise InputError(
+            f"{path}: header key dims must list two or more widths, got {json.dumps(dims)}"
+        )
+    for k, width in enumerate(dims):
+        # Unchecked, JSON's true reads as 1, and 2.0 fails later with a
+        # message that does not name the key.
+        if type(width) is not int or width < 1:
+            raise InputError(
+                f"{path}: header key dims[{k}] must be a positive integer, got {json.dumps(width)}"
+            )
     body = len(raw) - end - 1
     if body % 8:
         raise InputError(f"{path}: theta holds {body} bytes, not a whole number of float64s")
-    try:
-        shapes = [
-            _LayerShape(
-                _header_count(spec, "out", f"layers[{k}]."),
-                _header_count(spec, "in", f"layers[{k}]."),
-                spec["activation"],
-            )
-            for k, spec in enumerate(header["layers"])
-        ]
-        dims = [_header_count(header, key) for key in ("input_dim", "num_classes")]
-        theta = np.frombuffer(raw, dtype="<f8", offset=end + 1)
-        return MlpModel(_layer_views(theta, shapes), *dims)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: malformed model file: {exc}") from exc
+    theta = np.frombuffer(raw, dtype="<f8", offset=end + 1)
+    return MlpModel(_layer_views(theta, dims))

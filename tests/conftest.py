@@ -1,8 +1,12 @@
-"""Shared test tooling: every memory test measures with traced_peak."""
+"""Shared test tooling: every memory test measures with traced_peak, and
+every hand-built one-layer model comes from linear_model."""
 
 import tracemalloc
 
+import numpy as np
 import pytest
+
+from domex import nn
 
 
 def _traced_peak(fn):
@@ -21,3 +25,18 @@ def _traced_peak(fn):
 def traced_peak():
     """traced_peak(fn) -> (peak bytes traced while fn runs, fn's result)."""
     return _traced_peak
+
+
+def _linear_model(bias, weights=None, input_dim=2):
+    """The one-layer model whose logits are x @ weights.T + bias; without
+    weights, zero weights over input_dim features make them bias on every row."""
+    bias = np.asarray(bias, dtype=np.float64)
+    if weights is None:
+        weights = np.zeros((bias.size, input_dim))
+    return nn.MlpModel([nn.DenseLayer(np.asarray(weights, dtype=np.float64), bias)])
+
+
+@pytest.fixture
+def linear_model():
+    """linear_model(bias, weights=None, input_dim=2) -> a one-layer nn.MlpModel."""
+    return _linear_model

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -51,15 +52,6 @@ def digests(root):
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
-
-
-def prob_model(probs, input_dim):
-    b = np.log(np.asarray(probs, dtype=np.float64))
-    return nn.MlpModel(
-        [nn.DenseLayer(np.zeros((b.size, input_dim)), b, "identity")],
-        input_dim,
-        b.size,
-    )
 
 
 def write_domain_csvs(layout, datasets):
@@ -312,42 +304,57 @@ def test_expand_refuses_a_truncated_model_file(tmp_path, capsys):
 
 
 def test_expand_refuses_a_model_file_in_the_older_json_format(tmp_path, capsys):
+    """Both older formats: one indented JSON document with theta as base64,
+    and a header line that lists each layer's shape and activation."""
     cfg, out = pipeline_through_pretrain(tmp_path)
     path = OutputLayout(out).original_model(0)
     model = nn.load_model(path)
-    older = {
-        "input_dim": model.input_dim,
-        "num_classes": model.num_classes,
+    dims = model.dims
+    header = {
+        "input_dim": dims[0],
+        "num_classes": dims[-1],
         "layers": [
-            {"in": l.in_dim, "out": l.out_dim, "activation": l.activation} for l in model.layers
+            {"in": i, "out": o, "activation": "relu" if k < len(dims) - 2 else "identity"}
+            for k, (i, o) in enumerate(zip(dims, dims[1:]))
         ],
-        "theta": base64.b64encode(model.theta.tobytes()).decode(),
     }
-    path.write_text(json.dumps(older, indent=2) + "\n")
-    capsys.readouterr()
-    assert run("expand", "--config", cfg, "--out", out) == cli.EXIT_IO
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "rerun pretrain and expand" in err
+    with_base64 = {**header, "theta": base64.b64encode(model.theta.tobytes()).decode()}
+    for content in (
+        (json.dumps(with_base64, indent=2) + "\n").encode(),
+        json.dumps(header, separators=(",", ":")).encode() + b"\n" + model.theta.tobytes(),
+    ):
+        path.write_bytes(content)
+        capsys.readouterr()
+        assert run("expand", "--config", cfg, "--out", out) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "rerun pretrain and expand" in err
 
 
 @pytest.mark.parametrize(
-    "key, value",
-    [("input_dim", "4"), ("num_classes", -3), ("layers[0].out", True), ("layers[0].in", 4.0)],
+    "dims, named",
+    [
+        ([], "dims"),
+        ([3], "dims"),
+        ([0, 2], "dims[0]"),
+        ([2, True], "dims[1]"),
+        ([2, 2.0], "dims[1]"),
+        ("3", "dims"),
+        (None, "dims"),
+    ],
+    ids=["empty", "one-width", "zero", "true", "float", "string", "missing"],
 )
-def test_expand_refuses_a_header_count_that_is_not_a_positive_int(tmp_path, capsys, key, value):
+def test_expand_refuses_a_malformed_dims_header(tmp_path, capsys, dims, named):
     cfg, out = pipeline_through_pretrain(tmp_path)
     path = OutputLayout(out).original_model(0)
-    head, body = path.read_bytes().split(b"\n", 1)
-    header = json.loads(head)
-    fields = header["layers"][0] if key.startswith("layers[0].") else header
-    fields[key.removeprefix("layers[0].")] = value
+    body = path.read_bytes().split(b"\n", 1)[1]
+    header = {} if dims is None else {"dims": dims}
     path.write_bytes(json.dumps(header, separators=(",", ":")).encode() + b"\n" + body)
     capsys.readouterr()
     assert run("expand", "--config", cfg, "--out", out) == cli.EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"header key {key} must be a positive integer, got {json.dumps(value)}" in err
+    assert re.search(rf"key {re.escape(named)}( |$)", err, re.M)
 
 
 def test_expand_refuses_a_non_finite_model_parameter(tmp_path, capsys):
@@ -414,7 +421,7 @@ def test_expand_holds_each_model_once_per_role(tmp_path, traced_peak):
 # evaluate
 
 
-def test_evaluate_matches_hand_computed_confusion(tmp_path):
+def test_evaluate_matches_hand_computed_confusion(tmp_path, linear_model):
     out = tmp_path / "run"
     layout = OutputLayout(out)
     layout.models_dir.mkdir(parents=True)
@@ -422,8 +429,8 @@ def test_evaluate_matches_hand_computed_confusion(tmp_path):
     layout.data_dir.mkdir(parents=True)
 
     # two constant classifiers: their average always predicts class 1
-    model_a = prob_model([0.6, 0.3, 0.1], input_dim=2)
-    model_b = prob_model([0.2, 0.7, 0.1], input_dim=2)
+    model_a = linear_model(np.log([0.6, 0.3, 0.1]))
+    model_b = linear_model(np.log([0.2, 0.7, 0.1]))
     for i, model in enumerate((model_a, model_b)):
         nn.save_model(model, layout.original_model(i))
         nn.save_model(model, layout.updated_model(i))
@@ -534,6 +541,25 @@ def test_evaluate_refuses_test_labels_beyond_num_classes(tmp_path, capsys):
         data.write_csv(train, path)
     assert run("pretrain", "--config", cfg, "--out", out) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == "error: labels reach 7 but num_classes is 3\n"
+
+
+@pytest.mark.parametrize(
+    "input_dim, classes, message",
+    [(4, 2, "updated_0.model emits 2 classes but num_classes is 3"), (5, 3, "input_dim")],
+)
+def test_evaluate_refuses_models_that_do_not_fit_together(
+    tmp_path, capsys, input_dim, classes, message
+):
+    """An updated model copied in from a run with other classes or features."""
+    cfg, out = pipeline_through_pretrain(tmp_path)
+    assert run("expand", "--config", cfg, "--out", out) == 0
+    alien = nn.init_mlp(input_dim, [8], classes, np.random.default_rng(7))
+    nn.save_model(alien, OutputLayout(out).updated_model(0))
+    capsys.readouterr()
+    assert run("evaluate", "--config", cfg, "--out", out) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_evaluate_without_test_sets_is_an_io_error(tmp_path):

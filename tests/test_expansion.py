@@ -11,16 +11,6 @@ from domex import data, expansion, nn
 from domex.errors import ConfigError, InputError
 
 
-def bias_only_model(logits, input_dim=2):
-    """Model whose output is the given logit vector for every input."""
-    b = np.asarray(logits, dtype=np.float64)
-    return nn.MlpModel(
-        [nn.DenseLayer(np.zeros((b.size, input_dim)), b, "identity")],
-        input_dim,
-        b.size,
-    )
-
-
 def random_ensemble(rng, m=3, dim=4, hidden=5, classes=3):
     models = [nn.init_mlp(dim, [hidden], classes, rng) for _ in range(m)]
     ens = expansion.EnsembleState.initialize(models)
@@ -91,8 +81,8 @@ def test_ensemble_initialize_copies_are_independent():
 # mean_entropy
 
 
-def test_mean_entropy_uniform_is_log_c():
-    model = bias_only_model(np.zeros(5), input_dim=3)
+def test_mean_entropy_uniform_is_log_c(linear_model):
+    model = linear_model(np.zeros(5), input_dim=3)
     x = np.random.default_rng(2).normal(size=(7, 3))
     assert abs(expansion.mean_entropy(model, x) - math.log(5.0)) <= 1e-12
     for c in (2, 3, 10, 1000):
@@ -100,13 +90,13 @@ def test_mean_entropy_uniform_is_log_c():
         assert abs(expansion._mean_entropy_of(uniform) - math.log(c)) <= 1e-15 * math.log(c)
 
 
-def test_mean_entropy_one_hot_is_exactly_zero():
+def test_mean_entropy_one_hot_is_exactly_zero(linear_model):
     # [0, -1e4, 1e4] softmaxes to exact zeros beside a 1: each 0 * ln 0 is 0,
     # and neither ln 0 nor 0 * -inf may warn.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert expansion._mean_entropy_of(np.eye(4)) == 0.0
-        model = bias_only_model([0.0, -1e4, 1e4])
+        model = linear_model([0.0, -1e4, 1e4])
         assert nn.softmax_outputs([model], np.zeros((3, 2)))[0].tolist() == [[0.0, 0.0, 1.0]] * 3
         assert expansion.mean_entropy(model, np.zeros((3, 2))) == 0.0
 
@@ -120,17 +110,15 @@ def test_mean_entropy_matches_xlogy_reference():
         np.testing.assert_allclose(entropies, reference, rtol=1e-15, atol=0.0)
 
 
-def test_mean_entropy_confident_is_near_zero():
-    model = bias_only_model([60.0, 0.0, 0.0])
+def test_mean_entropy_confident_is_near_zero(linear_model):
+    model = linear_model([60.0, 0.0, 0.0])
     x = np.zeros((4, 2))
     assert expansion.mean_entropy(model, x) <= 1e-6
 
 
-def test_mean_entropy_per_sample_oracle():
+def test_mean_entropy_per_sample_oracle(linear_model):
     logit_rows = np.array([[1.0, -0.5, 0.2], [3.0, 3.0, 3.0], [-2.0, 0.0, 4.0]])
-    model = nn.MlpModel(
-        [nn.DenseLayer(logit_rows.T, np.zeros(3), "identity")], 3, 3
-    )
+    model = linear_model(np.zeros(3), weights=logit_rows.T)
     x = np.eye(3)  # row k selects logit row k
     expected = []
     for row in logit_rows:
@@ -140,8 +128,8 @@ def test_mean_entropy_per_sample_oracle():
     assert abs(expansion.mean_entropy(model, x) - np.mean(expected)) <= 1e-12
 
 
-def test_mean_entropy_rejects_empty_batch():
-    model = bias_only_model([0.0, 0.0])
+def test_mean_entropy_rejects_empty_batch(linear_model):
+    model = linear_model([0.0, 0.0])
     with pytest.raises(InputError):
         expansion.mean_entropy(model, np.zeros((0, 2)))
 
@@ -221,9 +209,9 @@ def test_bias_identical_models_is_exactly_zero():
     assert np.all(grads == 0.0)
 
 
-def test_bias_opposite_onehots_is_two():
-    a = bias_only_model([40.0, -40.0])
-    b = bias_only_model([-40.0, 40.0])
+def test_bias_opposite_onehots_is_two(linear_model):
+    a = linear_model([40.0, -40.0])
+    b = linear_model([-40.0, 40.0])
     ens = expansion.EnsembleState([a.copy(), b.copy()], [a, b])
     loss, _ = expansion.bias_loss(ens, 0, np.zeros((1, 2)), 1.0)
     assert abs(loss - 2.0) <= 1e-9
@@ -289,9 +277,9 @@ def test_preservation_zero_at_initialization():
     assert np.all(grads == 0.0)
 
 
-def test_preservation_scalar_hand_case():
-    updated = bias_only_model(np.log([0.6, 0.4]))
-    original = bias_only_model(np.log([0.5, 0.5]))
+def test_preservation_scalar_hand_case(linear_model):
+    updated = linear_model(np.log([0.6, 0.4]))
+    original = linear_model(np.log([0.5, 0.5]))
     ens = expansion.EnsembleState([original, original.copy()], [updated, original.copy()])
     loss, _ = expansion.preservation_loss(ens, 0, np.zeros((1, 2)), 1.0)
     assert abs(loss - 0.02) <= 1e-12

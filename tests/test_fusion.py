@@ -8,20 +8,6 @@ from domex.data import DomainDataset
 from domex.errors import InputError
 
 
-def bias_only_model(logits, input_dim=2):
-    b = np.asarray(logits, dtype=np.float64)
-    return nn.MlpModel(
-        [nn.DenseLayer(np.zeros((b.size, input_dim)), b, "identity")],
-        input_dim,
-        b.size,
-    )
-
-
-def prob_model(probs, input_dim=2):
-    """Model whose softmax output equals `probs` for every input."""
-    return bias_only_model(np.log(np.asarray(probs, dtype=np.float64)), input_dim)
-
-
 def random_models(rng, m, dim=3, classes=3):
     return [nn.init_mlp(dim, [4], classes, rng) for _ in range(m)]
 
@@ -42,8 +28,9 @@ def test_m1_single_model_is_its_softmax():
     assert np.max(np.abs(pred.scores - softmax_rows(model, batch))) <= 1e-12
 
 
-def test_m1_opposite_onehots_average_to_half():
-    models = [prob_model([0.999999, 0.000001]), prob_model([0.000001, 0.999999])]
+def test_m1_opposite_onehots_average_to_half(linear_model):
+    # bias-only models whose softmax output is the given distribution
+    models = [linear_model(np.log(p)) for p in ([0.999999, 0.000001], [0.000001, 0.999999])]
     pred = fusion.fuse_m1(models, np.zeros((1, 2)))
     assert np.max(np.abs(pred.scores - 0.5)) <= 1e-5
 
@@ -116,9 +103,9 @@ def test_m2_degenerates_to_m1_argmax_when_nothing_moved():
     assert np.array_equal(m2.predicted, m1.predicted)
 
 
-def test_m2_elementwise_max_by_hand():
-    original = prob_model([0.7, 0.3])
-    updated = prob_model([0.4, 0.6])
+def test_m2_elementwise_max_by_hand(linear_model):
+    original = linear_model(np.log([0.7, 0.3]))
+    updated = linear_model(np.log([0.4, 0.6]))
     x = np.zeros((1, 2))
     pred = fusion.fuse_m2([original], [updated], x)
     assert np.max(np.abs(pred.scores - np.array([0.7, 0.6]))) <= 1e-9

@@ -14,31 +14,18 @@ from domex import nn
 from domex.errors import ConfigError, InputError, NumericError
 
 
-def linear_model(weights, bias, activation="identity"):
-    w = np.asarray(weights, dtype=np.float64)
-    b = np.asarray(bias, dtype=np.float64)
-    layer = nn.DenseLayer(w, b, activation)
-    return nn.MlpModel([layer], w.shape[1], w.shape[0])
-
-
-def fixed_logit_model(logit_rows):
-    """Model mapping the k-th standard basis vector to the k-th logit row."""
-    rows = np.asarray(logit_rows, dtype=np.float64)
-    return linear_model(rows.T, np.zeros(rows.shape[1]))
-
-
 # ---------------------------------------------------------------------------
 # forward_logits
 
 
-def test_forward_identity_layer():
-    model = linear_model(np.eye(2), np.zeros(2))
+def test_forward_identity_layer(linear_model):
+    model = linear_model(np.zeros(2), weights=np.eye(2))
     logits, _ = nn.forward_logits(model, np.array([[1.0, 2.0]]))
     assert np.array_equal(logits, np.array([[1.0, 2.0]]))
 
 
-def test_forward_constant_map():
-    model = linear_model(np.zeros((2, 3)), np.array([3.0, -1.0]))
+def test_forward_constant_map(linear_model):
+    model = linear_model([3.0, -1.0], input_dim=3)
     logits, _ = nn.forward_logits(model, np.random.default_rng(0).normal(size=(4, 3)))
     assert np.allclose(logits, np.array([3.0, -1.0]), atol=0)
 
@@ -64,8 +51,8 @@ def test_forward_is_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_forward_rejects_wrong_width():
-    model = linear_model(np.eye(2), np.zeros(2))
+def test_forward_rejects_wrong_width(linear_model):
+    model = linear_model(np.zeros(2), weights=np.eye(2))
     with pytest.raises(InputError):
         nn.forward_logits(model, np.zeros((3, 5)))
 
@@ -218,10 +205,10 @@ def test_backward_zero_upstream_gradient():
     assert np.all(grads == 0.0)
 
 
-def test_backward_sum_loss_hand_case():
+def test_backward_sum_loss_hand_case(linear_model):
     # L = sum(logits) on one linear layer: dL/dW has the column sums of the
     # inputs in every row, dL/db counts the batch size.
-    model = linear_model(np.zeros((2, 2)), np.zeros(2))
+    model = linear_model(np.zeros(2))
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
     _, cache = nn.forward_logits(model, x)
     grads = nn.backward(model, cache, np.ones((2, 2)))
@@ -245,8 +232,8 @@ def test_backward_matches_finite_differences():
     assert np.max(np.abs(analytic - numeric) / scale) < 1e-4
 
 
-def test_backward_rejects_wrong_shape():
-    model = linear_model(np.eye(2), np.zeros(2))
+def test_backward_rejects_wrong_shape(linear_model):
+    model = linear_model(np.zeros(2), weights=np.eye(2))
     _, cache = nn.forward_logits(model, np.zeros((3, 2)))
     with pytest.raises(InputError):
         nn.backward(model, cache, np.zeros((3, 5)))
@@ -274,16 +261,16 @@ def test_sgd_exact_cancellation():
         assert np.all(layer.bias == 0.0)
 
 
-def test_sgd_scalar_arithmetic():
-    model = linear_model(np.array([[1.0]]), np.array([0.0]))
+def test_sgd_scalar_arithmetic(linear_model):
+    model = linear_model([0.0], weights=[[1.0]])
     grads = np.array([2.0, 0.0])
     stepped = nn.sgd_step(model, grads, nn.OptimizerState(learning_rate=0.1))
     assert abs(stepped.layers[0].weights[0, 0] - 0.8) <= 1e-15
 
 
-def test_sgd_momentum_accumulates():
+def test_sgd_momentum_accumulates(linear_model):
     # v1 = g, v2 = mu*v1 + g; two steps move by lr*(v1+v2).
-    model = linear_model(np.array([[1.0]]), np.array([0.0]))
+    model = linear_model([0.0], weights=[[1.0]])
     opt = nn.OptimizerState(learning_rate=0.1, momentum=0.5)
     grads = np.array([1.0, 0.0])
     model = nn.sgd_step(model, grads, opt)
@@ -307,9 +294,9 @@ def same_bits(a, b):
 def reference_forward(model, x):
     """The unfused forward: z = x @ W.T + b, then np.maximum(z, 0.0)."""
     pre, post, act = [], [], x
-    for layer in model.layers:
+    for idx, layer in enumerate(model.layers, 1):
         z = act @ layer.weights.T + layer.bias
-        act = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        act = z if idx == len(model.layers) else np.maximum(z, 0.0)
         pre.append(z)
         post.append(act)
     return pre, post
@@ -320,7 +307,7 @@ def reference_backward(model, x, pre, post, dlogits):
     blocks, delta = [], dlogits
     for idx in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[idx]
-        if layer.activation == "relu":
+        if idx < len(model.layers) - 1:
             delta = delta * (pre[idx] > 0)
         prev = x if idx == 0 else post[idx - 1]
         blocks[:0] = [(delta.T @ prev).ravel(), delta.sum(axis=0)]
@@ -523,14 +510,14 @@ def test_finite_diff_quadratic():
     assert np.max(np.abs(grads - model.theta)) <= 1e-8
 
 
-def test_finite_diff_constant_loss_is_zero():
-    model = linear_model(np.eye(2), np.zeros(2))
+def test_finite_diff_constant_loss_is_zero(linear_model):
+    model = linear_model(np.zeros(2), weights=np.eye(2))
     grads = nn.finite_diff_gradient(lambda m: 1.25, model)
     assert np.all(grads == 0.0)
 
 
-def test_finite_diff_rejects_non_finite_loss():
-    model = linear_model(np.eye(2), np.zeros(2))
+def test_finite_diff_rejects_non_finite_loss(linear_model):
+    model = linear_model(np.zeros(2), weights=np.eye(2))
     with pytest.raises(NumericError):
         nn.finite_diff_gradient(lambda m: float("nan"), model)
 
@@ -577,15 +564,13 @@ def test_init_mlp_glorot_bounds_and_zero_bias():
 
 
 def test_model_validation_rejects_bad_chains():
-    good = nn.DenseLayer(np.zeros((3, 2)), np.zeros(3), "relu")
-    out = nn.DenseLayer(np.zeros((2, 3)), np.zeros(2), "identity")
-    with pytest.raises(InputError):
-        nn.MlpModel([good, out], input_dim=5, num_classes=2)
-    with pytest.raises(InputError):
-        nn.MlpModel([good], input_dim=2, num_classes=3)
-    relu_out = nn.DenseLayer(np.zeros((2, 3)), np.zeros(2), "relu")
-    with pytest.raises(InputError):
-        nn.MlpModel([good, relu_out], input_dim=2, num_classes=2)
+    hidden = nn.DenseLayer(np.zeros((3, 2)), np.zeros(3))
+    model = nn.MlpModel([hidden, nn.DenseLayer(np.zeros((2, 3)), np.zeros(2))])
+    assert (model.dims, model.input_dim, model.num_classes) == ([2, 3, 2], 2, 2)
+    with pytest.raises(InputError, match="do not chain: 3 -> 4"):
+        nn.MlpModel([hidden, nn.DenseLayer(np.zeros((2, 4)), np.zeros(2))])
+    with pytest.raises(InputError, match="at least one layer"):
+        nn.MlpModel([])
 
 
 def test_fit_classifier_separable_blobs():
@@ -627,7 +612,7 @@ def test_model_save_load_round_trip(tmp_path):
     nn.save_model(model, path)
     loaded = nn.load_model(path)
     assert np.array_equal(loaded.theta, model.theta)
-    assert loaded.input_dim == 4 and loaded.num_classes == 3
+    assert loaded.dims == [4, 6, 3]
     # writing the loaded model again must reproduce the file byte for byte
     again = tmp_path / "net2.model"
     nn.save_model(loaded, again)
@@ -641,22 +626,13 @@ def test_save_model_copies_theta_once(tmp_path, traced_peak):
     assert peak <= 1.1 * model.theta.nbytes + 4096
 
 
-def model_header(layers, input_dim, num_classes):
-    """A model file's header line, built by hand: layers as (in, out, activation)."""
-    header = {
-        "input_dim": input_dim,
-        "num_classes": num_classes,
-        "layers": [{"in": i, "out": o, "activation": a} for i, o, a in layers],
-    }
-    return json.dumps(header, separators=(",", ":")).encode() + b"\n"
+def model_file(dims, values):
+    """A model file built by hand: the dims header line, then the values."""
+    return b'{"dims":%s}\n' % json.dumps(dims).encode() + struct.pack(f"<{len(values)}d", *values)
 
 
-def model_file(layers, values, input_dim, num_classes):
-    return model_header(layers, input_dim, num_classes) + struct.pack(f"<{len(values)}d", *values)
-
-
-def test_model_file_round_trips_extreme_values_bit_for_bit(tmp_path):
-    model = linear_model(np.zeros((3, 2)), np.zeros(3))
+def test_model_file_round_trips_extreme_values_bit_for_bit(tmp_path, linear_model):
+    model = linear_model(np.zeros(3))
     values = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
               0.30000000000000004, 0.1, -5e-324, 1.0, 2.0**-1022]
     assert repr(0.30000000000000004) != f"{0.30000000000000004:.16g}"  # needs 17 digits
@@ -669,13 +645,9 @@ def test_model_file_round_trips_extreme_values_bit_for_bit(tmp_path):
 
 
 def test_hand_built_model_file_pins_byte_order_and_layout(tmp_path):
-    # layer 0: 1 -> 2 relu, layer 1: 2 -> 2 identity; weights row-major, then bias
+    # layer 0: 1 -> 2, layer 1: 2 -> 2; weights row-major, then bias
     values = [1.5, -2.0, 0.25, 3.0, -0.5, 4.0, 8.0, -16.0, 0.125, 32.0]
-    written = (
-        b'{"input_dim":1,"num_classes":2,"layers":[{"in":1,"out":2,"activation":"relu"},'
-        b'{"in":2,"out":2,"activation":"identity"}]}\n'
-        + b"".join(struct.pack("<d", v) for v in values)
-    )
+    written = b'{"dims":[1,2,2]}\n' + b"".join(struct.pack("<d", v) for v in values)
     path = tmp_path / "hand.model"
     path.write_bytes(written)
     model = nn.load_model(path)
@@ -689,18 +661,18 @@ def test_hand_built_model_file_pins_byte_order_and_layout(tmp_path):
 
 
 def test_load_model_rejects_malformed_files(tmp_path):
-    identity_2x2 = [(2, 2, "identity")]  # 2 x 2 weights plus 2 biases: 6 values
-    header = model_header(identity_2x2, 2, 2)
+    header = b'{"dims":[2,2]}\n'  # 2 x 2 weights plus 2 biases: 6 values
     cases = [
         (b"{not json\n" + bytes(48), InputError),
-        (header.replace(b'"identity"', b'"identit\xff"') + bytes(48), InputError),
+        (b'{"dims\xff":[2,2]}\n' + bytes(48), InputError),
         (header[:-1], InputError),  # no line end after the header
         (b'["a list"]\n' + bytes(48), InputError),
         (b'{"input_dim":2}\n' + bytes(48), InputError),
-        (model_file(identity_2x2, [1.0, 2.0, 3.0, 4.0, 0.0], 2, 2), InputError),  # short
-        (model_file(identity_2x2, [0.0] * 7, 2, 2), InputError),  # long
+        (model_file([2, 2], [1.0, 2.0, 3.0, 4.0, 0.0]), InputError),  # short
+        (model_file([2, 2], [0.0] * 7), InputError),  # long
+        (model_file([2, 3], [0.0] * 7), InputError),  # ends inside a weight matrix
         (header + bytes(47), InputError),  # ends inside a value
-        (model_file([(1, 1, "identity")], [math.nan, 0.0], 1, 1), NumericError),
+        (model_file([1, 1], [math.nan, 0.0]), NumericError),
     ]
     for index, (content, error) in enumerate(cases):
         path = tmp_path / f"bad_{index}.model"
@@ -709,14 +681,20 @@ def test_load_model_rejects_malformed_files(tmp_path):
             nn.load_model(path)
 
     # The older formats: one indented JSON document, theta as base64 or as
-    # per-layer number lists.
-    with_base64 = json.loads(header)
+    # per-layer number lists; then a header line that lists each layer's
+    # shape and activation.
+    layers = [{"in": 2, "out": 2, "activation": "identity"}]
+    with_base64 = {"input_dim": 2, "num_classes": 2, "layers": layers}
     with_base64["theta"] = base64.b64encode(bytes(48)).decode()
-    with_lists = json.loads(header)
+    with_lists = {"input_dim": 2, "num_classes": 2}
     with_lists["layers"] = [{"weights": [[0.0] * 2] * 2, "bias": [0.0] * 2, "activation": "identity"}]
-    for index, doc in enumerate([with_base64, with_lists]):
-        path = tmp_path / f"older_{index}.json"
-        path.write_text(json.dumps(doc, indent=2) + "\n")
+    with_shapes = {"input_dim": 2, "num_classes": 2, "layers": layers}
+    older = [
+        (json.dumps(doc, indent=2) + "\n").encode() for doc in (with_base64, with_lists)
+    ] + [json.dumps(with_shapes, separators=(",", ":")).encode() + b"\n" + bytes(48)]
+    for index, content in enumerate(older):
+        path = tmp_path / f"older_{index}.model"
+        path.write_bytes(content)
         with pytest.raises(InputError, match="rerun pretrain and expand"):
             nn.load_model(path)
 

@@ -1,5 +1,5 @@
-"""The README's config block, library example, code names, Requires line and
-model file names agree with the code."""
+"""The README's config block, library example, code names, Requires line,
+model file names and model header line agree with the code."""
 
 import dataclasses
 import importlib
@@ -8,7 +8,9 @@ import json
 import re
 from pathlib import Path
 
-from domex import cli, config
+import numpy as np
+
+from domex import cli, config, nn
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -78,3 +80,10 @@ def test_output_layout_names_the_model_files_as_the_code_does():
         name = path.name.replace("0", "{i}", 1)
         line = re.search(rf"^  {path.parent.name}/ .*$", block, re.M).group(0)
         assert name in re.split(r"[\s,]+", line)
+
+
+def test_model_header_line_is_what_save_model_writes_for_the_default_model(tmp_path):
+    path = tmp_path / "default.model"
+    nn.save_model(nn.init_mlp(10, [1000], 5, np.random.default_rng(0)), path)
+    head = path.read_bytes().split(b"\n", 1)[0] + b"\n"
+    assert code_block("### Model files", "json") == head.decode()
