@@ -143,7 +143,7 @@ def cmd_expand(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -
     # Source-free by construction: inputs are the source models plus the
     # unlabelled new-domain features, nothing else.
     model_paths = [layout.original_model(i) for i in range(cfg.data.num_sources)]
-    originals = [nn.load_model(p) for p in model_paths]
+    originals = _load_models(model_paths, cfg)
     new_data = load_csv(layout.new_unlabelled_csv)
 
     # Each updated model starts as its original object, not a copy: expand
@@ -170,16 +170,9 @@ def cmd_expand(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -
     return EXIT_OK
 
 
-def _load_models(
-    layout: OutputLayout, cfg: RunConfig
-) -> tuple[expansion.EnsembleState, list[Path]]:
-    """Each source's original and updated model, refused unless every one
-    emits the configured classes and all share one input width."""
-    paths = [
-        role(i)
-        for i in range(cfg.data.num_sources)
-        for role in (layout.original_model, layout.updated_model)
-    ]
+def _load_models(paths: list[Path], cfg: RunConfig) -> list[nn.MlpModel]:
+    """The models at paths, refused unless every one emits the configured
+    classes."""
     models = [nn.load_model(path) for path in paths]
     for path, model in zip(paths, models):
         if model.num_classes != cfg.data.num_classes:
@@ -187,11 +180,17 @@ def _load_models(
                 f"{path} emits {model.num_classes} classes but num_classes is "
                 f"{cfg.data.num_classes}"
             )
-    return expansion.EnsembleState(models[0::2], models[1::2]), paths
+    return models
 
 
 def cmd_evaluate(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -> int:
-    ensemble, model_paths = _load_models(layout, cfg)
+    model_paths = [
+        role(i)
+        for i in range(cfg.data.num_sources)
+        for role in (layout.original_model, layout.updated_model)
+    ]
+    models = _load_models(model_paths, cfg)
+    ensemble = expansion.EnsembleState(models[0::2], models[1::2])
     test_sets, csv_paths = {}, []
     for name in _domain_names(cfg):
         path = layout.domain_csv(name, "test")

@@ -9,9 +9,9 @@ layer by layer as the weights (row-major) followed by the bias; a model file
 is one JSON header line with the layer widths, then theta's little-endian
 float64 bytes. Each layer's weights and bias are views into theta, and a
 gradient is a vector with the same layout. ReLU follows every layer but the
-last, which emits logits. Parameters are checked once, where they enter
-from outside (building a model from layers, loading one); training returns
-new models instead of mutating.
+last, which emits logits. A model is built from its widths and theta alone;
+parameters are checked once, where they enter from outside (building a
+model, loading one), and training returns new models instead of mutating.
 """
 
 from __future__ import annotations
@@ -45,14 +45,6 @@ class DenseLayer:
     weights: np.ndarray
     bias: np.ndarray
 
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
-
 
 def _layer_views(theta: np.ndarray, dims: Sequence[int]) -> list[DenseLayer]:
     """The layers of widths dims, whose weights and bias are views into theta.
@@ -79,57 +71,39 @@ class MlpModel:
     which emits raw logits.
 
     Args:
-        layers: ordered dense layers; consecutive dimensions must chain.
+        dims: the layer widths, the input's first and the class count last.
+        theta: every layer's weights (row-major) then bias, layer by layer;
+            copied as float64.
 
-    The layers' parameters are copied into theta, and layers is rebound to
-    views into it.
+    layers holds views into theta, one DenseLayer per pair of widths.
     """
 
-    layers: list[DenseLayer]
-    theta: np.ndarray = field(init=False, repr=False)
+    dims: list[int]
+    theta: np.ndarray = field(repr=False)
+    layers: list[DenseLayer] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.layers:
-            raise InputError("model needs at least one layer")
-        layers = []
-        for layer in self.layers:
-            weights = np.asarray(layer.weights, dtype=np.float64)
-            bias = np.asarray(layer.bias, dtype=np.float64)
-            if weights.ndim != 2:
-                raise InputError(f"layer weights must be 2-D, got shape {weights.shape}")
-            if bias.shape != (weights.shape[0],):
-                raise InputError(
-                    f"bias shape {bias.shape} does not match out_dim {weights.shape[0]}"
-                )
-            layers.append(DenseLayer(weights, bias))
-        for prev, nxt in zip(layers, layers[1:]):
-            if nxt.in_dim != prev.out_dim:
-                raise InputError(
-                    f"layer dims do not chain: {prev.out_dim} -> {nxt.in_dim}"
-                )
-        theta = np.concatenate([part for l in layers for part in (l.weights.ravel(), l.bias)])
-        if not np.isfinite(theta).all():
-            raise NumericError("layer parameters must be finite")
-        self.layers, self.theta = layers, theta
-        self.layers = _layer_views(theta, self.dims)
-
-    @property
-    def dims(self) -> list[int]:
-        """The layer widths: the input's, then each layer's output's."""
-        return [self.layers[0].in_dim, *(layer.out_dim for layer in self.layers)]
+        self.dims = list(self.dims)
+        if len(self.dims) < 2 or min(self.dims) < 1:
+            raise InputError(f"a model needs two or more positive widths, got {self.dims}")
+        self.theta = np.array(self.theta, dtype=np.float64)
+        self.layers = _layer_views(self.theta, self.dims)
+        if not np.isfinite(self.theta).all():
+            raise NumericError("model parameters must be finite")
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].in_dim
+        return self.dims[0]
 
     @property
     def num_classes(self) -> int:
-        return self.layers[-1].out_dim
+        return self.dims[-1]
 
     def _with_theta(self, theta: np.ndarray) -> "MlpModel":
         """This architecture over theta, which is neither copied nor checked."""
         model = object.__new__(MlpModel)
-        model.theta, model.layers = theta, _layer_views(theta, self.dims)
+        model.dims, model.theta = self.dims, theta
+        model.layers = _layer_views(theta, self.dims)
         return model
 
     def copy(self) -> "MlpModel":
@@ -168,12 +142,11 @@ def init_mlp(
 ) -> MlpModel:
     """Build a relu MLP with uniform Glorot initialization and zero biases."""
     dims = [input_dim, *hidden_units, num_classes]
-    layers = []
+    parts = []
     for fan_in, fan_out in zip(dims, dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-        layers.append(DenseLayer(weights, np.zeros(fan_out)))
-    return MlpModel(layers)
+        parts += [rng.uniform(-limit, limit, size=fan_out * fan_in), np.zeros(fan_out)]
+    return MlpModel(dims, np.concatenate(parts))
 
 
 def _as_batch(batch: np.ndarray, input_dim: int) -> np.ndarray:
@@ -441,4 +414,4 @@ def load_model(path: str | Path) -> MlpModel:
     if body % 8:
         raise InputError(f"{path}: theta holds {body} bytes, not a whole number of float64s")
     theta = np.frombuffer(raw, dtype="<f8", offset=end + 1)
-    return MlpModel(_layer_views(theta, dims))
+    return MlpModel(dims, theta)

@@ -33,7 +33,8 @@ def _linear_model(bias, weights=None, input_dim=2):
     bias = np.asarray(bias, dtype=np.float64)
     if weights is None:
         weights = np.zeros((bias.size, input_dim))
-    return nn.MlpModel([nn.DenseLayer(np.asarray(weights, dtype=np.float64), bias)])
+    weights = np.asarray(weights, dtype=np.float64)
+    return nn.MlpModel([weights.shape[1], bias.size], np.concatenate([weights.ravel(), bias]))
 
 
 @pytest.fixture

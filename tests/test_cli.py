@@ -367,6 +367,18 @@ def test_expand_refuses_a_non_finite_model_parameter(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_expand_refuses_source_models_of_another_class_count(tmp_path, capsys):
+    """Models pretrained on 3 classes, expanded under a 4-class config."""
+    cfg, out = pipeline_through_pretrain(tmp_path)
+    (tmp_path / "four").mkdir()
+    four = tiny_config(tmp_path / "four", data={"num_classes": 4})
+    capsys.readouterr()
+    assert run("expand", "--config", four, "--out", out) == cli.EXIT_IO
+    path = OutputLayout(out).original_model(0)
+    assert capsys.readouterr().err == f"error: {path} emits 3 classes but num_classes is 4\n"
+    assert not OutputLayout(out).expanded_dir.exists()
+
+
 def test_expand_identical_sources_log_zero_bias(tmp_path):
     out = tmp_path / "run"
     layout = OutputLayout(out)
@@ -560,6 +572,35 @@ def test_evaluate_refuses_models_that_do_not_fit_together(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_hand_supplied_feature_csvs_run_without_synth(tmp_path):
+    """A user's own features in data/, written without synth or its manifest.
+    They have 5 columns: data.feature_dim (4 here) drives only synth."""
+    cfg = tiny_config(tmp_path)
+    out = tmp_path / "run"
+    (out / "data").mkdir(parents=True)
+    rng = np.random.default_rng(11)
+    centers = rng.normal(scale=3.0, size=(3, 5))
+
+    def write(name, rows, labelled=True):
+        labels = np.arange(rows) % 3
+        features = centers[labels] + rng.normal(size=(rows, 5))
+        lines = ["a,b,c,d,e" + (",label" if labelled else "")]
+        for x, y in zip(features, labels):
+            lines.append(",".join(f"{v:.4f}" for v in x) + (f",{y}" if labelled else ""))
+        (out / "data" / name).write_text("\n".join(lines) + "\n")
+
+    for i in range(2):
+        write(f"source_{i}_train.csv", 30)
+        write(f"source_{i}_test.csv", 12)
+    write("new_test.csv", 12)
+    write("new_unlabelled.csv", 24, labelled=False)
+    for stage in ("pretrain", "expand", "evaluate"):
+        assert run(stage, "--config", cfg, "--out", out) == 0
+    assert not (out / "synth_manifest.json").exists()
+    report = json.loads((out / "eval" / "report.json").read_text())
+    assert [r["method"] for r in report["reports"]] == ["baseline", "m1", "m2"]
 
 
 def test_evaluate_without_test_sets_is_an_io_error(tmp_path):

@@ -563,14 +563,39 @@ def test_init_mlp_glorot_bounds_and_zero_bias():
     assert np.array_equal(model.theta, again.theta)
 
 
-def test_model_validation_rejects_bad_chains():
-    hidden = nn.DenseLayer(np.zeros((3, 2)), np.zeros(3))
-    model = nn.MlpModel([hidden, nn.DenseLayer(np.zeros((2, 3)), np.zeros(2))])
+def test_init_mlp_theta_is_the_per_layer_draws_in_order():
+    rng = np.random.default_rng(22)
+    parts = []
+    for fan_in, fan_out in [(7, 11), (11, 5), (5, 3)]:
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        parts += [rng.uniform(-limit, limit, size=(fan_out, fan_in)).ravel(), np.zeros(fan_out)]
+    model = nn.init_mlp(7, [11, 5], 3, np.random.default_rng(22))
+    assert same_bits(model.theta, np.concatenate(parts))
+
+
+def test_model_construction_refuses_widths_and_theta_that_do_not_fit():
+    model = nn.MlpModel([2, 3, 2], np.zeros(3 * 2 + 3 + 2 * 3 + 2))
     assert (model.dims, model.input_dim, model.num_classes) == ([2, 3, 2], 2, 2)
-    with pytest.raises(InputError, match="do not chain: 3 -> 4"):
-        nn.MlpModel([hidden, nn.DenseLayer(np.zeros((2, 4)), np.zeros(2))])
-    with pytest.raises(InputError, match="at least one layer"):
-        nn.MlpModel([])
+    assert [layer.weights.shape for layer in model.layers] == [(3, 2), (2, 3)]
+    with pytest.raises(InputError, match="holds 16 values, the layers need 17"):
+        nn.MlpModel([2, 3, 2], np.zeros(16))
+    for dims in ([], [4], [2, 0, 2]):
+        with pytest.raises(InputError, match="two or more positive widths"):
+            nn.MlpModel(dims, np.zeros(0))
+    for bad in (math.nan, math.inf):
+        theta = np.zeros(6)
+        theta[4] = bad
+        with pytest.raises(NumericError):
+            nn.MlpModel([2, 2], theta)
+
+
+def test_model_construction_copies_the_callers_theta():
+    theta = np.arange(6, dtype=np.float64)
+    model = nn.MlpModel([2, 2], theta)
+    theta[:] = -1.0
+    assert model.theta.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    as_ints = nn.MlpModel([2, 2], np.arange(6))
+    assert as_ints.theta.dtype == np.float64 and same_bits(as_ints.theta, model.theta)
 
 
 def test_fit_classifier_separable_blobs():

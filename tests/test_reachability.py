@@ -1,0 +1,87 @@
+"""No code that only tests keep alive: one pass of the five CLI stages runs
+every function in src/domex, apart from the few named here."""
+
+import inspect
+import json
+import logging
+import sys
+import types
+from pathlib import Path
+
+from domex import cli
+
+SOURCE_DIR = Path(cli.__file__).parent
+# Called only by tests/test_acceptance.py, which must not change.
+GATE_ONLY = {
+    "make_benchmark",
+    "mean_entropy",
+    "_batch_loss",
+    "bias_loss",
+    "preservation_loss",
+    "fuse_baseline",
+    "fuse_m1",
+    "fuse_m2",
+}
+# Called only when an input is refused.
+ERROR_PATH_ONLY = {"_located"}
+COMPREHENSIONS = {"<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>"}
+
+
+def defined_functions(path: Path) -> set[types.CodeType]:
+    """The code object of every function and lambda in path, nested ones
+    included; compiled afresh, each equals the code object its import made."""
+    found, todo = set(), [compile(path.read_text(), str(path), "exec")]
+    while todo:
+        for const in todo.pop().co_consts:
+            if isinstance(const, types.CodeType):
+                todo.append(const)
+                # Class bodies lack CO_OPTIMIZED; comprehensions are not functions.
+                if const.co_flags & inspect.CO_OPTIMIZED and const.co_name not in COMPREHENSIONS:
+                    found.add(const)
+    return found
+
+
+def test_every_function_runs_in_one_pass_of_the_cli(tmp_path):
+    raw = {
+        "data": {
+            "num_classes": 3,
+            "feature_dim": 4,
+            "samples_per_class": 8,
+            "source_rotations_deg": [10.0, 50.0],
+            "source_shift_sigmas": [0.5, 1.5],
+            "standardize": True,
+        },
+        "model": {"hidden_units": [4]},
+        "pretrain": {"epochs": 2},
+        "expansion": {"epochs": 1},
+        "evaluate": {"methods": ["baseline", "m1", "m2"]},
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    ran = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            ran.add(frame.f_code)
+
+    domex_logger = logging.getLogger("domex")
+    level = domex_logger.level
+    sys.setprofile(record)
+    try:
+        for stage in cli.STAGES:
+            # gradcheck builds its own tiny models, so it runs on the default
+            # config, whose sections fill every list field from its default.
+            argv = [stage] if stage == "gradcheck" else [stage, "--config", str(config)]
+            argv += ["--out", str(tmp_path / "run"), "--log-level", "info"]
+            assert cli.main(argv) == cli.EXIT_OK
+    finally:
+        sys.setprofile(None)
+        domex_logger.setLevel(level)
+
+    never_ran = {
+        f"{path.name}:{code.co_qualname}"
+        for path in sorted(SOURCE_DIR.glob("*.py"))
+        for code in defined_functions(path) - ran
+        if code.co_name not in GATE_ONLY | ERROR_PATH_ONLY
+    }
+    assert never_ran == set()
