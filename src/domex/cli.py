@@ -58,6 +58,12 @@ def _check_label_range(ds: DomainDataset, cfg: RunConfig) -> None:
         raise ConfigError(f"labels reach {top} but num_classes is {cfg.data.num_classes}")
 
 
+def _check_features(path: Path, ds: DomainDataset, ref: Path, width: int) -> None:
+    """Refuse the CSV at path unless its feature count is width, ref's."""
+    if ds.dim != width:
+        raise InputError(f"{path} has {ds.dim} features but {ref} has {width}")
+
+
 def cmd_synth(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -> int:
     new_transform = benchmark_shifts(cfg.data)[1]
     domains = generate_domains(cfg.data, cfg.data.num_sources, new_transform)
@@ -88,15 +94,16 @@ def cmd_pretrain(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path])
     layout.models_dir.mkdir(parents=True, exist_ok=True)
     seeds = np.random.SeedSequence(cfg.pretrain.seed).spawn(cfg.data.num_sources)
 
-    inputs, outputs = list(config_paths), []
+    csv_paths = [layout.domain_csv(f"source_{i}", "train") for i in range(cfg.data.num_sources)]
+    inputs, outputs = list(config_paths) + csv_paths, []
     train_sets = []
-    for i in range(cfg.data.num_sources):
-        csv_path = layout.domain_csv(f"source_{i}", "train")
+    for csv_path in csv_paths:
         train = load_csv(csv_path)
         if not train.labelled:
             raise InputError(f"{csv_path} has no label column; cannot pretrain on it")
+        if train_sets:
+            _check_features(csv_path, train, csv_paths[0], train_sets[0].dim)
         train_sets.append(train)
-        inputs.append(csv_path)
     # Every source domain must cover the same classes; the whole method
     # assumes one shared label space.
     label_sets = [frozenset(t.labels.tolist()) for t in train_sets]
@@ -145,6 +152,7 @@ def cmd_expand(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -
     model_paths = [layout.original_model(i) for i in range(cfg.data.num_sources)]
     originals = _load_models(model_paths, cfg)
     new_data = load_csv(layout.new_unlabelled_csv)
+    _check_features(layout.new_unlabelled_csv, new_data, model_paths[0], originals[0].input_dim)
 
     # Each updated model starts as its original object, not a copy: expand
     # replaces models and never writes into a theta.
@@ -172,9 +180,13 @@ def cmd_expand(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -
 
 def _load_models(paths: list[Path], cfg: RunConfig) -> list[nn.MlpModel]:
     """The models at paths, refused unless every one emits the configured
-    classes."""
+    classes and takes the first one's features."""
     models = [nn.load_model(path) for path in paths]
     for path, model in zip(paths, models):
+        if model.input_dim != models[0].input_dim:
+            raise InputError(
+                f"{path} has input_dim {model.input_dim} but {paths[0]} has {models[0].input_dim}"
+            )
         if model.num_classes != cfg.data.num_classes:
             raise InputError(
                 f"{path} emits {model.num_classes} classes but num_classes is "
@@ -198,6 +210,7 @@ def cmd_evaluate(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path])
         if not ds.labelled:
             raise InputError(f"{path} has no labels; cannot score predictions on it")
         _check_label_range(ds, cfg)
+        _check_features(path, ds, model_paths[0], models[0].input_dim)
         test_sets[name] = ds
         csv_paths.append(path)
 

@@ -9,9 +9,9 @@ layer by layer as the weights (row-major) followed by the bias; a model file
 is one JSON header line with the layer widths, then theta's little-endian
 float64 bytes. Each layer's weights and bias are views into theta, and a
 gradient is a vector with the same layout. ReLU follows every layer but the
-last, which emits logits. A model is built from its widths and theta alone;
-parameters are checked once, where they enter from outside (building a
-model, loading one), and training returns new models instead of mutating.
+last, which emits logits. A model is built from its widths and theta alone,
+which MlpModel checks once, whoever builds it (init_mlp, load_model), and
+training returns new models instead of mutating.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,17 +47,10 @@ class DenseLayer:
 
 
 def _layer_views(theta: np.ndarray, dims: Sequence[int]) -> list[DenseLayer]:
-    """The layers of widths dims, whose weights and bias are views into theta.
-
-    theta must hold exactly the parameters of those layers; otherwise this
-    raises InputError.
-    """
-    pairs = list(zip(dims, dims[1:]))
-    need = sum(n_out * (n_in + 1) for n_in, n_out in pairs)
-    if need != theta.size:
-        raise InputError(f"parameter vector holds {theta.size} values, the layers need {need}")
+    """The layers of widths dims, whose weights and bias are views into theta,
+    which must hold exactly their parameters."""
     views, offset = [], 0
-    for n_in, n_out in pairs:
+    for n_in, n_out in zip(dims, dims[1:]):
         weights = theta[offset : offset + n_out * n_in].reshape(n_out, n_in)
         offset += n_out * n_in
         views.append(DenseLayer(weights, theta[offset : offset + n_out]))
@@ -71,7 +64,8 @@ class MlpModel:
     which emits raw logits.
 
     Args:
-        dims: the layer widths, the input's first and the class count last.
+        dims: two or more positive integer widths, the input's first and the
+            class count last; kept as plain ints.
         theta: every layer's weights (row-major) then bias, layer by layer;
             copied as float64.
 
@@ -83,10 +77,19 @@ class MlpModel:
     layers: list[DenseLayer] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.dims = list(self.dims)
-        if len(self.dims) < 2 or min(self.dims) < 1:
-            raise InputError(f"a model needs two or more positive widths, got {self.dims}")
+        if not isinstance(self.dims, (list, tuple, np.ndarray)) or len(self.dims) < 2:
+            raise InputError(f"dims must list two or more widths, got {self.dims!r}")
+        for k, width in enumerate(self.dims):
+            # bool is an int: unchecked, JSON's true would read as 1.
+            if isinstance(width, bool) or not isinstance(width, (int, np.integer)) or width < 1:
+                raise InputError(f"dims[{k}] must be a positive integer, got {width!r}")
+        self.dims = [int(width) for width in self.dims]
         self.theta = np.array(self.theta, dtype=np.float64)
+        need = sum(n_out * (n_in + 1) for n_in, n_out in zip(self.dims, self.dims[1:]))
+        if need != self.theta.size:
+            raise InputError(
+                f"parameter vector holds {self.theta.size} values, the layers need {need}"
+            )
         self.layers = _layer_views(self.theta, self.dims)
         if not np.isfinite(self.theta).all():
             raise NumericError("model parameters must be finite")
@@ -108,14 +111,6 @@ class MlpModel:
 
     def copy(self) -> "MlpModel":
         return self._with_theta(self.theta.copy())
-
-
-class ForwardCache(NamedTuple):
-    """One forward pass as backward replays it: the input batch and every
-    layer's activation, the last being the logits."""
-
-    inputs: np.ndarray
-    activations: list[np.ndarray]
 
 
 @dataclass
@@ -158,25 +153,25 @@ def _as_batch(batch: np.ndarray, input_dim: int) -> np.ndarray:
     return batch
 
 
-def forward_logits(model: MlpModel, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+def forward_logits(model: MlpModel, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Run the network on a batch, returning (N, C) logits and the cache.
 
-    The cache records every layer's activation so that backward() can replay
-    the chain rule without recomputation. Each layer's product is a new
-    array; the bias is added and ReLU applied to it in place, which gives the
-    same bits as np.maximum(act @ W.T + b, 0.0).
+    The cache is the list [batch, act_1, ..., logits]: layer idx reads
+    cache[idx] and writes cache[idx + 1], so backward() replays the chain
+    rule without recomputation. Each layer's product is a new array; the bias
+    is added and ReLU applied to it in place, which gives the same bits as
+    np.maximum(act @ W.T + b, 0.0).
     """
-    batch = _as_batch(batch, model.input_dim)
-    act, activations, last = batch, [], len(model.layers) - 1
+    cache, last = [_as_batch(batch, model.input_dim)], len(model.layers) - 1
     for idx, layer in enumerate(model.layers):
-        act = act @ layer.weights.T
+        act = cache[idx] @ layer.weights.T
         act += layer.bias
         if idx < last:
             np.maximum(act, 0.0, out=act)
-        activations.append(act)
+        cache.append(act)
     if not np.isfinite(act).all():
         raise NumericError("forward pass produced non-finite logits")
-    return act, ForwardCache(batch, activations)
+    return act, cache
 
 
 def chunked_logits(model: MlpModel, data: np.ndarray) -> np.ndarray:
@@ -265,19 +260,18 @@ def softmax_temperature_backward(
     return probs * (dprobs - inner) / temperature
 
 
-def backward(model: MlpModel, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
-    """Backpropagate dL/dlogits through the cached forward pass.
+def backward(model: MlpModel, cache: list[np.ndarray], dlogits: np.ndarray) -> np.ndarray:
+    """Backpropagate dL/dlogits through the cache of forward_logits.
 
     Returns dL/dtheta, laid out like model.theta. The ReLU mask is read from
-    the activations (act > 0 exactly where z > 0) and multiplied in place
+    each layer's output (act > 0 exactly where z > 0) and multiplied in place
     into delta, which by then is a new array, as the last layer is linear:
     dlogits is never written.
     """
     dlogits = np.asarray(dlogits, dtype=np.float64)
-    if dlogits.shape != cache.activations[-1].shape:
+    if dlogits.shape != cache[-1].shape:
         raise InputError(
-            f"dlogits shape {dlogits.shape} does not match cached logits "
-            f"{cache.activations[-1].shape}"
+            f"dlogits shape {dlogits.shape} does not match cached logits {cache[-1].shape}"
         )
     grads = np.empty_like(model.theta)
     grad_layers = _layer_views(grads, model.dims)
@@ -285,9 +279,8 @@ def backward(model: MlpModel, cache: ForwardCache, dlogits: np.ndarray) -> np.nd
     for idx in range(last, -1, -1):
         layer, out = model.layers[idx], grad_layers[idx]
         if idx < last:
-            delta *= cache.activations[idx] > 0.0
-        prev_act = cache.inputs if idx == 0 else cache.activations[idx - 1]
-        np.matmul(delta.T, prev_act, out=out.weights)
+            delta *= cache[idx + 1] > 0.0
+        np.matmul(delta.T, cache[idx], out=out.weights)
         delta.sum(axis=0, out=out.bias)
         if idx > 0:
             delta = delta @ layer.weights
@@ -381,7 +374,8 @@ def save_model(model: MlpModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> MlpModel:
     """Read a model file that save_model wrote; theta is a view of its bytes
-    until MlpModel copies and checks it."""
+    until MlpModel copies and checks it. This checks only the container and
+    raises each of MlpModel's refusals again with the path."""
     raw = Path(path).read_bytes()
     older = f"{path} is a model file in an older format; rerun pretrain and expand"
     # The formats before the header line were one JSON document that
@@ -398,20 +392,11 @@ def load_model(path: str | Path) -> MlpModel:
         if isinstance(header, dict) and "layers" in header:
             raise InputError(older)
         raise InputError(f"{path}: the header line is not a JSON object with the key dims")
-    dims = header["dims"]
-    if type(dims) is not list or len(dims) < 2:
-        raise InputError(
-            f"{path}: header key dims must list two or more widths, got {json.dumps(dims)}"
-        )
-    for k, width in enumerate(dims):
-        # Unchecked, JSON's true reads as 1, and 2.0 fails later with a
-        # message that does not name the key.
-        if type(width) is not int or width < 1:
-            raise InputError(
-                f"{path}: header key dims[{k}] must be a positive integer, got {json.dumps(width)}"
-            )
     body = len(raw) - end - 1
     if body % 8:
         raise InputError(f"{path}: theta holds {body} bytes, not a whole number of float64s")
     theta = np.frombuffer(raw, dtype="<f8", offset=end + 1)
-    return MlpModel(dims, theta)
+    try:
+        return MlpModel(header["dims"], theta)
+    except (InputError, NumericError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

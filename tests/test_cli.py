@@ -60,6 +60,13 @@ def write_domain_csvs(layout, datasets):
         data.write_csv(ds, layout.domain_csv(domain, part))
 
 
+def widen_csv(path):
+    """Rewrite the CSV at path with one more feature column, of zeros."""
+    ds = data.load_csv(path)
+    wider = np.hstack([ds.features, np.zeros((ds.n, 1))])
+    data.write_csv(data.DomainDataset(ds.name, wider, ds.labels), path)
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -257,6 +264,19 @@ def test_pretrain_rejects_disagreeing_label_sets(tmp_path):
     assert run("pretrain", "--config", cfg, "--out", out) == cli.EXIT_CONFIG
 
 
+def test_pretrain_refuses_source_csvs_of_different_widths(tmp_path, capsys):
+    cfg = tiny_config(tmp_path)
+    out = tmp_path / "run"
+    assert run("synth", "--config", cfg, "--out", out) == 0
+    layout = OutputLayout(out)
+    first, wider = (layout.domain_csv(f"source_{i}", "train") for i in range(2))
+    widen_csv(wider)
+    capsys.readouterr()
+    assert run("pretrain", "--config", cfg, "--out", out) == cli.EXIT_IO
+    assert capsys.readouterr().err == f"error: {wider} has 5 features but {first} has 4\n"
+    assert not layout.original_model(0).exists()
+
+
 def test_pretrain_without_data_is_an_io_error(tmp_path):
     cfg = tiny_config(tmp_path)
     assert run("pretrain", "--config", cfg, "--out", tmp_path / "nowhere") == cli.EXIT_IO
@@ -300,7 +320,7 @@ def test_expand_refuses_a_truncated_model_file(tmp_path, capsys):
     capsys.readouterr()
     assert run("expand", "--config", cfg, "--out", out) == cli.EXIT_IO
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 def test_expand_refuses_a_model_file_in_the_older_json_format(tmp_path, capsys):
@@ -353,8 +373,25 @@ def test_expand_refuses_a_malformed_dims_header(tmp_path, capsys, dims, named):
     capsys.readouterr()
     assert run("expand", "--config", cfg, "--out", out) == cli.EXIT_IO
     err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert re.search(rf" {re.escape(named)}( |$)", err, re.M)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "nan-filled"])
+def test_expand_names_the_damaged_model_file(tmp_path, capsys, damage):
+    cfg, out = pipeline_through_pretrain(tmp_path)
+    path = OutputLayout(out).original_model(1)
+    header, body = path.read_bytes().split(b"\n", 1)
+    if damage == "truncated":
+        body = body[:-8]
+    else:
+        body = np.full(len(body) // 8, np.nan).tobytes()
+    path.write_bytes(header + b"\n" + body)
+    capsys.readouterr()
+    assert run("expand", "--config", cfg, "--out", out) in (cli.EXIT_IO, cli.EXIT_NUMERIC)
+    err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert re.search(rf"key {re.escape(named)}( |$)", err, re.M)
+    assert "original_1.model" in err
 
 
 def test_expand_refuses_a_non_finite_model_parameter(tmp_path, capsys):
@@ -364,7 +401,7 @@ def test_expand_refuses_a_non_finite_model_parameter(tmp_path, capsys):
     capsys.readouterr()
     assert run("expand", "--config", cfg, "--out", out) == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 def test_expand_refuses_source_models_of_another_class_count(tmp_path, capsys):
@@ -572,6 +609,22 @@ def test_evaluate_refuses_models_that_do_not_fit_together(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("stage", ["expand", "evaluate"])
+def test_a_stage_names_the_csv_and_model_whose_widths_differ(tmp_path, capsys, stage):
+    """Models pretrained on 4 features, given a CSV with 5."""
+    cfg, out = pipeline_through_pretrain(tmp_path)
+    layout = OutputLayout(out)
+    csv = layout.new_unlabelled_csv
+    if stage == "evaluate":
+        assert run("expand", "--config", cfg, "--out", out) == 0
+        csv = layout.domain_csv("new", "test")
+    widen_csv(csv)
+    capsys.readouterr()
+    assert run(stage, "--config", cfg, "--out", out) == cli.EXIT_IO
+    model = layout.original_model(0)
+    assert capsys.readouterr().err == f"error: {csv} has 5 features but {model} has 4\n"
 
 
 def test_hand_supplied_feature_csvs_run_without_synth(tmp_path):

@@ -4,6 +4,7 @@ import base64
 import json
 import math
 import os
+import re
 import struct
 from pathlib import Path
 
@@ -223,7 +224,7 @@ def test_backward_matches_finite_differences():
     labels = rng.integers(0, 3, size=6)
 
     _, cache = nn.forward_logits(model, x)
-    logits = cache.activations[-1]
+    logits = cache[-1]
     analytic = nn.backward(model, cache, nn.cross_entropy(logits, labels)[1]())
     numeric = nn.finite_diff_gradient(
         lambda m: nn.cross_entropy(nn.forward_logits(m, x)[0], labels)[0], model
@@ -336,8 +337,9 @@ def test_forward_and_backward_match_the_unfused_formulas_bit_for_bit():
     assert np.all(pre[0][:, 1] == 0.0) and np.all(pre[1][:, 2] == 0.0)
     logits, cache = nn.forward_logits(model, x)
     assert same_bits(logits, post[-1])
-    assert len(cache.activations) == len(post)
-    for got, want in zip(cache.activations, post):
+    # the cache is [batch, act_1, ..., logits]
+    assert len(cache) == len(post) + 1 and same_bits(cache[0], x)
+    for got, want in zip(cache[1:], post):
         assert same_bits(got, want)
     grads = nn.backward(model, cache, dlogits)
     assert same_bits(grads, reference_backward(model, x, pre, post, dlogits))
@@ -351,10 +353,10 @@ def test_training_step_leaves_its_inputs_alone():
     theta, batch, upstream = model.theta.copy(), x.copy(), dlogits.copy()
     _, cache = nn.forward_logits(model, x)
     assert same_bits(x, batch)
-    cached = [a.copy() for a in cache.activations]
+    cached = [a.copy() for a in cache[1:]]
     grads = nn.backward(model, cache, dlogits)
-    assert same_bits(dlogits, upstream) and same_bits(cache.inputs, batch)
-    for got, want in zip(cache.activations, cached):
+    assert same_bits(dlogits, upstream) and same_bits(cache[0], batch)
+    for got, want in zip(cache[1:], cached):
         assert same_bits(got, want)
     gradient = grads.copy()
     opt = nn.OptimizerState(learning_rate=0.05, momentum=0.9)
@@ -436,13 +438,13 @@ def test_results_survive_the_next_forward_and_backward():
     model, x, dlogits = zero_pre_activation_setup()
     logits, cache = nn.forward_logits(model, x)
     grads = nn.backward(model, cache, dlogits)
-    kept = [logits.copy(), grads.copy(), *(a.copy() for a in cache.activations)]
+    kept = [logits.copy(), grads.copy(), *(a.copy() for a in cache[1:])]
     _, again = nn.forward_logits(model, -x)
     nn.backward(model, again, -dlogits)
     assert same_bits(logits, kept[0]) and same_bits(grads, kept[1])
-    for got, want in zip(cache.activations, kept[2:]):
+    for got, want in zip(cache[1:], kept[2:]):
         assert same_bits(got, want)
-    assert not same_bits(again.activations[-1], logits)
+    assert not same_bits(again[-1], logits)
 
 
 # ---------------------------------------------------------------------------
@@ -579,9 +581,17 @@ def test_model_construction_refuses_widths_and_theta_that_do_not_fit():
     assert [layer.weights.shape for layer in model.layers] == [(3, 2), (2, 3)]
     with pytest.raises(InputError, match="holds 16 values, the layers need 17"):
         nn.MlpModel([2, 3, 2], np.zeros(16))
-    for dims in ([], [4], [2, 0, 2]):
-        with pytest.raises(InputError, match="two or more positive widths"):
+    # tuples, arrays and numpy integers are accepted and kept as a list of ints
+    for dims in ((2, 3, 2), np.array([2, 3, 2]), [np.int64(2), np.int32(3), 2]):
+        built = nn.MlpModel(dims, np.zeros(17))
+        assert built.dims == [2, 3, 2] and all(type(width) is int for width in built.dims)
+    for dims in ([], [4], "34", 34, None):
+        with pytest.raises(InputError, match="dims must list two or more widths"):
             nn.MlpModel(dims, np.zeros(0))
+    # JSON's true would read as the width 1, and 2.0 as a float width.
+    for dims, k in (([2, 0, 2], 1), ([True, 2], 0), ([2, 2.0], 1), ([2, -1], 1), ([2, "2"], 1)):
+        with pytest.raises(InputError, match=rf"^dims\[{k}\] must be a positive integer"):
+            nn.MlpModel(dims, np.zeros(6))
     for bad in (math.nan, math.inf):
         theta = np.zeros(6)
         theta[4] = bad
@@ -698,11 +708,17 @@ def test_load_model_rejects_malformed_files(tmp_path):
         (model_file([2, 3], [0.0] * 7), InputError),  # ends inside a weight matrix
         (header + bytes(47), InputError),  # ends inside a value
         (model_file([1, 1], [math.nan, 0.0]), NumericError),
+        (model_file([2, 2], [0.0] * 5 + [math.inf]), NumericError),
+        (model_file([2, True], [0.0] * 6), InputError),
+        (model_file([2, 2.0], [0.0] * 6), InputError),
+        (model_file([6], [0.0] * 6), InputError),
+        (model_file("22", [0.0] * 6), InputError),
     ]
+    # Every refusal names the file, whether the container or MlpModel made it.
     for index, (content, error) in enumerate(cases):
         path = tmp_path / f"bad_{index}.model"
         path.write_bytes(content)
-        with pytest.raises(error):
+        with pytest.raises(error, match=re.escape(str(path))):
             nn.load_model(path)
 
     # The older formats: one indented JSON document, theta as base64 or as
@@ -720,8 +736,9 @@ def test_load_model_rejects_malformed_files(tmp_path):
     for index, content in enumerate(older):
         path = tmp_path / f"older_{index}.model"
         path.write_bytes(content)
-        with pytest.raises(InputError, match="rerun pretrain and expand"):
+        with pytest.raises(InputError, match="rerun pretrain and expand") as refused:
             nn.load_model(path)
+        assert str(path) in str(refused.value)
 
 
 def test_save_model_refuses_non_finite_parameters(tmp_path):

@@ -1,6 +1,8 @@
 """No code that only tests keep alive: one pass of the five CLI stages runs
-every function in src/domex, apart from the few named here."""
+every function in src/domex, apart from the few named here, and no module
+imports a name it never uses."""
 
+import ast
 import inspect
 import json
 import logging
@@ -85,3 +87,38 @@ def test_every_function_runs_in_one_pass_of_the_cli(tmp_path):
         if code.co_name not in GATE_ONLY | ERROR_PATH_ONLY
     }
     assert never_ran == set()
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names that path imports and never reads, apart from those on lines
+    marked noqa: F401 and the __future__ features."""
+    source = path.read_text()
+    tree, lines = ast.parse(source), source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                # import a.b binds a; import a.b as c binds c.
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert [hit for path in sorted(SOURCE_DIR.glob("*.py")) for hit in unused_imports(path)] == []
+
+
+def test_the_unused_import_check_sees_a_leftover_import(tmp_path):
+    module = tmp_path / "leftover.py"
+    module.write_text(
+        "from typing import NamedTuple, Sequence\n"
+        "import locale  # noqa: F401\n"
+        "import os.path\n"
+        "def widths(dims: Sequence[int]) -> int:\n"
+        "    return os.sep\n"
+    )
+    assert unused_imports(module) == ["leftover.py:1: NamedTuple"]
