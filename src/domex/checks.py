@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expansion, nn
-from .errors import InputError
 
 ABS_FLOOR = 1e-8
 REL_TOL = 1e-4
@@ -59,56 +58,51 @@ def _tiny_setup(seed: int):
     return ensemble, batch, labels, hp
 
 
-def _overall_coefficients(ensemble, batch, hp) -> tuple[float, float]:
+def _coefficients(ensemble, batch, hp) -> list[tuple[float, float]]:
+    """The (a_org, a_bias) that bias, preservation and overall, in that order,
+    put on model 0's L_org and L_bias; overall is preservation plus
+    lam * w_0 * bias."""
     entropies = expansion.ensemble_entropies(ensemble.updated, batch)
     weights = expansion.compute_weights(entropies, hp.weight_temperature).weights
-    return 1.0, hp.lam * float(weights[0])
+    return [(0.0, 1.0), (1.0, 0.0), (1.0, hp.lam * float(weights[0]))]
 
 
-# The (a_org, a_bias) coefficients that each expansion loss puts on L_org and
-# L_bias for model 0; overall is preservation plus lam * w_0 * bias.
-_COEFFICIENTS = {
-    "bias": lambda ensemble, batch, hp: (0.0, 1.0),
-    "preservation": lambda ensemble, batch, hp: (1.0, 0.0),
-    "overall": _overall_coefficients,
-}
+def check_seed(seed: int) -> list[CheckResult]:
+    """Compare every loss's backprop gradient against finite differences on
+    one seeded problem; the results follow CHECKED_LOSSES.
 
-
-def _loss_of_logits(loss_name: str, ensemble, batch, labels, hp):
-    """Model 0's loss as a function of its logits on the batch.
-
-    An expansion loss takes model 0's target stack, which is frozen, from
-    one frozen_targets pass per check.
+    One forward of model 0 feeds each loss's gradient() and backward pass.
+    One probe sweep then takes all four values at once from one
+    cross_entropy and one weighted_loss call per probe: an expansion loss's
+    value is a_org * L_org + a_bias * L_bias, the expression weighted_loss
+    totals, so each keeps the bits of that loss taken alone.
     """
-    if loss_name == "cross_entropy":
-        return lambda logits: nn.cross_entropy(logits, labels)
-    a_org, a_bias = _COEFFICIENTS[loss_name](ensemble, batch, hp)
-    targets = expansion.frozen_targets(ensemble, 0, batch, hp.temperature)
-    return lambda logits: expansion.weighted_loss(logits, targets, a_org, a_bias, hp.temperature)
-
-
-def check_loss_gradient(loss_name: str, seed: int) -> CheckResult:
-    """Compare one loss's backprop gradient against finite differences.
-
-    Both sides run model 0 forward and then the same loss of its logits: the
-    analytic side backpropagates that loss's gradient(), and each probe takes
-    its value alone.
-    """
-    if loss_name not in CHECKED_LOSSES:
-        raise InputError(f"unknown loss {loss_name!r}; expected one of {CHECKED_LOSSES}")
     ensemble, batch, labels, hp = _tiny_setup(seed)
     model = ensemble.updated[0]
-    loss = _loss_of_logits(loss_name, ensemble, batch, labels, hp)
+    targets = expansion.frozen_targets(ensemble, 0, batch, hp.temperature)
+    coefficients = _coefficients(ensemble, batch, hp)
+
     logits, cache = nn.forward_logits(model, batch)
-    grads = nn.backward(model, cache, loss(logits)[1]())
-    numeric = nn.finite_diff_gradient(lambda m: loss(nn.forward_logits(m, batch)[0])[0], model)
-    return CheckResult(loss_name, seed, gradient_discrepancy(grads, numeric))
+    dlogits = [nn.cross_entropy(logits, labels)[1]()] + [
+        expansion.weighted_loss(logits, targets, a_org, a_bias, hp.temperature)[1]()
+        for a_org, a_bias in coefficients
+    ]
+
+    def values(probe):
+        logits = nn.forward_logits(probe, batch)[0]
+        l_org, l_bias = expansion.weighted_loss(logits, targets, 1.0, 1.0, hp.temperature)[2:]
+        return [nn.cross_entropy(logits, labels)[0]] + [
+            a_org * l_org + a_bias * l_bias for a_org, a_bias in coefficients
+        ]
+
+    numeric = nn.finite_diff_gradient(values, model)
+    return [
+        CheckResult(name, seed, gradient_discrepancy(nn.backward(model, cache, d), numeric[:, k]))
+        for k, (name, d) in enumerate(zip(CHECKED_LOSSES, dlogits))
+    ]
 
 
 def run_gradient_suite(seeds: tuple[int, ...]) -> list[CheckResult]:
-    """Check every trained loss over the given seeds; returns all results."""
-    return [
-        check_loss_gradient(name, seed)
-        for name in CHECKED_LOSSES
-        for seed in seeds
-    ]
+    """Check every trained loss over the given seeds; returns all results,
+    loss by loss."""
+    return [result for per_loss in zip(*map(check_seed, seeds)) for result in per_loss]

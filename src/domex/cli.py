@@ -106,11 +106,10 @@ def cmd_pretrain(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path])
         train_sets.append(train)
     # Every source domain must cover the same classes; the whole method
     # assumes one shared label space.
-    label_sets = [frozenset(t.labels.tolist()) for t in train_sets]
-    if len(set(label_sets)) != 1:
-        raise ConfigError(
-            f"source domains disagree on their label sets: {sorted(map(sorted, label_sets))}"
-        )
+    classes = [sorted(set(t.labels.tolist())) for t in train_sets]
+    for csv_path, found in zip(csv_paths[1:], classes[1:]):
+        if found != classes[0]:
+            raise InputError(f"{csv_path} has labels {found} but {csv_paths[0]} has {classes[0]}")
     # The label sets agree, so the first set's range is every set's.
     _check_label_range(train_sets[0], cfg)
 

@@ -121,6 +121,8 @@ class GradcheckConfig:
             raise ConfigError("gradcheck needs at least one seed")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds listed more than once: {self.seeds}")
 
 
 @dataclass

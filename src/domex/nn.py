@@ -1,8 +1,8 @@
 """Minimal dense-network engine.
 
 Deterministic forward passes, hand-derived backward passes, plain SGD, and a
-central finite-difference oracle for verifying any scalar loss defined on the
-network output. Everything runs in float64 on numpy arrays.
+central finite-difference oracle for verifying any loss, or vector of losses,
+defined on the network output. Everything runs in float64 on numpy arrays.
 
 Each model keeps its parameters in one contiguous vector `theta`, laid out
 layer by layer as the weights (row-major) followed by the bias; a model file
@@ -307,33 +307,37 @@ def sgd_step(model: MlpModel, grads: np.ndarray, opt: OptimizerState) -> MlpMode
     return model._with_theta(new_theta)
 
 
-def finite_diff_gradient(loss_fn: Callable[[MlpModel], float], model: MlpModel) -> np.ndarray:
+def finite_diff_gradient(
+    loss_fn: Callable[[MlpModel], float | np.ndarray], model: MlpModel
+) -> np.ndarray:
     """Central-difference gradient of loss_fn over every model parameter.
 
     Exhaustive, so only usable on tiny models; this is the oracle against
     which all analytic gradients are checked. loss_fn gets one probe copy of
-    the model whose parameters are each shifted in place and restored.
+    the model whose parameters are each shifted in place and restored. A
+    loss_fn that returns a 1-D array of k values gets a (P, k) array back:
+    column j is what a loss_fn returning value j alone would get.
     """
     probe = model.copy()
     theta = probe.theta
 
-    def eval_perturbed(index: int, delta: float) -> float:
+    def eval_perturbed(index: int, delta: float) -> np.ndarray:
         original = theta[index]
         theta[index] = original + delta
         try:
-            value = loss_fn(probe)
+            value = np.asarray(loss_fn(probe), dtype=np.float64)
         finally:
             theta[index] = original
-        if not np.isfinite(value):
+        if not np.isfinite(value).all():
             raise NumericError(f"loss became non-finite at parameter {index}")
-        return float(value)
+        return value
 
-    grads = np.zeros_like(model.theta)
-    for index in range(grads.size):
+    grads = []
+    for index in range(theta.size):
         plus = eval_perturbed(index, FINITE_DIFF_EPSILON)
         minus = eval_perturbed(index, -FINITE_DIFF_EPSILON)
-        grads[index] = (plus - minus) / (2.0 * FINITE_DIFF_EPSILON)
-    return grads
+        grads.append((plus - minus) / (2.0 * FINITE_DIFF_EPSILON))
+    return np.array(grads)
 
 
 def fit_classifier(

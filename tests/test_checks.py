@@ -1,11 +1,12 @@
-"""The finite-difference verifier itself, including its negative control."""
+"""The finite-difference verifier itself, including its negative controls."""
+
+import collections
 
 import numpy as np
 import pytest
 
 from domex import checks, expansion, nn
 from domex.config import GradcheckConfig
-from domex.errors import InputError
 
 
 def test_suite_passes_on_default_seeds():
@@ -34,8 +35,104 @@ def test_corrupted_gradient_is_reported(monkeypatch):
     assert not any(r.passed for r in results)
 
 
-@pytest.mark.parametrize("loss_name", ["bias", "preservation", "overall"])
-def test_expansion_check_runs_the_frozen_targets_once(monkeypatch, loss_name):
+def test_a_corrupted_bias_gradient_fails_only_the_bias_checks(monkeypatch):
+    # targeted negative control: the four checks share one forward and one
+    # probe sweep, yet corrupting the one gradient() that only the bias loss
+    # (a_org == 0) asks for must fail the bias rows and no others
+    weighted_loss = expansion.weighted_loss
+
+    def corrupted(logits, targets, a_org, a_bias, temperature):
+        value, gradient, *terms = weighted_loss(logits, targets, a_org, a_bias, temperature)
+        if a_org == 0.0:
+            return (value, lambda: gradient() + 0.5, *terms)
+        return (value, gradient, *terms)
+
+    monkeypatch.setattr(expansion, "weighted_loss", corrupted)
+    results = checks.run_gradient_suite(seeds=(0, 1))
+    assert [(r.loss_name, r.seed) for r in results if not r.passed] == [("bias", 0), ("bias", 1)]
+
+
+def own_check_error(loss_name, seed):
+    """max_error of one loss checked alone: its own closure of model 0's
+    logits, its own forward and its own finite-difference sweep."""
+    ensemble, batch, labels, hp = checks._tiny_setup(seed)
+    model = ensemble.updated[0]
+    if loss_name == "cross_entropy":
+        loss = lambda logits: nn.cross_entropy(logits, labels)
+    else:
+        entropies = expansion.ensemble_entropies(ensemble.updated, batch)
+        w_0 = float(expansion.compute_weights(entropies, hp.weight_temperature).weights[0])
+        a_org, a_bias = {
+            "bias": (0.0, 1.0),
+            "preservation": (1.0, 0.0),
+            "overall": (1.0, hp.lam * w_0),
+        }[loss_name]
+        targets = expansion.frozen_targets(ensemble, 0, batch, hp.temperature)
+        loss = lambda logits: expansion.weighted_loss(
+            logits, targets, a_org, a_bias, hp.temperature
+        )
+    logits, cache = nn.forward_logits(model, batch)
+    analytic = nn.backward(model, cache, loss(logits)[1]())
+    numeric = nn.finite_diff_gradient(lambda m: loss(nn.forward_logits(m, batch)[0])[0], model)
+    return checks.gradient_discrepancy(analytic, numeric)
+
+
+@pytest.mark.parametrize("loss_name", checks.CHECKED_LOSSES)
+def test_probes_take_the_value_of_the_loss_whose_gradient_is_checked(loss_name):
+    # the shared sweep cannot cross-wire the losses: each row's error has the
+    # bits of the one its loss gets when checked alone
+    results = checks.run_gradient_suite(seeds=(0, 1))
+    for seed in (0, 1):
+        [result] = [r for r in results if (r.loss_name, r.seed) == (loss_name, seed)]
+        assert result.max_error.hex() == own_check_error(loss_name, seed).hex()
+
+
+def test_a_seed_makes_one_setup_one_analytic_forward_and_one_probe_sweep(monkeypatch):
+    ensemble = checks._tiny_setup(0)[0]
+    params, peers = ensemble.updated[0].theta.size, ensemble.m
+    calls = collections.Counter()
+
+    def counted(module, name, loss=False):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            result = fn(*args, **kwargs)
+            if not loss:
+                return result
+            value, gradient, *terms = result
+
+            def counted_gradient():
+                calls["gradient"] += 1
+                return gradient()
+
+            return (value, counted_gradient, *terms)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(checks, "_tiny_setup")
+    counted(expansion, "frozen_targets")
+    counted(expansion, "ensemble_entropies")
+    counted(nn, "forward_logits")
+    counted(nn, "backward")
+    counted(nn, "cross_entropy", loss=True)
+    counted(expansion, "weighted_loss", loss=True)
+    assert all(r.passed for r in checks.check_seed(0))
+    # One analytic forward and 2P probes of model 0; the frozen-targets and
+    # entropy passes forward each of the m models once on the 6-row batch.
+    assert calls == {
+        "_tiny_setup": 1,
+        "frozen_targets": 1,
+        "ensemble_entropies": 1,
+        "forward_logits": 2 * params + 1 + 2 * peers,
+        "backward": 4,
+        "cross_entropy": 2 * params + 1,
+        "weighted_loss": 2 * params + 3,
+        "gradient": 4,
+    }
+
+
+def test_a_seed_runs_the_frozen_targets_of_model_0_once(monkeypatch):
     # the analytic and the numeric side share one pass of model 0's peers and original
     calls = []
     frozen_targets = expansion.frozen_targets
@@ -45,42 +142,17 @@ def test_expansion_check_runs_the_frozen_targets_once(monkeypatch, loss_name):
         return frozen_targets(*args, **kwargs)
 
     monkeypatch.setattr(expansion, "frozen_targets", counted)
-    assert checks.check_loss_gradient(loss_name, 0).passed
+    assert all(r.passed for r in checks.check_seed(0))
     assert calls == [0]
 
 
-@pytest.mark.parametrize("loss_name", checks.CHECKED_LOSSES)
-def test_probes_take_the_value_of_the_loss_whose_gradient_is_checked(monkeypatch, loss_name):
-    # one call for the analytic side, two per parameter for the probes; only
-    # the analytic side asks for the gradient
-    calls = {"loss": 0, "gradient": 0}
-
-    def counted(loss):
-        def wrapper(*args, **kwargs):
-            value, gradient, *terms = loss(*args, **kwargs)
-
-            def counted_gradient():
-                calls["gradient"] += 1
-                return gradient()
-
-            calls["loss"] += 1
-            return (value, counted_gradient, *terms)
-
-        return wrapper
-
-    monkeypatch.setattr(nn, "cross_entropy", counted(nn.cross_entropy))
-    monkeypatch.setattr(expansion, "weighted_loss", counted(expansion.weighted_loss))
-    assert checks.check_loss_gradient(loss_name, 0).passed
-    params = checks._tiny_setup(0)[0].updated[0].theta.size
-    assert calls == {"loss": 2 * params + 1, "gradient": 1}
-
-
-def test_single_loss_check_is_deterministic():
-    a = checks.check_loss_gradient("bias", seed=3)
-    b = checks.check_loss_gradient("bias", seed=3)
-    assert a.max_error == b.max_error
-    with pytest.raises(InputError):
-        checks.check_loss_gradient("made_up_loss", seed=0)
+def test_seed_check_is_deterministic_and_the_suite_orders_it_loss_by_loss():
+    a, b = checks.check_seed(3), checks.check_seed(3)
+    assert [r.loss_name for r in a] == list(checks.CHECKED_LOSSES)
+    assert [r.max_error.hex() for r in a] == [r.max_error.hex() for r in b]
+    c = checks.check_seed(0)
+    suite = checks.run_gradient_suite(seeds=(3, 0))
+    assert suite == [r for pair in zip(a, c) for r in pair]
 
 
 def test_discrepancy_of_identical_gradients_is_zero():

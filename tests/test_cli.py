@@ -241,7 +241,7 @@ def test_pretrain_logs_train_accuracy_at_info_level(tmp_path, caplog):
         assert f"source_{i} train accuracy 1.0000" in caplog.text
 
 
-def test_pretrain_rejects_disagreeing_label_sets(tmp_path):
+def test_pretrain_rejects_disagreeing_label_sets(tmp_path, capsys):
     out = tmp_path / "run"
     layout = OutputLayout(out)
     rng = np.random.default_rng(5)
@@ -261,7 +261,11 @@ def test_pretrain_rejects_disagreeing_label_sets(tmp_path):
             "source_shift_sigmas": [0.0, 0.0],
         },
     )
-    assert run("pretrain", "--config", cfg, "--out", out) == cli.EXIT_CONFIG
+    capsys.readouterr()
+    assert run("pretrain", "--config", cfg, "--out", out) == cli.EXIT_IO
+    first, second = (layout.domain_csv(f"source_{i}", "train") for i in range(2))
+    expected = f"error: {second} has labels [0, 1] but {first} has [0, 1, 2]\n"
+    assert capsys.readouterr().err == expected
 
 
 def test_pretrain_refuses_source_csvs_of_different_widths(tmp_path, capsys):

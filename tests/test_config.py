@@ -65,6 +65,7 @@ def test_partial_config_keeps_other_defaults(tmp_path):
         {"pretrain": {"seed": -1}},
         {"expansion": {"seed": -1}},
         {"gradcheck": {"seeds": [0, -1]}},
+        {"gradcheck": {"seeds": [0, 1, 0]}},
     ],
 )
 def test_bad_configs_are_rejected(tmp_path, raw):
@@ -129,3 +130,9 @@ def test_manifest_round_trip_is_stable(tmp_path):
 
     config.write_manifest(layout, "synth", cfg, [tmp_path / "cfg.json"], [produced])
     assert layout.manifest("synth").read_bytes() == first
+
+
+def test_a_repeated_gradcheck_seed_is_refused_with_the_list():
+    # a repeated seed would rerun an identical sweep and write duplicate rows
+    with pytest.raises(ConfigError, match=r"^seeds listed more than once: \[0, 1, 0\]$"):
+        config.GradcheckConfig(seeds=[0, 1, 0])

@@ -524,6 +524,34 @@ def test_finite_diff_rejects_non_finite_loss(linear_model):
         nn.finite_diff_gradient(lambda m: float("nan"), model)
 
 
+def test_finite_diff_of_a_vector_loss_gives_each_value_the_bits_of_its_own_sweep():
+    rng = np.random.default_rng(16)
+    model = nn.init_mlp(2, [3], 2, rng)
+    batch, labels = rng.normal(size=(4, 2)), np.array([0, 1, 1, 0])
+    parts = [
+        lambda m: nn.cross_entropy(nn.forward_logits(m, batch)[0], labels)[0],
+        lambda m: float(np.sum(nn.forward_logits(m, batch)[0] ** 2)),
+        lambda m: float(np.exp(m.theta).sum()),
+    ]
+    grads = nn.finite_diff_gradient(lambda m: [part(m) for part in parts], model)
+    assert grads.shape == (model.theta.size, len(parts))
+    for k, part in enumerate(parts):
+        assert same_bits(np.ascontiguousarray(grads[:, k]), nn.finite_diff_gradient(part, model))
+
+
+def test_finite_diff_refuses_a_vector_loss_with_one_non_finite_value(linear_model):
+    model = linear_model(np.zeros(2), weights=np.eye(2))
+    theta = model.theta.copy()
+
+    def loss(m):
+        # finite until parameter 2 is probed
+        return [0.0, 1.0 if m.theta[2] == theta[2] else float("inf")]
+
+    with pytest.raises(NumericError, match="at parameter 2$"):
+        nn.finite_diff_gradient(loss, model)
+    assert same_bits(model.theta, theta)
+
+
 def test_finite_diff_probes_one_parameter_at_a_time_and_restores_it():
     rng = np.random.default_rng(15)
     model = nn.init_mlp(2, [3], 2, rng)
