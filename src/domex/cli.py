@@ -51,23 +51,34 @@ def _domain_names(cfg: RunConfig) -> list[str]:
     return [f"source_{i}" for i in range(cfg.data.num_sources)] + ["new"]
 
 
-def _check_label_range(ds: DomainDataset, cfg: RunConfig) -> None:
-    """Refuse a labelled set whose labels the configured classes cannot hold."""
-    top = int(ds.labels.max())
-    if top >= cfg.data.num_classes:
-        raise ConfigError(f"labels reach {top} but num_classes is {cfg.data.num_classes}")
-
-
 def _check_features(path: Path, ds: DomainDataset, ref: Path, width: int) -> None:
     """Refuse the CSV at path unless its feature count is width, ref's."""
     if ds.dim != width:
         raise InputError(f"{path} has {ds.dim} features but {ref} has {width}")
 
 
+def _load_labelled(
+    paths: list[Path], cfg: RunConfig, ref: Path, width: int | None
+) -> list[DomainDataset]:
+    """The labelled CSVs at paths, each refused unless it has a label column,
+    labels below num_classes and width features, ref's (None: the first CSV's)."""
+    sets = []
+    for path in paths:
+        ds = load_csv(path)
+        if not ds.labelled:
+            raise InputError(f"{path} has no label column")
+        top = int(ds.labels.max())
+        if top >= cfg.data.num_classes:
+            raise ConfigError(f"{path} has label {top} but num_classes is {cfg.data.num_classes}")
+        width = ds.dim if width is None else width
+        _check_features(path, ds, ref, width)
+        sets.append(ds)
+    return sets
+
+
 def cmd_synth(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -> int:
     new_transform = benchmark_shifts(cfg.data)[1]
     domains = generate_domains(cfg.data, cfg.data.num_sources, new_transform)
-    layout.data_dir.mkdir(parents=True, exist_ok=True)
 
     outputs = []
     for ds in domains:
@@ -91,27 +102,17 @@ def cmd_synth(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) ->
 
 
 def cmd_pretrain(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -> int:
-    layout.models_dir.mkdir(parents=True, exist_ok=True)
     seeds = np.random.SeedSequence(cfg.pretrain.seed).spawn(cfg.data.num_sources)
 
     csv_paths = [layout.domain_csv(f"source_{i}", "train") for i in range(cfg.data.num_sources)]
     inputs, outputs = list(config_paths) + csv_paths, []
-    train_sets = []
-    for csv_path in csv_paths:
-        train = load_csv(csv_path)
-        if not train.labelled:
-            raise InputError(f"{csv_path} has no label column; cannot pretrain on it")
-        if train_sets:
-            _check_features(csv_path, train, csv_paths[0], train_sets[0].dim)
-        train_sets.append(train)
+    train_sets = _load_labelled(csv_paths, cfg, csv_paths[0], None)
     # Every source domain must cover the same classes; the whole method
     # assumes one shared label space.
     classes = [sorted(set(t.labels.tolist())) for t in train_sets]
     for csv_path, found in zip(csv_paths[1:], classes[1:]):
         if found != classes[0]:
             raise InputError(f"{csv_path} has labels {found} but {csv_paths[0]} has {classes[0]}")
-    # The label sets agree, so the first set's range is every set's.
-    _check_label_range(train_sets[0], cfg)
 
     for i, train in enumerate(train_sets):
         rng = np.random.default_rng(seeds[i])
@@ -158,7 +159,6 @@ def cmd_expand(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -
     ensemble = expansion.EnsembleState(originals, list(originals))
     ensemble, log = expansion.expand(ensemble, new_data.features, cfg.expansion)
 
-    layout.expanded_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for i, model in enumerate(ensemble.updated):
         path = layout.updated_model(i)
@@ -202,16 +202,10 @@ def cmd_evaluate(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path])
     ]
     models = _load_models(model_paths, cfg)
     ensemble = expansion.EnsembleState(models[0::2], models[1::2])
-    test_sets, csv_paths = {}, []
-    for name in _domain_names(cfg):
-        path = layout.domain_csv(name, "test")
-        ds = load_csv(path)
-        if not ds.labelled:
-            raise InputError(f"{path} has no labels; cannot score predictions on it")
-        _check_label_range(ds, cfg)
-        _check_features(path, ds, model_paths[0], models[0].input_dim)
-        test_sets[name] = ds
-        csv_paths.append(path)
+    names = _domain_names(cfg)
+    csv_paths = [layout.domain_csv(name, "test") for name in names]
+    labelled = _load_labelled(csv_paths, cfg, model_paths[0], models[0].input_dim)
+    test_sets = dict(zip(names, labelled))
 
     # Shared by all methods: one pass per (model, test set).
     outputs: dict = {}
@@ -221,7 +215,6 @@ def cmd_evaluate(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path])
         )
         for method in cfg.evaluate.methods
     }
-    layout.eval_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(
         layout.report_json,
         json.dumps({"reports": [r.to_dict() for r in reports.values()]}, indent=2) + "\n",
@@ -238,7 +231,6 @@ def cmd_evaluate(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path])
 def cmd_gradcheck(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -> int:
     results = checks.run_gradient_suite(tuple(cfg.gradcheck.seeds))
     all_passed = all(r.passed for r in results)
-    layout.checks_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "tolerance": checks.REL_TOL,
         "results": [
@@ -322,7 +314,6 @@ def main(argv: list[str] | None = None) -> int:
             section = getattr(cfg, stage.seeded_section)
             cfg = replace(cfg, **{stage.seeded_section: replace(section, seed=args.seed)})
         layout = OutputLayout(args.out)
-        layout.root.mkdir(parents=True, exist_ok=True)
         # Diverged training overflows in numpy; the finiteness checks on
         # logits and saved parameters report it as one NumericError. Set once
         # per stage: a per-call errstate costs about 5% of gradcheck.

@@ -170,14 +170,6 @@ class OutputLayout:
     def expanded_dir(self) -> Path:
         return self.root / "expanded"
 
-    @property
-    def eval_dir(self) -> Path:
-        return self.root / "eval"
-
-    @property
-    def checks_dir(self) -> Path:
-        return self.root / "checks"
-
     def domain_csv(self, domain: str, part: str) -> Path:
         return self.data_dir / f"{domain}_{part}.csv"
 
@@ -197,15 +189,15 @@ class OutputLayout:
 
     @property
     def report_json(self) -> Path:
-        return self.eval_dir / "report.json"
+        return self.root / "eval" / "report.json"
 
     @property
     def results_table(self) -> Path:
-        return self.eval_dir / "results_table.txt"
+        return self.root / "eval" / "results_table.txt"
 
     @property
     def gradcheck_json(self) -> Path:
-        return self.checks_dir / "gradcheck.json"
+        return self.root / "checks" / "gradcheck.json"
 
     def manifest(self, stage: str) -> Path:
         return self.root / f"{stage}_manifest.json"

@@ -222,18 +222,23 @@ def load_csv(path: str | Path) -> DomainDataset:
         raise
     except ValueError as exc:  # numpy's, on a malformed row
         raise _located(exc, path, len(header), n_features) from exc
-    return DomainDataset(
-        path.stem,
-        np.ascontiguousarray(rows["features"]),
-        np.ascontiguousarray(rows["label"]) if labelled else None,
-    )
+    try:
+        return DomainDataset(
+            path.stem,
+            np.ascontiguousarray(rows["features"]),
+            np.ascontiguousarray(rows["label"]) if labelled else None,
+        )
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def write_atomic(path: str | Path, content: str | bytes) -> None:
     """Write content, text as UTF-8, to path through a sibling `<path>.tmp`
     that then replaces path, so a failed write leaves any earlier file at path
-    as it was. Every file the pipeline writes goes through here."""
+    as it was. Makes path's directory first. Every file the pipeline writes
+    goes through here."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_bytes(content.encode() if isinstance(content, str) else content)

@@ -355,6 +355,8 @@ def fit_classifier(
     n = features.shape[0]
     if n == 0:
         raise InputError("cannot fit on an empty dataset")
+    if labels.shape[0] != n:
+        raise InputError("labels must align one-to-one with feature rows")
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):

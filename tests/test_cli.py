@@ -281,6 +281,40 @@ def test_pretrain_refuses_source_csvs_of_different_widths(tmp_path, capsys):
     assert not layout.original_model(0).exists()
 
 
+@pytest.mark.parametrize(
+    "column, text, refusal",
+    [(0, "nan", "contains non-finite features"), (-1, "-1", "labels must be nonnegative")],
+    ids=["nan feature", "negative label"],
+)
+def test_pretrain_names_the_csv_whose_values_no_dataset_holds(
+    tmp_path, capsys, column, text, refusal
+):
+    cfg = tiny_config(tmp_path)
+    out = tmp_path / "run"
+    assert run("synth", "--config", cfg, "--out", out) == 0
+    path = OutputLayout(out).domain_csv("source_1", "train")
+    lines = _replace_cell(path.read_text().splitlines(), 3, column, text)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("pretrain", "--config", cfg, "--out", out) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and refusal in err and err.count("\n") == 1
+
+
+def test_a_refused_stage_leaves_no_empty_directory(tmp_path, capsys):
+    cfg = tiny_config(tmp_path)
+    out = tmp_path / "run"
+    assert run("synth", "--config", cfg, "--out", out) == 0
+    layout = OutputLayout(out)
+    path = layout.domain_csv("source_0", "train")
+    train = data.load_csv(path)
+    data.write_csv(data.DomainDataset(train.name, train.features), path)
+    capsys.readouterr()
+    assert run("pretrain", "--config", cfg, "--out", out) == cli.EXIT_IO
+    assert capsys.readouterr().err == f"error: {path} has no label column\n"
+    assert not layout.models_dir.exists()
+
+
 def test_pretrain_without_data_is_an_io_error(tmp_path):
     cfg = tiny_config(tmp_path)
     assert run("pretrain", "--config", cfg, "--out", tmp_path / "nowhere") == cli.EXIT_IO
@@ -586,14 +620,15 @@ def test_evaluate_refuses_test_labels_beyond_num_classes(tmp_path, capsys):
     data.write_csv(test, path)
     capsys.readouterr()
     assert run("evaluate", "--config", cfg, "--out", out) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == "error: labels reach 7 but num_classes is 3\n"
+    assert capsys.readouterr().err == f"error: {path} has label 7 but num_classes is 3\n"
     for i in range(2):
         path = OutputLayout(out).domain_csv(f"source_{i}", "train")
         train = data.load_csv(path)
         train.labels[0] = 7
         data.write_csv(train, path)
     assert run("pretrain", "--config", cfg, "--out", out) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == "error: labels reach 7 but num_classes is 3\n"
+    first = OutputLayout(out).domain_csv("source_0", "train")
+    assert capsys.readouterr().err == f"error: {first} has label 7 but num_classes is 3\n"
 
 
 @pytest.mark.parametrize(

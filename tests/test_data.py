@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from domex import data, expansion, fusion, nn
+from domex import data, expansion, nn
 from domex.errors import ConfigError, InputError
 
 

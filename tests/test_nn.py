@@ -668,6 +668,24 @@ def test_fit_classifier_zero_epochs_is_identity():
     assert np.array_equal(trained.theta, before.theta)
 
 
+@pytest.mark.parametrize("n_labels", [5, 20])
+def test_fit_classifier_refuses_labels_that_do_not_match_the_rows(n_labels):
+    """Too few labels used to end in an IndexError; too many trained on the
+    first ten silently."""
+    rng = np.random.default_rng(17)
+    model = nn.init_mlp(3, [4], 2, rng)
+    with pytest.raises(InputError, match="^labels must align one-to-one with feature rows$"):
+        nn.fit_classifier(
+            model,
+            rng.normal(size=(10, 3)),
+            rng.integers(0, 2, size=n_labels),
+            epochs=1,
+            batch_size=4,
+            opt=nn.OptimizerState(0.1),
+            rng=rng,
+        )
+
+
 def test_model_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(18)
     model = nn.init_mlp(4, [6], 3, rng)
