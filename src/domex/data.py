@@ -249,17 +249,18 @@ def write_atomic(path: str | Path, content: str | bytes) -> None:
 
 
 def write_csv(ds: DomainDataset, path: str | Path) -> None:
-    """Write a dataset as CSV, with a label column if it is labelled; floats
-    use repr so a reload is value-identical."""
+    """Write a dataset as CSV, with a label column if it is labelled. Every
+    feature is written as %.17g: 17 significant digits pin down any float64,
+    so a reload is bit-identical. One %-format per row is cheaper than a
+    repr per cell."""
     header = [f"f{i}" for i in range(ds.dim)]
+    row_format = ",".join(["%.17g"] * ds.dim)
+    rows = ds.features.tolist()
     if ds.labelled:
         header.append(LABEL_COLUMN)
-    lines = [",".join(header)]
-    for row_index, row in enumerate(ds.features.tolist()):
-        line = ",".join(map(repr, row))
-        if ds.labelled:
-            line += f",{int(ds.labels[row_index])}"
-        lines.append(line)
+        row_format += ",%d"
+        rows = [(*row, label) for row, label in zip(rows, ds.labels.tolist())]
+    lines = [",".join(header)] + [row_format % tuple(row) for row in rows]
     write_atomic(path, "\n".join(lines) + "\n")
 
 

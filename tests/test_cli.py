@@ -301,6 +301,22 @@ def test_pretrain_names_the_csv_whose_values_no_dataset_holds(
     assert err.startswith(f"error: {path}: ") and refusal in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "content, refusal",
+    [("", "{path} is empty"), ("label\n", "line 1: {path} declares no feature columns")],
+    ids=["empty", "label-only header"],
+)
+def test_pretrain_refuses_a_source_csv_without_features(tmp_path, capsys, content, refusal):
+    cfg = tiny_config(tmp_path)
+    out = tmp_path / "run"
+    assert run("synth", "--config", cfg, "--out", out) == 0
+    path = OutputLayout(out).domain_csv("source_0", "train")
+    path.write_text(content)
+    capsys.readouterr()
+    assert run("pretrain", "--config", cfg, "--out", out) == cli.EXIT_IO
+    assert capsys.readouterr().err == f"error: {refusal.format(path=path)}\n"
+
+
 def test_a_refused_stage_leaves_no_empty_directory(tmp_path, capsys):
     cfg = tiny_config(tmp_path)
     out = tmp_path / "run"
@@ -650,6 +666,20 @@ def test_evaluate_refuses_models_that_do_not_fit_together(
     assert message in err
 
 
+def test_evaluate_refuses_a_model_cut_short_of_a_whole_float64(tmp_path, capsys):
+    cfg, out = pipeline_through_pretrain(tmp_path)
+    assert run("expand", "--config", cfg, "--out", out) == 0
+    path = OutputLayout(out).updated_model(0)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-3])
+    body = len(raw) - raw.index(b"\n") - 1 - 3
+    capsys.readouterr()
+    assert run("evaluate", "--config", cfg, "--out", out) == cli.EXIT_IO
+    assert capsys.readouterr().err == (
+        f"error: {path}: theta holds {body} bytes, not a whole number of float64s\n"
+    )
+
+
 @pytest.mark.parametrize("stage", ["expand", "evaluate"])
 def test_a_stage_names_the_csv_and_model_whose_widths_differ(tmp_path, capsys, stage):
     """Models pretrained on 4 features, given a CSV with 5."""
@@ -891,6 +921,9 @@ def test_seed_is_refused_by_stages_without_randomness(tmp_path, capsys, stage):
         {"samples_per_class": 1},
         {"samples_per_class": 2, "train_fraction": 0.95},
         {"mean_scale": -1.0},
+        {"train_fraction": 1.0},
+        {"num_classes": 1},
+        {"plane_signal_fraction": 1.5},
     ],
     ids=[
         "unequal lists",
@@ -900,6 +933,9 @@ def test_seed_is_refused_by_stages_without_randomness(tmp_path, capsys, stage):
         "one sample per class",
         "no test sample",
         "negative mean scale",
+        "train fraction one",
+        "one class",
+        "plane signal fraction above one",
     ],
 )
 def test_every_stage_refuses_a_bad_data_section(tmp_path, capsys, bad_data):
@@ -910,6 +946,27 @@ def test_every_stage_refuses_a_bad_data_section(tmp_path, capsys, bad_data):
         assert run(stage, "--config", cfg, "--out", out) == cli.EXIT_CONFIG, stage
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("lam", -1.0),
+        ("temperature", 0.0),
+        ("weight_temperature", 0.0),
+        ("batch_size", 0),
+        ("learning_rate", 0.0),
+    ],
+)
+def test_expand_refuses_a_bad_expansion_hyperparameter(tmp_path, capsys, key, value):
+    _, out = pipeline_through_pretrain(tmp_path)
+    cfg = tiny_config(tmp_path, expansion={key: value})
+    capsys.readouterr()
+    assert run("expand", "--config", cfg, "--out", out) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid section 'expansion': {key} must be ")
+    assert err.count("\n") == 1
+    assert not OutputLayout(out).expanded_dir.exists()
 
 
 @pytest.mark.parametrize(

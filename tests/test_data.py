@@ -226,7 +226,7 @@ def test_csv_round_trip_is_exact(tmp_path):
     path = tmp_path / "round.csv"
     data.write_csv(ds, path)
     back = data.load_csv(path)
-    assert np.array_equal(back.features, ds.features)  # repr() survives re-parsing
+    assert np.array_equal(back.features, ds.features)  # 17 digits survive re-parsing
     assert np.array_equal(back.labels, ds.labels)
 
     bare = tmp_path / "bare.csv"
@@ -234,24 +234,41 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert not data.load_csv(bare).labelled
 
 
-def test_csv_writes_extreme_values_as_per_scalar_repr(tmp_path):
+def test_csv_writes_extreme_values_as_17_significant_digits(tmp_path):
     values = np.array(
         [[-0.0, 5e-324, 1.7976931348623157e308, 0.30000000000000004],
-         [0.1, -5e-324, -1.7976931348623157e308, 2.0**-1022]]
+         [0.1, -5e-324, -1.7976931348623157e308, 2.0**-1022],
+         [1e16, 1e-7, 123456789.0, 1.0]]
     )
-    ds = data.DomainDataset("extreme", values, np.array([0, 7]))
+    ds = data.DomainDataset("extreme", values, np.array([0, 7, 2]))
     path = tmp_path / "extreme.csv"
     data.write_csv(ds, path)
-    # The reference formula: one repr(float(v)) per numpy scalar.
+    # The reference formula: one "%.17g" % float(v) per numpy scalar.
     expected = ["f0,f1,f2,f3,label"] + [
-        ",".join([repr(float(v)) for v in ds.features[i]] + [str(int(ds.labels[i]))])
+        ",".join(["%.17g" % float(v) for v in ds.features[i]] + [str(int(ds.labels[i]))])
         for i in range(ds.n)
     ]
     assert path.read_text() == "\n".join(expected) + "\n"
+    assert path.read_text().splitlines()[3].split(",")[2] == "123456789"
     back = data.load_csv(path)
     assert back.features.tobytes() == values.tobytes()
     assert np.signbit(back.features[0, 0])
-    assert back.labels.tolist() == [0, 7]
+    assert back.labels.tolist() == [0, 7, 2]
+
+
+def test_csv_reloads_random_bit_patterns_bit_for_bit(tmp_path):
+    """10 000 finite doubles drawn as random bit patterns, spread over the
+    whole exponent range with subnormals among them, come back from write_csv
+    and load_csv with the same bytes."""
+    bits = np.random.default_rng(0).integers(
+        np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=40_000, dtype=np.int64
+    )
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)][:10_000].reshape(1000, 10)
+    assert values.size == 10_000 and (np.abs(values) < np.finfo(np.float64).tiny).any()
+    path = tmp_path / "bits.csv"
+    data.write_csv(data.DomainDataset("bits", values), path)
+    assert data.load_csv(path).features.tobytes() == values.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """The README's config block, library example, code names, Requires line,
-model file names and model header line agree with the code."""
+model file names, model header line and feature cell format agree with the code."""
 
 import dataclasses
 import importlib
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from domex import cli, config, nn
+from domex import cli, config, data, nn
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -87,3 +87,13 @@ def test_model_header_line_is_what_save_model_writes_for_the_default_model(tmp_p
     nn.save_model(nn.init_mlp(10, [1000], 5, np.random.default_rng(0)), path)
     head = path.read_bytes().split(b"\n", 1)[0] + b"\n"
     assert code_block("### Model files", "json") == head.decode()
+
+
+def test_feature_cell_format_is_what_write_csv_writes(tmp_path):
+    section = README.read_text().split("\n### Data files\n", 1)[1]
+    cell_format = re.search(r"writes every feature with the format\s+`([^`]+)`", section).group(1)
+    values = np.array([[0.1, 5e-324]])
+    path = tmp_path / "cells.csv"
+    data.write_csv(data.DomainDataset("cells", values), path)
+    cells = path.read_text().splitlines()[1].split(",")
+    assert [cell_format % v for v in values[0].tolist()] == cells
