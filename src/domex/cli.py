@@ -201,7 +201,7 @@ def cmd_evaluate(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path])
         for role in (layout.original_model, layout.updated_model)
     ]
     models = _load_models(model_paths, cfg)
-    ensemble = expansion.EnsembleState(models[0::2], models[1::2])
+    originals, updated = models[0::2], models[1::2]
     names = _domain_names(cfg)
     csv_paths = [layout.domain_csv(name, "test") for name in names]
     labelled = _load_labelled(csv_paths, cfg, model_paths[0], models[0].input_dim)
@@ -210,9 +210,7 @@ def cmd_evaluate(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path])
     # Shared by all methods: one pass per (model, test set).
     outputs: dict = {}
     reports = {
-        method: fusion.evaluate_expanded(
-            method, ensemble.originals, ensemble.updated, test_sets, outputs=outputs
-        )
+        method: fusion.evaluate_expanded(method, originals, updated, test_sets, outputs=outputs)
         for method in cfg.evaluate.methods
     }
     write_atomic(

@@ -93,14 +93,9 @@ class EnsembleState:
     updated: list[MlpModel]
 
     def __post_init__(self):
-        if len(self.originals) < 2:
-            raise InputError("need at least two source models")
+        # expand zips the two lists, which would drop the longer one's tail.
         if len(self.updated) != len(self.originals):
             raise InputError("originals and updated must have the same length")
-        ref = self.originals[0]
-        for model in [*self.originals, *self.updated]:
-            if model.input_dim != ref.input_dim or model.num_classes != ref.num_classes:
-                raise InputError("all models must share input_dim and num_classes")
 
     @classmethod
     def initialize(cls, models: Sequence[MlpModel]) -> "EnsembleState":
@@ -110,13 +105,6 @@ class EnsembleState:
     @property
     def m(self) -> int:
         return len(self.originals)
-
-
-def _check_batch(batch: np.ndarray) -> np.ndarray:
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[0] == 0:
-        raise InputError(f"expected a nonempty (N, d) feature matrix, got {batch.shape}")
-    return batch
 
 
 def _check_index(i: int, m: int) -> None:
@@ -137,7 +125,7 @@ def mean_entropy(model: MlpModel, new_data: np.ndarray) -> float:
     Uniform predictions give ln(C); one-hot predictions give 0. The 0*ln(0)
     terms that appear when a probability underflows are taken as 0.
     """
-    return _mean_entropy_of(softmax_outputs([model], _check_batch(new_data))[0])
+    return _mean_entropy_of(softmax_outputs([model], new_data)[0])
 
 
 def compute_weights(entropies: np.ndarray, weight_temperature: float) -> WeightVector:
@@ -148,8 +136,6 @@ def compute_weights(entropies: np.ndarray, weight_temperature: float) -> WeightV
     softmax saturates and weights may round to exactly 0 or 1.
     """
     entropies = np.asarray(entropies, dtype=np.float64)
-    if entropies.ndim != 1 or entropies.shape[0] < 2:
-        raise InputError("need entropies for at least two models")
     return WeightVector(entropies, softmax_temperature(entropies, weight_temperature))
 
 
@@ -197,7 +183,7 @@ def frozen_targets(
     """
     _check_index(i, ensemble.m)
     models = [ensemble.originals[i], *ensemble.updated[:i], *ensemble.updated[i + 1 :]]
-    return np.stack(softmax_outputs(models, _check_batch(batch), temperature))
+    return np.stack(softmax_outputs(models, batch, temperature))
 
 
 def _batch_loss(
@@ -237,7 +223,7 @@ def preservation_loss(
 
 def ensemble_entropies(models: Sequence[MlpModel], new_data: np.ndarray) -> np.ndarray:
     """Each model's mean_entropy on the dataset."""
-    probs = softmax_outputs(models, _check_batch(new_data))
+    probs = softmax_outputs(models, new_data)
     return np.array([_mean_entropy_of(p) for p in probs])
 
 
@@ -256,7 +242,7 @@ def expand(
     (round, model) with keys round, model_index, mean_L_org, mean_L_bias (the
     batch means of the loss terms seen during its epoch), E_i and w_i.
     """
-    new_data = _check_batch(new_data)
+    new_data = np.asarray(new_data, dtype=np.float64)
     n = new_data.shape[0]
     rng = np.random.default_rng(hp.seed)
     # Each model's target stack is built from these (N, C) arrays on the

@@ -65,14 +65,9 @@ def fuse(
 ) -> PredictionBatch:
     """Fuse per-model (N, C) softmax matrices, as nn.softmax_outputs returns
     them, by one of FUSION_METHODS; a role the method does not read may be None."""
-    if method not in _RULES:
-        raise InputError(f"unknown fusion method {method!r}; expected one of {FUSION_METHODS}")
     roles, rule = _RULES[method]
     probs = [{"originals": originals, "updated": updated}[role] for role in roles]
-    if any(p is None for p in probs):
-        raise InputError(f"method {method} fuses the {' and '.join(roles)} models' outputs")
-    if not all(map(len, probs)):
-        raise InputError("need at least one model to fuse")
+    # map would stop at the shorter list.
     if len(set(map(len, probs))) > 1:
         raise InputError("originals and updated must pair up one-to-one")
     return PredictionBatch.from_scores(rule(*probs))
@@ -96,6 +91,7 @@ def fuse_m2(
 def accuracy(pred: PredictionBatch, labels: np.ndarray) -> float:
     """Fraction of exact label matches."""
     labels = np.asarray(labels)
+    # (N, 1) labels would broadcast against (N,) predictions to (N, N).
     if labels.shape != pred.predicted.shape:
         raise InputError(
             f"labels shape {labels.shape} does not match predictions "
@@ -127,16 +123,12 @@ def evaluate_expanded(
     "originals" or "updated". Passing one dict to every method evaluated on
     the same models and test sets passes each test set through each model once.
     """
-    if not test_sets:
-        raise InputError("need at least one test set")
     if outputs is None:
         outputs = {}
-    roles = _RULES.get(method, ((), None))[0]
+    roles = _RULES[method][0]
     models = {"originals": originals, "updated": updated}
     per_domain = {}
     for name, ds in test_sets.items():
-        if ds.labels is None:
-            raise InputError(f"test set {name!r} has no labels")
         for role in roles:
             if (role, name) not in outputs:
                 outputs[role, name] = softmax_outputs(models[role], ds.features)
@@ -156,8 +148,6 @@ def format_results_table(reports: Mapping[str, EvaluationReport]) -> str:
     Columns follow the method order baseline / m1 / m2 restricted to the
     reports given; accuracies are shown in percent.
     """
-    if not reports:
-        raise InputError("no reports to format")
     methods = [m for m in FUSION_METHODS if m in reports]
     domain_order = list(next(iter(reports.values())).per_domain_accuracy)
     header = {"baseline": "Base", "m1": "M1", "m2": "M2"}

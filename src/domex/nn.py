@@ -121,13 +121,6 @@ class OptimizerState:
     momentum: float = 0.0
     velocity: np.ndarray | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        # lr = 0 is allowed: a zero step must be an exact no-op.
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.momentum < 0:
-            raise ConfigError(f"momentum must be >= 0, got {self.momentum}")
-
 
 def init_mlp(
     input_dim: int,
@@ -204,10 +197,7 @@ def softmax_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
     """
     if temperature <= 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
-    logits = np.asarray(logits, dtype=np.float64)
-    if not np.isfinite(logits).all():
-        raise InputError("logits must be finite")
-    scaled = logits / temperature
+    scaled = np.asarray(logits, dtype=np.float64) / temperature
     scaled = scaled - scaled.max(axis=-1, keepdims=True)
     exps = np.exp(scaled)
     return exps / exps.sum(axis=-1, keepdims=True)
@@ -234,10 +224,8 @@ def cross_entropy(
     logits = np.asarray(logits, dtype=np.float64)
     labels = _check_labels(labels, logits.shape[-1])
     n = logits.shape[0]
-    if n != labels.shape[0]:
+    if n != labels.shape[0]:  # one label would broadcast to every row
         raise InputError("logits and labels disagree on batch size")
-    if n == 0:
-        raise InputError("cross-entropy needs a nonempty batch")
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
     sums = exps.sum(axis=-1, keepdims=True)
@@ -269,10 +257,6 @@ def backward(model: MlpModel, cache: list[np.ndarray], dlogits: np.ndarray) -> n
     dlogits is never written.
     """
     dlogits = np.asarray(dlogits, dtype=np.float64)
-    if dlogits.shape != cache[-1].shape:
-        raise InputError(
-            f"dlogits shape {dlogits.shape} does not match cached logits {cache[-1].shape}"
-        )
     grads = np.empty_like(model.theta)
     grad_layers = _layer_views(grads, model.dims)
     delta, last = dlogits, len(model.layers) - 1
@@ -289,6 +273,7 @@ def backward(model: MlpModel, cache: list[np.ndarray], dlogits: np.ndarray) -> n
 
 def sgd_step(model: MlpModel, grads: np.ndarray, opt: OptimizerState) -> MlpModel:
     """One descent step; returns a new model, mutating only opt's momentum buffer."""
+    # A scalar or (1,) grads would broadcast into the momentum buffer.
     if grads.shape != model.theta.shape:
         raise InputError(
             f"gradient shape {grads.shape} does not match parameters {model.theta.shape}"

@@ -336,6 +336,25 @@ def test_pretrain_without_data_is_an_io_error(tmp_path):
     assert run("pretrain", "--config", cfg, "--out", tmp_path / "nowhere") == cli.EXIT_IO
 
 
+def test_pretrain_refuses_to_save_a_model_whose_parameters_overflowed(tmp_path, capsys):
+    # One full-batch step at this rate leaves theta infinite; the forward
+    # before it is still finite, so only save_model sees the overflow.
+    cfg = tiny_config(
+        tmp_path,
+        data={"mean_scale": 1000.0},
+        pretrain={"epochs": 1, "batch_size": 100000, "learning_rate": 1.7e308},
+    )
+    out = tmp_path / "run"
+    assert run("synth", "--config", cfg, "--out", out) == 0
+    capsys.readouterr()
+    assert run("pretrain", "--config", cfg, "--out", out) == cli.EXIT_NUMERIC
+    path = OutputLayout(out).original_model(0)
+    assert capsys.readouterr().err == (
+        f"error: refusing to save {path}: model parameters are not finite\n"
+    )
+    assert not OutputLayout(out).models_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # expand
 
@@ -730,6 +749,18 @@ def test_evaluate_without_test_sets_is_an_io_error(tmp_path):
     assert run("evaluate", "--config", cfg, "--out", tmp_path / "run") == cli.EXIT_IO
 
 
+def test_a_write_that_cannot_replace_its_target_removes_its_tmp_file(tmp_path, capsys):
+    cfg, out = pipeline_through_pretrain(tmp_path)
+    assert run("expand", "--config", cfg, "--out", out) == 0
+    report = OutputLayout(out).report_json
+    (report / "kept").mkdir(parents=True)
+    capsys.readouterr()
+    assert run("evaluate", "--config", cfg, "--out", out) == cli.EXIT_IO
+    tmp = report.with_name("report.json.tmp")
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp}' -> '{report}'\n"
+    assert sorted(p.name for p in report.parent.iterdir()) == ["report.json"]
+
+
 # ---------------------------------------------------------------------------
 # gradcheck and shared plumbing
 
@@ -924,6 +955,7 @@ def test_seed_is_refused_by_stages_without_randomness(tmp_path, capsys, stage):
         {"train_fraction": 1.0},
         {"num_classes": 1},
         {"plane_signal_fraction": 1.5},
+        {"feature_dim": 0},
     ],
     ids=[
         "unequal lists",
@@ -936,6 +968,7 @@ def test_seed_is_refused_by_stages_without_randomness(tmp_path, capsys, stage):
         "train fraction one",
         "one class",
         "plane signal fraction above one",
+        "no feature",
     ],
 )
 def test_every_stage_refuses_a_bad_data_section(tmp_path, capsys, bad_data):
@@ -956,6 +989,7 @@ def test_every_stage_refuses_a_bad_data_section(tmp_path, capsys, bad_data):
         ("weight_temperature", 0.0),
         ("batch_size", 0),
         ("learning_rate", 0.0),
+        ("epochs", -1),
     ],
 )
 def test_expand_refuses_a_bad_expansion_hyperparameter(tmp_path, capsys, key, value):

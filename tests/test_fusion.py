@@ -83,13 +83,6 @@ def test_baseline_and_m1_are_one_rule_on_different_models():
     )
 
 
-def test_m1_rejects_empty_model_list():
-    with pytest.raises(InputError):
-        fusion.fuse("m1", None, [])
-    with pytest.raises(InputError):
-        fusion.fuse_m1([], np.zeros((1, 2)))
-
-
 # ---------------------------------------------------------------------------
 # fuse_m2
 
@@ -190,15 +183,9 @@ def test_accuracy_counting():
     assert fusion.accuracy(pred, np.array([0, 1, 2, 0])) == 0.75
     with pytest.raises(InputError):
         fusion.accuracy(pred, np.arange(3))
-
-
-def test_fuse_dispatcher_validates_method():
-    rng = np.random.default_rng(10)
-    probs = nn.softmax_outputs(random_models(rng, 2), np.zeros((1, 3)))
+    # (4, 1) labels would broadcast against (4,) predictions to a 4x4 grid.
     with pytest.raises(InputError):
-        fusion.fuse("m3", probs, probs)
-    with pytest.raises(InputError):
-        fusion.fuse("m1", probs, None)
+        fusion.accuracy(pred, np.arange(4).reshape(4, 1))
 
 
 def test_model_form_matches_probability_form_exactly():
@@ -318,5 +305,3 @@ def test_results_table_layout():
     assert lines[2].startswith("new")
     assert lines[-1].startswith("Expanded")
     assert "37.50" in lines[-1]
-    with pytest.raises(InputError):
-        fusion.format_results_table({})
