@@ -7,7 +7,7 @@ absolute floor, since relative error is meaningless near zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,13 +33,15 @@ def gradient_discrepancy(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 @dataclass
 class CheckResult:
-    loss_name: str
+    """One loss's check on one seed; gradcheck.json writes its fields in order."""
+
+    loss: str
     seed: int
     max_error: float
+    passed: bool = field(init=False)
 
-    @property
-    def passed(self) -> bool:
-        return self.max_error < REL_TOL
+    def __post_init__(self):
+        self.passed = self.max_error < REL_TOL
 
 
 def _tiny_setup(seed: int):

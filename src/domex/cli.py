@@ -19,7 +19,7 @@ import json
 import locale  # noqa: F401
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -215,7 +215,7 @@ def cmd_evaluate(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path])
     }
     write_atomic(
         layout.report_json,
-        json.dumps({"reports": [r.to_dict() for r in reports.values()]}, indent=2) + "\n",
+        json.dumps({"reports": [asdict(r) for r in reports.values()]}, indent=2) + "\n",
     )
     table = fusion.format_results_table(reports)
     write_atomic(layout.results_table, table + "\n")
@@ -231,15 +231,7 @@ def cmd_gradcheck(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]
     all_passed = all(r.passed for r in results)
     payload = {
         "tolerance": checks.REL_TOL,
-        "results": [
-            {
-                "loss": r.loss_name,
-                "seed": r.seed,
-                "max_error": r.max_error,
-                "passed": r.passed,
-            }
-            for r in results
-        ],
+        "results": [asdict(r) for r in results],
         "all_passed": all_passed,
     }
     write_atomic(layout.gradcheck_json, json.dumps(payload, indent=2) + "\n")

@@ -134,9 +134,6 @@ class RunConfig:
     evaluate: EvaluateConfig = field(default_factory=EvaluateConfig)
     gradcheck: GradcheckConfig = field(default_factory=GradcheckConfig)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def load_config(path: str | Path | None) -> RunConfig:
     """Read a config file; a missing path means all defaults."""
@@ -229,7 +226,7 @@ def write_manifest(
 
     payload: dict[str, Any] = {
         "stage": stage,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "inputs": [rel(p) for p in inputs],
         "outputs": [{"path": rel(p), "sha256": sha256_file(p)} for p in outputs],
     }

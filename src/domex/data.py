@@ -26,17 +26,6 @@ from .errors import ConfigError, InputError
 LABEL_COLUMN = "label"
 
 
-def class_indices(labels: np.ndarray) -> np.ndarray:
-    """labels as int64, refusing rather than truncating a label that is not a
-    whole number; integral floats such as 2.0 are accepted."""
-    labels = np.asarray(labels)
-    if labels.dtype.kind == "f":
-        whole = np.isfinite(labels) & (labels == np.floor(labels))
-        if not whole.all():
-            raise InputError(f"labels must be whole numbers, got {labels[~whole][0]}")
-    return labels.astype(np.int64)
-
-
 @dataclass
 class DomainDataset:
     """Feature vectors belonging to one domain, optionally labelled."""
@@ -54,7 +43,9 @@ class DomainDataset:
         if not np.isfinite(self.features).all():
             raise InputError(f"dataset {self.name!r} contains non-finite features")
         if self.labels is not None:
-            self.labels = class_indices(self.labels)
+            self.labels = np.asarray(self.labels)
+            if self.labels.dtype.kind not in "iu":
+                raise InputError(f"labels must be integers, got dtype {self.labels.dtype}")
             if self.labels.shape != (self.features.shape[0],):
                 raise InputError("labels must align one-to-one with feature rows")
             if self.labels.size and self.labels.min() < 0:
@@ -178,8 +169,12 @@ def _located(exc: ValueError, path: Path, n_columns: int, n_features: int) -> In
     message = str(exc)
     if cell := _BAD_CELL.search(message):
         text, row, column = cell.groups()
-        what = "non-integer label" if int(column) > n_features else "non-numeric feature cell"
-        return InputError(f"line {int(row) + 2}: {path}: {what} {text}")
+        what = (
+            f"label {text} is not an integer that fits in int64"
+            if int(column) > n_features
+            else f"non-numeric feature cell {text}"
+        )
+        return InputError(f"line {int(row) + 2}: {path}: {what}")
     if count := _BAD_COUNT.search(message):
         return InputError(
             f"line {int(count[2]) + 1}: {path}: expected {n_columns} values, found {count[1]}"

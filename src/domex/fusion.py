@@ -44,18 +44,12 @@ class PredictionBatch:
 
 @dataclass
 class EvaluationReport:
-    """Per-domain accuracies and their unweighted mean for one fusion method."""
+    """Per-domain accuracies and their unweighted mean for one fusion method;
+    report.json writes its fields in order."""
 
+    method: str
     per_domain_accuracy: dict[str, float]
     expanded_accuracy: float
-    method: str
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "per_domain_accuracy": dict(self.per_domain_accuracy),
-            "expanded_accuracy": self.expanded_accuracy,
-        }
 
 
 def fuse(
@@ -134,11 +128,7 @@ def evaluate_expanded(
                 outputs[role, name] = softmax_outputs(models[role], ds.features)
         orig, upd = outputs.get(("originals", name)), outputs.get(("updated", name))
         per_domain[name] = accuracy(fuse(method, orig, upd), ds.labels)
-    return EvaluationReport(
-        per_domain_accuracy=per_domain,
-        expanded_accuracy=expanded_accuracy(per_domain),
-        method=method,
-    )
+    return EvaluationReport(method, per_domain, expanded_accuracy(per_domain))
 
 
 def format_results_table(reports: Mapping[str, EvaluationReport]) -> str:

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import class_indices, write_atomic
+from .data import write_atomic
 from .errors import ConfigError, InputError, NumericError
 
 # Rows per forward when a model runs over a whole set; the default batch size
@@ -205,11 +205,14 @@ def softmax_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
 
 def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels)
+    # numpy would index with bool labels as a mask, not as classes 0 and 1.
+    if labels.dtype.kind not in "iu":
+        raise InputError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.ndim != 1:
         raise InputError(f"labels must be 1-D, got shape {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise InputError(f"labels must lie in [0, {num_classes})")
-    return class_indices(labels)
+    return labels
 
 
 def cross_entropy(

@@ -12,9 +12,9 @@ from domex.config import GradcheckConfig
 def test_suite_passes_on_default_seeds():
     results = checks.run_gradient_suite(tuple(GradcheckConfig().seeds))
     assert len(results) == len(checks.CHECKED_LOSSES) * 5
-    assert {r.loss_name for r in results} == set(checks.CHECKED_LOSSES)
+    assert {r.loss for r in results} == set(checks.CHECKED_LOSSES)
     for r in results:
-        assert r.passed, f"{r.loss_name} seed {r.seed}: max error {r.max_error:.3e}"
+        assert r.passed, f"{r.loss} seed {r.seed}: max error {r.max_error:.3e}"
         assert r.max_error < checks.REL_TOL
 
 
@@ -49,7 +49,7 @@ def test_a_corrupted_bias_gradient_fails_only_the_bias_checks(monkeypatch):
 
     monkeypatch.setattr(expansion, "weighted_loss", corrupted)
     results = checks.run_gradient_suite(seeds=(0, 1))
-    assert [(r.loss_name, r.seed) for r in results if not r.passed] == [("bias", 0), ("bias", 1)]
+    assert [(r.loss, r.seed) for r in results if not r.passed] == [("bias", 0), ("bias", 1)]
 
 
 def own_check_error(loss_name, seed):
@@ -83,7 +83,7 @@ def test_probes_take_the_value_of_the_loss_whose_gradient_is_checked(loss_name):
     # bits of the one its loss gets when checked alone
     results = checks.run_gradient_suite(seeds=(0, 1))
     for seed in (0, 1):
-        [result] = [r for r in results if (r.loss_name, r.seed) == (loss_name, seed)]
+        [result] = [r for r in results if (r.loss, r.seed) == (loss_name, seed)]
         assert result.max_error.hex() == own_check_error(loss_name, seed).hex()
 
 
@@ -144,14 +144,14 @@ def test_expansion_check_runs_the_frozen_targets_once(monkeypatch, loss_name):
         return frozen_targets(*args, **kwargs)
 
     monkeypatch.setattr(expansion, "frozen_targets", counted)
-    [result] = [r for r in checks.check_seed(0) if r.loss_name == loss_name]
+    [result] = [r for r in checks.check_seed(0) if r.loss == loss_name]
     assert result.passed
     assert calls == [0]
 
 
 def test_seed_check_is_deterministic_and_the_suite_orders_it_loss_by_loss():
     a, b = checks.check_seed(3), checks.check_seed(3)
-    assert [r.loss_name for r in a] == list(checks.CHECKED_LOSSES)
+    assert [r.loss for r in a] == list(checks.CHECKED_LOSSES)
     assert [r.max_error.hex() for r in a] == [r.max_error.hex() for r in b]
     c = checks.check_seed(0)
     suite = checks.run_gradient_suite(seeds=(3, 0))

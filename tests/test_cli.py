@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from domex import checks, cli, data, nn
+from domex import checks, cli, data, fusion, nn
 from domex.config import OutputLayout, sha256_file
 from domex.errors import ConfigError, DomexError, InputError, NumericError
 
@@ -631,9 +631,10 @@ def test_evaluate_needs_no_unlabelled_data_and_saturated_weights_run(
     manifest = json.loads((out / "evaluate_manifest.json").read_text())
     assert not any(p.endswith("new_unlabelled.csv") for p in manifest["inputs"])
     report = json.loads(OutputLayout(out).report_json.read_text())
-    assert {tuple(sorted(r)) for r in report["reports"]} == {
-        ("expanded_accuracy", "method", "per_domain_accuracy")
-    }
+    # each record's keys in EvaluationReport's field order
+    assert [list(r) for r in report["reports"]] == [
+        ["method", "per_domain_accuracy", "expanded_accuracy"]
+    ] * len(fusion.FUSION_METHODS)
 
 
 def test_evaluate_reruns_identically(tmp_path):
@@ -773,6 +774,8 @@ def test_gradcheck_writes_a_passing_report(tmp_path):
     assert payload["all_passed"] is True
     assert len(payload["results"]) == len(checks.CHECKED_LOSSES) * 2
     assert all(r["max_error"] < payload["tolerance"] for r in payload["results"])
+    # each result's keys in CheckResult's field order
+    assert {tuple(r) for r in payload["results"]} == {("loss", "seed", "max_error", "passed")}
 
 
 def test_gradcheck_failure_exits_with_numeric_code(tmp_path, monkeypatch):
@@ -879,20 +882,47 @@ def _replace_cell(lines, line, column, text):
 
 
 @pytest.mark.parametrize(
-    "corrupt, line",
+    "corrupt, line, says",
     [
-        (lambda lines: _replace_cell(lines, 3, 0, "banana"), 3),
-        (lambda lines: _replace_cell(lines, 4, -1, "1.0"), 4),
-        (lambda lines: lines[:3] + [lines[3] + ",0.5"] + lines[4:], 4),
-        (lambda lines: [lines[0]] + [line + ",0" for line in lines[1:]], 2),
-        (lambda lines: lines[:3] + [""] + lines[3:], 4),
-        (lambda lines: lines + [""], None),  # None: the last line
-        (lambda lines: lines[:2] + ["#" + lines[2]] + lines[3:], 3),
-        (lambda lines: lines[:1], 2),
+        (
+            lambda lines: _replace_cell(lines, 3, 0, "banana"),
+            3,
+            ": non-numeric feature cell 'banana'",
+        ),
+        (
+            lambda lines: _replace_cell(lines, 4, -1, "1.0"),
+            4,
+            ": label '1.0' is not an integer that fits in int64",
+        ),
+        (
+            lambda lines: _replace_cell(lines, 3, -1, "99999999999999999999"),
+            3,
+            ": label '99999999999999999999' is not an integer that fits in int64",
+        ),
+        (
+            lambda lines: lines[:3] + [lines[3] + ",0.5"] + lines[4:],
+            4,
+            ": expected 5 values, found 6",
+        ),
+        (
+            lambda lines: [lines[0]] + [line + ",0" for line in lines[1:]],
+            2,
+            ": expected 5 values, found 6",
+        ),
+        (lambda lines: lines[:3] + [""] + lines[3:], 4, ": expected 5 values, found 0"),
+        # None: the last line
+        (lambda lines: lines + [""], None, ": expected 5 values, found 0"),
+        (
+            lambda lines: lines[:2] + ["#" + lines[2]] + lines[3:],
+            3,
+            ": non-numeric feature cell '#",
+        ),
+        (lambda lines: lines[:1], 2, " has a header but no data rows"),
     ],
     ids=[
         "non-numeric cell",
         "non-integer label",
+        "label beyond int64",
         "ragged row",
         "every row too long",
         "blank line",
@@ -902,7 +932,7 @@ def _replace_cell(lines, line, column, text):
     ],
 )
 def test_malformed_data_csv_is_a_one_line_error_naming_the_line(
-    tmp_path, capsys, corrupt, line
+    tmp_path, capsys, corrupt, line, says
 ):
     cfg = tiny_config(tmp_path)
     out = tmp_path / "run"
@@ -914,7 +944,7 @@ def test_malformed_data_csv_is_a_one_line_error_naming_the_line(
     capsys.readouterr()
     assert run("pretrain", "--config", cfg, "--out", out) == cli.EXIT_IO
     err = capsys.readouterr().err
-    assert err.startswith(f"error: line {line}: {path}") and err.count("\n") == 1
+    assert err.startswith(f"error: line {line}: {path}{says}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Config parsing, the output layout, and stage manifests."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -17,10 +18,10 @@ def test_defaults_load_without_a_file():
     assert cfg.evaluate.methods == ["baseline", "m1", "m2"]
 
 
-def test_round_trip_through_to_dict(tmp_path):
+def test_round_trip_through_asdict(tmp_path):
     cfg = config.RunConfig()
     path = tmp_path / "run.json"
-    path.write_text(json.dumps(cfg.to_dict()))
+    path.write_text(json.dumps(asdict(cfg)))
     assert config.load_config(path) == cfg
 
 
@@ -122,7 +123,7 @@ def test_manifest_round_trip_is_stable(tmp_path):
     first = layout.manifest("synth").read_bytes()
     doc = json.loads(first)
     assert doc["stage"] == "synth"
-    assert doc["config"] == cfg.to_dict()
+    assert doc["config"] == asdict(cfg)
     assert doc["outputs"] == [
         {"path": "data/out.csv", "sha256": config.sha256_file(produced)}
     ]

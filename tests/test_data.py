@@ -44,11 +44,11 @@ def test_dataset_validation():
         data.DomainDataset("d", np.zeros((2, 2)), np.array([0, -1]))
 
 
-def test_dataset_refuses_fractional_labels_and_keeps_integral_floats():
-    with pytest.raises(InputError, match="whole numbers"):
-        data.DomainDataset("d", np.zeros((2, 2)), [0.5, 1.9])
-    ds = data.DomainDataset("d", np.zeros((2, 2)), [0.0, 1.0])
-    assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1]
+def test_dataset_refuses_float_and_bool_labels_naming_the_dtype():
+    # even integral floats: the engine indexes with labels as it is given them
+    for labels in (np.array([0.0, 1.0]), np.array([False, True])):
+        with pytest.raises(InputError, match=f"integers, got dtype {labels.dtype}$"):
+            data.DomainDataset("d", np.zeros((2, 2)), labels)
 
 
 def test_dataset_take_keeps_alignment():

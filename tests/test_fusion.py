@@ -1,5 +1,7 @@
 """Score fusion, accuracy bookkeeping, and the entropy/accuracy report."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -235,8 +237,8 @@ def test_evaluate_expanded_reports_mean_of_domains():
     assert abs(report.expanded_accuracy - mean) <= 1e-12
     assert report.method == "baseline"
 
-    payload = report.to_dict()
-    assert payload["method"] == "baseline"
+    payload = asdict(report)
+    assert list(payload) == ["method", "per_domain_accuracy", "expanded_accuracy"]
     assert payload["expanded_accuracy"] == report.expanded_accuracy
 
 
@@ -284,7 +286,7 @@ def test_evaluate_runs_one_forward_per_model_and_domain(monkeypatch):
     assert sorted(rows) == sorted([5, 6, 7, 64, 6] * 6)
     assert sum(rows) == 6 * sum(sizes.values())
     for method in fusion.FUSION_METHODS:
-        assert shared[method].to_dict() == separate[method].to_dict()
+        assert shared[method] == separate[method]
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +295,7 @@ def test_evaluate_runs_one_forward_per_model_and_domain(monkeypatch):
 
 def test_results_table_layout():
     reports = {
-        method: fusion.EvaluationReport(
-            {"source_0": 0.5, "new": 0.25}, 0.375, method
-        )
+        method: fusion.EvaluationReport(method, {"source_0": 0.5, "new": 0.25}, 0.375)
         for method in ("baseline", "m1", "m2")
     }
     table = fusion.format_results_table(reports)

@@ -23,7 +23,8 @@ def code_block(heading, language):
 
 
 def test_config_block_is_the_default_config():
-    assert json.loads(code_block("### Configuration", "json")) == config.RunConfig().to_dict()
+    default = dataclasses.asdict(config.RunConfig())
+    assert json.loads(code_block("### Configuration", "json")) == default
 
 
 def test_library_example_runs_as_written(capsys):
