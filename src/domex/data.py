@@ -109,8 +109,9 @@ class DataConfig:
                 f"plane_signal_fraction must be in [0, 1], got "
                 f"{self.plane_signal_fraction}"
             )
-        if self.feature_dim < 1:
-            raise ConfigError(f"feature_dim must be >= 1, got {self.feature_dim}")
+        # Every domain rotates inside a 2-D plane of the feature space.
+        if self.feature_dim < 2:
+            raise ConfigError(f"feature_dim must be >= 2, got {self.feature_dim}")
         # split's arithmetic: every class needs two samples, and the train
         # side's ceil(train_fraction * N) must leave one of N for the test side.
         if self.samples_per_class < 2:
@@ -127,8 +128,6 @@ class DataConfig:
             raise ConfigError(f"mean_scale must be >= 0, got {self.mean_scale}")
         if self.num_sources < 2:
             raise ConfigError(f"need at least two source domains, got {self.num_sources}")
-        if self.feature_dim < 2 and any([*self.source_rotations_deg, self.new_rotation_deg]):
-            raise ConfigError("rotation needs feature_dim >= 2")
         # numpy seeds its generators from non-negative integers only.
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -266,8 +265,6 @@ def split(ds: DomainDataset, spec: DataConfig) -> tuple[DomainDataset, DomainDat
     counts are allocated by largest remainder so every class lands within one
     sample of its proportional share.
     """
-    if ds.n < 2:
-        raise InputError("need at least two samples to split")
     target_train = math.ceil(spec.train_fraction * ds.n)
     rng = default_rng(spec.seed)
 
@@ -296,11 +293,6 @@ def split(ds: DomainDataset, spec: DataConfig) -> tuple[DomainDataset, DomainDat
         test_idx.append(shuffled[k:])
     train_indices = np.sort(np.concatenate(train_idx))
     test_indices = np.sort(np.concatenate(test_idx))
-    if test_indices.size == 0:
-        raise InputError(
-            f"split of {ds.name!r} left the test side empty; use more data or a "
-            "smaller train_fraction"
-        )
     return ds.take(train_indices), ds.take(test_indices)
 
 
@@ -317,17 +309,16 @@ def _rebalance_means(
 ) -> np.ndarray:
     """Redistribute each mean's norm so `fraction` of its energy is in-plane.
 
-    Norms are preserved; only the split between the rotation plane span{u, v}
-    and its orthogonal complement changes. Degenerate components (a mean
-    lying fully inside or outside the plane) keep their direction by falling
-    back to u respectively leaving the residual at zero.
+    The part in the rotation plane span{u, v} gets sqrt(fraction) of the norm
+    and the part in its orthogonal complement sqrt(1 - fraction), each along
+    its own direction. A mean with no in-plane part falls back to u; one with
+    no residual keeps only its in-plane share. So norms are preserved when
+    feature_dim >= 3, but at feature_dim 2, where the plane is the whole
+    space, each shrinks to sqrt(fraction) of itself. A zero mean stays zero.
     """
     out = np.empty_like(means)
     for c, mu in enumerate(means):
         norm = np.linalg.norm(mu)
-        if norm == 0.0:
-            out[c] = mu
-            continue
         in_plane = np.dot(mu, u) * u + np.dot(mu, v) * v
         residual = mu - in_plane
         in_norm = np.linalg.norm(in_plane)
@@ -397,14 +388,9 @@ def generate_domains(
     means = structure_rng.normal(
         0.0, cfg.mean_scale, size=(cfg.num_classes, cfg.feature_dim)
     )
-    if cfg.feature_dim >= 2:
-        basis = np.linalg.qr(
-            structure_rng.standard_normal((cfg.feature_dim, 2))
-        )[0]
-        u, v = basis[:, 0], basis[:, 1]
-        means = _rebalance_means(means, u, v, cfg.plane_signal_fraction)
-    else:
-        u = v = np.zeros(cfg.feature_dim)
+    basis = np.linalg.qr(structure_rng.standard_normal((cfg.feature_dim, 2)))[0]
+    u, v = basis[:, 0], basis[:, 1]
+    means = _rebalance_means(means, u, v, cfg.plane_signal_fraction)
     _refuse_overflow(means, f"data.mean_scale {cfg.mean_scale} overflows the class means")
 
     names = [f"source_{i}" for i in range(num_source_domains)] + ["new"]
@@ -467,12 +453,8 @@ def benchmark_shifts(cfg: DataConfig) -> tuple[list[DomainShift], DomainShift]:
     """
     rng = default_rng(SeedSequence((cfg.seed, 0x5EED)))
 
-    if cfg.feature_dim >= 2:
-        pair = np.linalg.qr(rng.standard_normal((cfg.feature_dim, 2)))[0]
-        source_dir, new_dir = pair[:, 0], pair[:, 1]
-    else:
-        source_dir = new_dir = np.ones(cfg.feature_dim)
-
+    pair = np.linalg.qr(rng.standard_normal((cfg.feature_dim, 2)))[0]
+    source_dir, new_dir = pair[:, 0], pair[:, 1]
     source_transforms = [
         DomainShift(rot, source_dir * sig * cfg.noise_std)
         for rot, sig in zip(cfg.source_rotations_deg, cfg.source_shift_sigmas)

@@ -371,20 +371,12 @@ def load_model(path: str | Path) -> MlpModel:
     until MlpModel copies and checks it. This checks only the container and
     raises each of MlpModel's refusals again with the path."""
     raw = Path(path).read_bytes()
-    older = f"{path} is a model file in an older format; rerun pretrain and expand"
-    # The formats before the header line were one JSON document that
-    # json.dumps indented.
-    if raw.startswith(b"{\n"):
-        raise InputError(older)
     end = raw.find(b"\n")  # -1 without a line end; json refuses the empty header
     try:
         header = json.loads(raw[: max(end, 0)].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"line 1: {path}: the header line is not JSON in UTF-8: {exc}") from exc
     if not isinstance(header, dict) or "dims" not in header:
-        # The format before dims listed each layer's in, out and activation.
-        if isinstance(header, dict) and "layers" in header:
-            raise InputError(older)
         raise InputError(f"{path}: the header line is not a JSON object with the key dims")
     body = len(raw) - end - 1
     if body % 8:

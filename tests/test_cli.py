@@ -397,8 +397,9 @@ def test_expand_refuses_a_truncated_model_file(tmp_path, capsys):
 
 
 def test_expand_refuses_a_model_file_in_the_older_json_format(tmp_path, capsys):
-    """Both older formats: one indented JSON document with theta as base64,
-    and a header line that lists each layer's shape and activation."""
+    """Both formats that development builds wrote before the dims header:
+    one indented JSON document with theta as base64, and a header line that
+    lists each layer's shape and activation. The header checks refuse both."""
     cfg, out = pipeline_through_pretrain(tmp_path)
     path = OutputLayout(out).original_model(0)
     model = nn.load_model(path)
@@ -412,16 +413,20 @@ def test_expand_refuses_a_model_file_in_the_older_json_format(tmp_path, capsys):
         ],
     }
     with_base64 = {**header, "theta": base64.b64encode(model.theta.tobytes()).decode()}
-    for content in (
-        (json.dumps(with_base64, indent=2) + "\n").encode(),
-        json.dumps(header, separators=(",", ":")).encode() + b"\n" + model.theta.tobytes(),
+    for content, says in (
+        ((json.dumps(with_base64, indent=2) + "\n").encode(), "the header line is not JSON"),
+        (
+            json.dumps(header, separators=(",", ":")).encode() + b"\n" + model.theta.tobytes(),
+            "the header line is not a JSON object with the key dims",
+        ),
     ):
         path.write_bytes(content)
         capsys.readouterr()
         assert run("expand", "--config", cfg, "--out", out) == cli.EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "rerun pretrain and expand" in err
+        assert str(path) in err and says in err
+        assert "rerun" not in err
 
 
 @pytest.mark.parametrize(
@@ -973,25 +978,41 @@ def test_seed_is_refused_by_stages_without_randomness(tmp_path, capsys, stage):
 
 
 @pytest.mark.parametrize(
-    "bad_data",
+    "bad_data, says",
     [
-        {"source_shift_sigmas": [0.5]},
-        {"noise_std": 0.0},
-        {"source_rotations_deg": [10.0], "source_shift_sigmas": [0.5]},
-        {"feature_dim": 1},
-        {"samples_per_class": 1},
-        {"samples_per_class": 2, "train_fraction": 0.95},
-        {"mean_scale": -1.0},
-        {"train_fraction": 1.0},
-        {"num_classes": 1},
-        {"plane_signal_fraction": 1.5},
-        {"feature_dim": 0},
+        ({"source_shift_sigmas": [0.5]}, "rotation and shift lists must have equal length"),
+        ({"noise_std": 0.0}, "noise_std must be > 0, got 0.0"),
+        (
+            {"source_rotations_deg": [10.0], "source_shift_sigmas": [0.5]},
+            "need at least two source domains, got 1",
+        ),
+        ({"feature_dim": 1}, "feature_dim must be >= 2, got 1"),
+        (
+            {
+                "feature_dim": 1,
+                "source_rotations_deg": [0.0, 0.0, 0.0],
+                "source_shift_sigmas": [0.5, 1.25, 2.0],
+                "new_rotation_deg": 0.0,
+            },
+            "feature_dim must be >= 2, got 1",
+        ),
+        ({"samples_per_class": 1}, "samples_per_class must be >= 2, got 1"),
+        (
+            {"samples_per_class": 2, "train_fraction": 0.95},
+            "train_fraction 0.95 of 6 samples per domain leaves the test split empty",
+        ),
+        ({"mean_scale": -1.0}, "mean_scale must be >= 0, got -1.0"),
+        ({"train_fraction": 1.0}, "train_fraction must lie in (0, 1), got 1.0"),
+        ({"num_classes": 1}, "num_classes must be >= 2, got 1"),
+        ({"plane_signal_fraction": 1.5}, "plane_signal_fraction must be in [0, 1], got 1.5"),
+        ({"feature_dim": 0}, "feature_dim must be >= 2, got 0"),
     ],
     ids=[
         "unequal lists",
         "zero noise",
         "one source",
-        "rotation in one dimension",
+        "feature_dim below two",
+        "feature_dim below two without rotation",
         "one sample per class",
         "no test sample",
         "negative mean scale",
@@ -1001,7 +1022,7 @@ def test_seed_is_refused_by_stages_without_randomness(tmp_path, capsys, stage):
         "no feature",
     ],
 )
-def test_every_stage_refuses_a_bad_data_section(tmp_path, capsys, bad_data):
+def test_every_stage_refuses_a_bad_data_section(tmp_path, capsys, bad_data, says):
     _, out = pipeline_through_pretrain(tmp_path)
     cfg = tiny_config(tmp_path, data=bad_data)
     for stage in ("synth", "pretrain", "expand", "evaluate", "gradcheck"):
@@ -1009,6 +1030,7 @@ def test_every_stage_refuses_a_bad_data_section(tmp_path, capsys, bad_data):
         assert run(stage, "--config", cfg, "--out", out) == cli.EXIT_CONFIG, stage
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert says in err, stage
 
 
 @pytest.mark.parametrize(

@@ -306,8 +306,9 @@ def test_split_stratifies_both_classes():
 
 
 def test_split_rejects_degenerate_inputs():
+    # One row leaves the test side empty, which DomainDataset refuses.
     one = data.DomainDataset("d", np.zeros((1, 2)), np.array([0]))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="nonempty"):
         data.split(one, data.SplitSpec())
     with pytest.raises(ConfigError):
         data.SplitSpec(train_fraction=1.0)
@@ -390,6 +391,26 @@ def test_benchmark_shift_geometry():
     # while the new domain moves off at a right angle
     assert abs(float(np.dot(new_t.translation, unit))) <= 1e-9
     assert abs(np.linalg.norm(new_t.translation) - cfg.noise_std) <= 1e-12
+
+
+@pytest.mark.parametrize("dim, kept", [(2, math.sqrt(0.5)), (3, 1.0), (10, 1.0)])
+def test_rebalance_means_keeps_norms_only_beside_the_plane(dim, kept):
+    """At feature_dim 2 the plane is the whole space, so no residual takes
+    the out-of-plane share of the norm and each mean keeps sqrt(fraction)."""
+    rng = np.random.default_rng(15)
+    u, v = np.linalg.qr(rng.standard_normal((dim, 2)))[0].T
+    means = rng.normal(0.0, 1.5, size=(5, dim))
+    out = data._rebalance_means(means, u, v, 0.5)
+    ratios = np.linalg.norm(out, axis=1) / np.linalg.norm(means, axis=1)
+    np.testing.assert_allclose(ratios, kept, rtol=1e-12)
+
+
+def test_rebalance_means_keeps_zero_means_zero():
+    """mean_scale 0 draws all-zero means: each falls back to u, times a zero norm."""
+    u, v = np.eye(4)[:2]
+    out = data._rebalance_means(np.zeros((3, 4)), u, v, 0.5)
+    assert not np.isnan(out).any()
+    assert np.array_equal(out, np.zeros((3, 4)))
 
 
 # ---------------------------------------------------------------------------

@@ -767,9 +767,10 @@ def test_load_model_rejects_malformed_files(tmp_path):
         with pytest.raises(error, match=re.escape(str(path))):
             nn.load_model(path)
 
-    # The older formats: one indented JSON document, theta as base64 or as
-    # per-layer number lists; then a header line that lists each layer's
-    # shape and activation.
+    # The formats that development builds wrote before the dims header: one
+    # indented JSON document, theta as base64 or as per-layer number lists;
+    # then a header line that lists each layer's shape and activation. The
+    # header checks refuse them as any other file without a dims header.
     layers = [{"in": 2, "out": 2, "activation": "identity"}]
     with_base64 = {"input_dim": 2, "num_classes": 2, "layers": layers}
     with_base64["theta"] = base64.b64encode(bytes(48)).decode()
@@ -777,14 +778,21 @@ def test_load_model_rejects_malformed_files(tmp_path):
     with_lists["layers"] = [{"weights": [[0.0] * 2] * 2, "bias": [0.0] * 2, "activation": "identity"}]
     with_shapes = {"input_dim": 2, "num_classes": 2, "layers": layers}
     older = [
-        (json.dumps(doc, indent=2) + "\n").encode() for doc in (with_base64, with_lists)
-    ] + [json.dumps(with_shapes, separators=(",", ":")).encode() + b"\n" + bytes(48)]
-    for index, content in enumerate(older):
+        ((json.dumps(doc, indent=2) + "\n").encode(), "the header line is not JSON")
+        for doc in (with_base64, with_lists)
+    ] + [
+        (
+            json.dumps(with_shapes, separators=(",", ":")).encode() + b"\n" + bytes(48),
+            "the header line is not a JSON object with the key dims",
+        )
+    ]
+    for index, (content, says) in enumerate(older):
         path = tmp_path / f"older_{index}.model"
         path.write_bytes(content)
-        with pytest.raises(InputError, match="rerun pretrain and expand") as refused:
+        with pytest.raises(InputError, match=re.escape(says)) as refused:
             nn.load_model(path)
         assert str(path) in str(refused.value)
+        assert "rerun" not in str(refused.value)
 
 
 def test_save_model_refuses_non_finite_parameters(tmp_path):
