@@ -6,8 +6,9 @@ The expand stage deliberately takes no source-domain data: it consumes only
 the saved source models and the unlabelled new-domain features, which the
 manifest makes auditable.
 
-Exit codes: 0 success, 2 bad configuration (ConfigError), 3 missing or
-malformed files (InputError, OSError), 4 numeric failure (NumericError).
+Exit codes: 0 success, 2 bad configuration (ConfigError, or a MemoryError:
+sizes this machine cannot hold), 3 missing or malformed files (InputError,
+OSError), 4 numeric failure (NumericError).
 """
 
 from __future__ import annotations
@@ -318,6 +319,11 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError:
+        # The config asked for arrays larger than this machine's memory:
+        # smaller size knobs fix it, so it exits as a configuration error.
+        print(f"error: {args.command}: out of memory", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
-from .data import DataConfig, write_atomic
+from .data import MAX_FLOAT64S, DataConfig, write_atomic
 from .errors import ConfigError
 from .expansion import Hyperparams
 from .fusion import FUSION_METHODS
@@ -133,6 +133,19 @@ class RunConfig:
     expansion: Hyperparams = field(default_factory=Hyperparams)
     evaluate: EvaluateConfig = field(default_factory=EvaluateConfig)
     gradcheck: GradcheckConfig = field(default_factory=GradcheckConfig)
+
+    def __post_init__(self):
+        # A model's parameters are one flat float64 array: every layer's
+        # weights and biases.
+        dims = [self.data.feature_dim, *self.model.hidden_units, self.data.num_classes]
+        size = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(dims, dims[1:]))
+        if size > MAX_FLOAT64S:
+            raise ConfigError(
+                f"model.hidden_units {self.model.hidden_units} with data.feature_dim "
+                f"{self.data.feature_dim} and data.num_classes {self.data.num_classes} "
+                f"gives each model {size} parameters, more than numpy's limit of "
+                f"{MAX_FLOAT64S} float64s in one array"
+            )
 
 
 def load_config(path: str | Path | None) -> RunConfig:

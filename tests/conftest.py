@@ -1,5 +1,6 @@
-"""Shared test tooling: every memory test measures with traced_peak, and
-every hand-built one-layer model comes from linear_model."""
+"""Shared test tooling: every memory test measures with traced_peak, every
+hand-built one-layer model comes from linear_model, and every CSV cell's
+digits are read with significant_digits."""
 
 import tracemalloc
 
@@ -41,3 +42,16 @@ def _linear_model(bias, weights=None, input_dim=2):
 def linear_model():
     """linear_model(bias, weights=None, input_dim=2) -> a one-layer nn.MlpModel."""
     return _linear_model
+
+
+def _significant_digits(text):
+    """The significant digits of a decimal float literal: "-1.50e+3" -> "15",
+    and "" for a zero."""
+    return text.lstrip("-").lower().split("e")[0].replace(".", "").strip("0")
+
+
+@pytest.fixture
+def significant_digits():
+    """significant_digits(text) -> the digits of a float literal, without its
+    sign, point, exponent and leading or trailing zeros."""
+    return _significant_digits

@@ -810,6 +810,21 @@ def test_main_maps_each_error_class_to_its_exit_code(tmp_path, monkeypatch, caps
     assert capsys.readouterr().err == "error: the stage failed\n"
 
 
+# A size the config allows but this machine cannot hold; no test asks numpy
+# for such an array, which a larger machine would allocate.
+@pytest.mark.parametrize("stage", list(cli.STAGES))
+def test_main_ends_a_memory_error_with_one_line_naming_the_stage(
+    tmp_path, monkeypatch, capsys, stage
+):
+    def exhausted(cfg, layout, config_paths):
+        raise MemoryError("Unable to allocate 64.0 GiB for an array")
+
+    monkeypatch.setitem(cli.STAGES, stage, cli.STAGES[stage]._replace(run=exhausted))
+    capsys.readouterr()
+    assert run(stage, "--out", tmp_path / "run") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {stage}: out of memory\n"
+
+
 def test_config_errors_map_to_exit_codes(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert run("synth", "--config", missing, "--out", tmp_path / "r1") == cli.EXIT_IO
@@ -1031,6 +1046,29 @@ def test_every_stage_refuses_a_bad_data_section(tmp_path, capsys, bad_data, says
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert says in err, stage
+
+
+# Sizes of 10**20 make arrays numpy cannot index on any machine: the config
+# is refused when it loads, before any stage allocates.
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("data", "num_classes", 10**20),
+        ("data", "feature_dim", 10**20),
+        ("data", "samples_per_class", 10**20),
+        ("model", "hidden_units", [10**20]),
+    ],
+    ids=["num_classes", "feature_dim", "samples_per_class", "hidden_units"],
+)
+def test_every_stage_refuses_a_size_no_array_can_hold(tmp_path, capsys, section, key, value):
+    _, out = pipeline_through_pretrain(tmp_path)
+    cfg = tiny_config(tmp_path, **{section: {key: value}})
+    for stage in ("synth", "pretrain", "expand", "evaluate", "gradcheck"):
+        capsys.readouterr()
+        assert run(stage, "--config", cfg, "--out", out) == cli.EXIT_CONFIG, stage
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{section}.{key} " in err and "numpy's limit" in err, stage
 
 
 @pytest.mark.parametrize(

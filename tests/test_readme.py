@@ -90,11 +90,17 @@ def test_model_header_line_is_what_save_model_writes_for_the_default_model(tmp_p
     assert code_block("### Model files", "json") == head.decode()
 
 
-def test_feature_cell_format_is_what_write_csv_writes(tmp_path):
+def test_feature_cell_format_is_what_write_csv_writes(tmp_path, significant_digits):
+    """The example cells in "Data files" are what write_csv writes for their
+    floats: repr's significant digits, each reading back bit for bit."""
     section = README.read_text().split("\n### Data files\n", 1)[1]
-    cell_format = re.search(r"writes every feature with the format\s+`([^`]+)`", section).group(1)
-    values = np.array([[0.1, 5e-324]])
+    examples = re.search(r"writes every feature as .*?, as in (.*?):", section, re.S).group(1)
+    cells = re.findall(r"`([^`]+)`", examples)
+    values = np.array([[float(cell) for cell in cells]])
     path = tmp_path / "cells.csv"
     data.write_csv(data.DomainDataset("cells", values), path)
-    cells = path.read_text().splitlines()[1].split(",")
-    assert [cell_format % v for v in values[0].tolist()] == cells
+    written = path.read_text().splitlines()[1].split(",")
+    assert written == cells
+    for cell, v in zip(written, values[0].tolist()):
+        assert significant_digits(cell) == significant_digits(repr(v))
+    assert data.load_csv(path).features.tobytes() == values.tobytes()
