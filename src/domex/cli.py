@@ -18,7 +18,6 @@ import json
 # argparse's gettext imports locale when main builds the parser; importing it
 # here makes that part of start-up, not of the stage that runs first.
 import locale  # noqa: F401
-import logging
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -39,8 +38,6 @@ from .data import (
     write_csv,
 )
 from .errors import ConfigError, InputError, NumericError
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -97,7 +94,6 @@ def cmd_synth(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) ->
             write_csv(part_ds, path)
             outputs.append(path)
     write_manifest(layout, "synth", cfg, config_paths, outputs)
-    logger.info("wrote %d files under %s", len(outputs), layout.data_dir)
     print(f"synth: {len(domains)} domains under {layout.data_dir}")
     return EXIT_OK
 
@@ -135,13 +131,6 @@ def cmd_pretrain(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path])
         path = layout.original_model(i)
         nn.save_model(model, path)
         outputs.append(path)
-        # The accuracy costs a pass over the whole training set.
-        if logger.isEnabledFor(logging.INFO):
-            train_acc = fusion.accuracy(
-                fusion.PredictionBatch.from_scores(nn.chunked_logits(model, train.features)),
-                train.labels,
-            )
-            logger.info("source_%d train accuracy %.4f", i, train_acc)
     write_manifest(layout, "pretrain", cfg, inputs, outputs)
     print(f"pretrain: {cfg.data.num_sources} source models under {layout.models_dir}")
     return EXIT_OK
@@ -278,25 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, required=True, help="run directory")
         if stage.seeded_section:
             p.add_argument("--seed", type=int, help=f"override {stage.seeded_section}.seed")
-        p.add_argument(
-            "--log-level",
-            choices=["debug", "info", "warning", "error"],
-            default="warning",
-        )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    level = getattr(logging, args.log_level.upper())
-    logging.basicConfig(
-        level=level,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
-    # basicConfig does nothing once the root logger has handlers (a host
-    # application, pytest); the package logger's level applies either way.
-    logging.getLogger("domex").setLevel(level)
     stage = STAGES[args.command]
     try:
         cfg = load_config(args.config)

@@ -17,7 +17,7 @@ from typing import Any, get_args, get_origin, get_type_hints
 
 from .data import MAX_FLOAT64S, DataConfig, write_atomic
 from .errors import ConfigError
-from .expansion import Hyperparams
+from .expansion import Hyperparams, check_sgd_knobs
 from .fusion import FUSION_METHODS
 
 
@@ -89,13 +89,7 @@ class PretrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # epochs = 0 is legal and leaves the freshly initialized model as is.
-        if self.epochs < 0 or self.batch_size < 1 or self.learning_rate <= 0:
-            raise ConfigError("pretrain needs epochs >= 0, batch_size >= 1, lr > 0")
-        if self.momentum < 0:
-            raise ConfigError(f"momentum must be >= 0, got {self.momentum}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_sgd_knobs(self)
 
 
 @dataclass

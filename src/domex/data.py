@@ -136,7 +136,8 @@ class DataConfig:
             )
         if self.noise_std <= 0:
             raise ConfigError(f"noise_std must be > 0, got {self.noise_std}")
-        if self.mean_scale < 0:
+        # By the sign bit: numpy's normal refuses a scale of -0.0 too.
+        if math.copysign(1.0, self.mean_scale) < 0:
             raise ConfigError(f"mean_scale must be >= 0, got {self.mean_scale}")
         if self.num_sources < 2:
             raise ConfigError(f"need at least two source domains, got {self.num_sources}")

@@ -65,16 +65,22 @@ class Hyperparams:
             raise ConfigError(
                 f"weight_temperature must be > 0, got {self.weight_temperature}"
             )
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.momentum < 0:
-            raise ConfigError(f"momentum must be >= 0, got {self.momentum}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_sgd_knobs(self)
+
+
+def check_sgd_knobs(knobs) -> None:
+    """Refuse the SGD knobs that Hyperparams shares with the pretrain
+    section, one field at a time. Zero epochs is legal and trains nothing."""
+    if knobs.epochs < 0:
+        raise ConfigError(f"epochs must be >= 0, got {knobs.epochs}")
+    if knobs.batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {knobs.batch_size}")
+    if knobs.learning_rate <= 0:
+        raise ConfigError(f"learning_rate must be > 0, got {knobs.learning_rate}")
+    if knobs.momentum < 0:
+        raise ConfigError(f"momentum must be >= 0, got {knobs.momentum}")
+    if knobs.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {knobs.seed}")
 
 
 @dataclass

@@ -4,7 +4,8 @@ The acceptance gate checks the end results of the default pipeline. These
 tests vary one existing knob against it on the same pretrained originals:
 
 - entropy weighting, against uniform weights (a weight_temperature so large
-  that every softmax weight is 1/m), raises m1's new-domain gain;
+  that every softmax weight is 1/m), raises m1's new-domain gain, and
+  inverted weights (the softmax of the negated entropies) lower it further;
 - the alignment term makes the updated models disagree less on the new
   domain than the originals do;
 - the originals kept beside the updated models make m2 drop less on the
@@ -26,6 +27,13 @@ from domex import config, data, expansion, fusion, nn
 
 SEED_SETS = {"seeds 0-9": range(10), "held-out seeds 10-19": range(10, 20)}
 UNIFORM_WEIGHT_TEMPERATURE = 1e9
+_compute_weights = expansion.compute_weights
+
+
+def inverted_weights(entropies, weight_temperature):
+    """compute_weights of the negated entropies: the most confident model
+    feels the most alignment pressure."""
+    return _compute_weights(-entropies, weight_temperature)
 
 
 def disagreement(models, features):
@@ -71,17 +79,22 @@ def run_seed(seed):
     for variant, weight_temperature in (
         ("entropy", defaults.expansion.weight_temperature),
         ("uniform", UNIFORM_WEIGHT_TEMPERATURE),
+        ("inverted", defaults.expansion.weight_temperature),
     ):
         hp = expansion.Hyperparams(weight_temperature=weight_temperature, seed=seed)
-        ensemble, _ = expansion.expand(
-            expansion.EnsembleState(originals, originals), new_train, hp
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            if variant == "inverted":
+                patch.setattr(expansion, "compute_weights", inverted_weights)
+            ensemble, log = expansion.expand(
+                expansion.EnsembleState(originals, originals), new_train, hp
+            )
         reports = {
             method: fusion.evaluate_expanded(method, originals, ensemble.updated, test_sets)
             for method in ("m1", "m2")
         }
         acc = {method: report.per_domain_accuracy for method, report in reports.items()}
         result[variant] = {
+            "weights": [record["w_i"] for record in log],
             "m1_gain": 100.0 * (acc["m1"]["new"] - base.per_domain_accuracy["new"]),
             "expanded_gain": {
                 method: 100.0 * (report.expanded_accuracy - base.expanded_accuracy)
@@ -109,10 +122,17 @@ def median(values):
 @pytest.mark.parametrize("seed_set", SEED_SETS)
 def test_entropy_weighting_raises_the_new_domain_gain(runs, seed_set):
     picked = [runs[seed] for seed in SEED_SETS[seed_set]]
-    entropy = median(r["entropy"]["m1_gain"] for r in picked)
-    uniform = median(r["uniform"]["m1_gain"] for r in picked)
-    print(f"{seed_set}: median m1 new-domain gain, entropy {entropy:+.2f}, uniform {uniform:+.2f}")
-    assert entropy > uniform
+    # The patch reached expand: every seed's inverted weights differ.
+    assert all(r["inverted"]["weights"] != r["entropy"]["weights"] for r in picked)
+    entropy, uniform, inverted = (
+        median(r[variant]["m1_gain"] for r in picked)
+        for variant in ("entropy", "uniform", "inverted")
+    )
+    print(
+        f"{seed_set}: median m1 new-domain gain, entropy {entropy:+.2f}, "
+        f"uniform {uniform:+.2f}, inverted {inverted:+.2f}"
+    )
+    assert entropy > uniform > inverted
 
 
 @pytest.mark.parametrize("seed_set", SEED_SETS)

@@ -2,7 +2,6 @@
 
 import base64
 import json
-import logging
 import math
 import os
 import re
@@ -97,19 +96,6 @@ def test_synth_writes_the_expected_files(tmp_path):
     assert not unlabelled.labelled
 
 
-def test_synth_logs_the_number_of_data_files_at_info_level(tmp_path, caplog):
-    cfg = tiny_config(tmp_path)
-    out = tmp_path / "run"
-    package_logger = logging.getLogger("domex")
-    prior = package_logger.level
-    try:
-        assert run("synth", "--config", cfg, "--out", out, "--log-level", "info") == 0
-    finally:
-        package_logger.setLevel(prior)
-    written = len(list((out / "data").iterdir()))
-    assert f"wrote {written} files under {out / 'data'}" in caplog.text
-
-
 def test_synth_reruns_byte_identically(tmp_path):
     cfg = tiny_config(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -190,6 +176,22 @@ def test_pretrain_reaches_high_accuracy_on_separable_domains(tmp_path):
         assert acc >= 0.99
 
 
+def test_pretrain_logs_train_accuracy_at_info_level(tmp_path, capsys):
+    # Pretrain reports no train accuracy and has no log level: the fit is
+    # read back from the saved models, and stderr stays empty.
+    out = tmp_path / "run"
+    separable_sources(OutputLayout(out))
+    cfg = separable_config(tmp_path)
+    capsys.readouterr()
+    assert run("pretrain", "--config", cfg, "--out", out) == 0
+    assert capsys.readouterr().err == ""
+    for i in range(2):
+        model = nn.load_model(OutputLayout(out).original_model(i))
+        train = data.load_csv(out / "data" / f"source_{i}_train.csv")
+        logits, _ = nn.forward_logits(model, train.features)
+        assert np.array_equal(np.argmax(logits, axis=1), train.labels)
+
+
 def test_pretrain_zero_epochs_ignores_the_data(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     separable_sources(OutputLayout(out_a), seed=1)
@@ -203,7 +205,7 @@ def test_pretrain_zero_epochs_ignores_the_data(tmp_path):
         )
 
 
-def test_pretrain_forwards_only_for_sgd_steps_at_default_log_level(tmp_path, monkeypatch):
+def test_pretrain_forwards_only_for_sgd_steps(tmp_path, monkeypatch):
     out = tmp_path / "run"
     separable_sources(OutputLayout(out))
     cfg = separable_config(tmp_path)
@@ -223,22 +225,6 @@ def test_pretrain_forwards_only_for_sgd_steps_at_default_log_level(tmp_path, mon
     assert run("pretrain", "--config", cfg, "--out", out) == 0
     # 2 sources x 20 epochs x 60 rows in batches of 64
     assert counts == {"forward_logits": 40, "sgd_step": 40}
-
-
-def test_pretrain_logs_train_accuracy_at_info_level(tmp_path, caplog):
-    out = tmp_path / "run"
-    separable_sources(OutputLayout(out))
-    cfg = separable_config(tmp_path)
-    # The root logger already has pytest's handlers here, as it would in a
-    # host application, so --log-level must not rely on logging.basicConfig.
-    package_logger = logging.getLogger("domex")
-    prior = package_logger.level
-    try:
-        assert run("pretrain", "--config", cfg, "--out", out, "--log-level", "info") == 0
-    finally:
-        package_logger.setLevel(prior)
-    for i in range(2):
-        assert f"source_{i} train accuracy 1.0000" in caplog.text
 
 
 def test_pretrain_rejects_disagreeing_label_sets(tmp_path, capsys):
@@ -1017,6 +1003,7 @@ def test_seed_is_refused_by_stages_without_randomness(tmp_path, capsys, stage):
             "train_fraction 0.95 of 6 samples per domain leaves the test split empty",
         ),
         ({"mean_scale": -1.0}, "mean_scale must be >= 0, got -1.0"),
+        ({"mean_scale": -0.0}, "mean_scale must be >= 0, got -0.0"),
         ({"train_fraction": 1.0}, "train_fraction must lie in (0, 1), got 1.0"),
         ({"num_classes": 1}, "num_classes must be >= 2, got 1"),
         ({"plane_signal_fraction": 1.5}, "plane_signal_fraction must be in [0, 1], got 1.5"),
@@ -1031,6 +1018,7 @@ def test_seed_is_refused_by_stages_without_randomness(tmp_path, capsys, stage):
         "one sample per class",
         "no test sample",
         "negative mean scale",
+        "negative zero mean scale",
         "train fraction one",
         "one class",
         "plane signal fraction above one",
@@ -1091,6 +1079,22 @@ def test_expand_refuses_a_bad_expansion_hyperparameter(tmp_path, capsys, key, va
     assert err.startswith(f"error: invalid section 'expansion': {key} must be ")
     assert err.count("\n") == 1
     assert not OutputLayout(out).expanded_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, says",
+    [
+        ("epochs", -1, "epochs must be >= 0, got -1"),
+        ("batch_size", 0, "batch_size must be >= 1, got 0"),
+        ("learning_rate", 0.0, "learning_rate must be > 0, got 0.0"),
+    ],
+)
+def test_pretrain_refuses_a_bad_knob_by_name_and_value(tmp_path, capsys, key, value, says):
+    cfg = tiny_config(tmp_path, pretrain={key: value})
+    capsys.readouterr()
+    assert run("pretrain", "--config", cfg, "--out", tmp_path / "run") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: invalid section 'pretrain': {says}\n"
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ of src/domex or tests imports a name it never uses."""
 import ast
 import inspect
 import json
-import logging
 import sys
 import types
 from pathlib import Path
@@ -66,19 +65,16 @@ def test_every_function_runs_in_one_pass_of_the_cli(tmp_path):
         if event == "call":
             ran.add(frame.f_code)
 
-    domex_logger = logging.getLogger("domex")
-    level = domex_logger.level
     sys.setprofile(record)
     try:
         for stage in cli.STAGES:
             # gradcheck builds its own tiny models, so it runs on the default
             # config, whose sections fill every list field from its default.
             argv = [stage] if stage == "gradcheck" else [stage, "--config", str(config)]
-            argv += ["--out", str(tmp_path / "run"), "--log-level", "info"]
+            argv += ["--out", str(tmp_path / "run")]
             assert cli.main(argv) == cli.EXIT_OK
     finally:
         sys.setprofile(None)
-        domex_logger.setLevel(level)
 
     never_ran = {
         f"{path.name}:{code.co_firstlineno}:{code.co_name}"
