@@ -194,10 +194,64 @@ def _located(exc: ValueError, path: Path, n_columns: int, n_features: int) -> In
     return InputError(f"{path}: {message}")
 
 
+# Bytes of whole lines per orjson.loads call. One call per file would hold
+# every cell as a Python float at once; a fixed row count would let a block's
+# floats and text copies grow with the feature count, and the heap they leave
+# behind raises the pipeline's peak RSS (64 rows of 256 features: +2 MB).
+_ORJSON_BLOCK_BYTES = 1 << 16
+# The bytes of a body whose cells are bare JSON numbers, as write_csv writes them.
+_JSON_NUMBER_BYTES = b"0123456789.eE+-,\n"
+# The cell -0 where the byte before it starts a cell: orjson reads it as the
+# int 0, which is +0.0 as a float, and numpy's reader as -0.0. The search
+# starts on the literal, so it stays a fast scan.
+_MINUS_ZERO = re.compile(rb"-0(?![0-9.eE])")
+
+
+def _orjson_body(path: Path, n_columns: int, labelled: bool):
+    """The features and labels (or None) of path's body, parsed by orjson as
+    JSON arrays in blocks of about _ORJSON_BLOCK_BYTES. None when numpy's reader
+    must read the file instead: a byte outside _JSON_NUMBER_BYTES, a cell -0,
+    text that is not JSON, a row that has not n_columns cells, a label that is
+    not a JSON integer within int64, or no row at all. Every cell it takes
+    reads to the float64 numpy's correctly rounded parse gives."""
+    features, labels = [], []
+    with path.open("rb") as handle:
+        # A carriage return ends the header in text mode, not here.
+        if b"\r" in handle.readline():
+            return None
+        while block := b"".join(handle.readlines(_ORJSON_BLOCK_BYTES)):
+            if block.translate(None, _JSON_NUMBER_BYTES) or any(
+                m.start() == 0 or block[m.start() - 1] in b",\n"
+                for m in _MINUS_ZERO.finditer(block)
+            ):
+                return None
+            try:
+                rows = orjson.loads(
+                    b"[[" + block.removesuffix(b"\n").replace(b"\n", b"],[") + b"]]"
+                )
+                cells = np.array(rows, dtype=np.float64)
+            except ValueError:  # not JSON, or rows of unequal width
+                return None
+            if cells.shape[1] != n_columns:
+                return None
+            if labelled:
+                # int64 only when every label is a JSON integer that fits.
+                labels.append(np.array([row[-1] for row in rows]))
+                if labels[-1].dtype != np.int64:
+                    return None
+                cells = cells[:, :-1]
+            features.append(cells)
+    if not features:
+        return None
+    return np.concatenate(features), np.concatenate(labels) if labelled else None
+
+
 def load_csv(path: str | Path) -> DomainDataset:
     """Parse a feature CSV: header row, decimal features, optional trailing
-    integer "label" column. numpy's C reader parses every line in one pass;
-    malformed content raises InputError naming its 1-based line and the file."""
+    integer "label" column. A body in write_csv's number format is parsed by
+    orjson (_orjson_body); any other body by numpy's C reader in one pass,
+    where malformed content raises InputError naming its 1-based line and the
+    file. Both give the same bits."""
     path = Path(path)
     try:
         # An open handle, not the path: np.loadtxt(path) imports gzip.
@@ -215,25 +269,30 @@ def load_csv(path: str | Path) -> DomainDataset:
             n_features = len(header) - 1 if labelled else len(header)
             if n_features < 1:
                 raise InputError(f"line 1: {path} declares no feature columns")
-            # One record per row: the dtype fixes every row's cell count, and
-            # numpy's int64 parser refuses a label such as 3.0 or 1e0.
-            fields = [("features", "<f8", (n_features,))]
-            if labelled:
-                fields.append(("label", "<i8"))
-            rows = np.loadtxt(
-                _body_lines(handle, path, len(header)), dtype=fields, ndmin=1, **_CSV_DIALECT
-            )
+            parsed = _orjson_body(path, len(header), labelled)
+            if parsed is None:
+                # One record per row: the dtype fixes every row's cell count,
+                # and numpy's int64 parser refuses a label such as 3.0 or 1e0.
+                fields = [("features", "<f8", (n_features,))]
+                if labelled:
+                    fields.append(("label", "<i8"))
+                rows = np.loadtxt(
+                    _body_lines(handle, path, len(header)), dtype=fields, ndmin=1,
+                    **_CSV_DIALECT,
+                )
+                parsed = rows["features"], rows["label"] if labelled else None
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: {exc}") from exc
     except InputError:
         raise
     except ValueError as exc:  # numpy's, on a malformed row
         raise _located(exc, path, len(header), n_features) from exc
+    features, labels = parsed
     try:
         return DomainDataset(
             path.stem,
-            np.ascontiguousarray(rows["features"]),
-            np.ascontiguousarray(rows["label"]) if labelled else None,
+            np.ascontiguousarray(features),
+            None if labels is None else np.ascontiguousarray(labels),
         )
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc

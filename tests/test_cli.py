@@ -707,9 +707,21 @@ def test_a_stage_names_the_csv_and_model_whose_widths_differ(tmp_path, capsys, s
     assert capsys.readouterr().err == f"error: {csv} has 5 features but {model} has 4\n"
 
 
-def test_hand_supplied_feature_csvs_run_without_synth(tmp_path):
-    """A user's own features in data/, written without synth or its manifest.
-    They have 5 columns: data.feature_dim (4 here) drives only synth."""
+# How a hand-supplied CSV spells its cells and ends its lines.
+HAND_DIALECTS = {
+    "plain": (lambda i, cell: cell, "\n"),
+    # Every other cell quoted, the rest padded: numpy's reader reads these
+    # files, and load_csv's orjson path the plain ones.
+    "quoted-padded-crlf": (lambda i, cell: f" {cell} " if i % 2 else f'"{cell}"', "\r\n"),
+}
+
+
+def run_hand_supplied_csvs(tmp_path, dialect):
+    """Run pretrain, expand and evaluate on a user's own features in data/,
+    written without synth or its manifest in one of HAND_DIALECTS, and return
+    the bytes of every model, the training log and report.json. The features
+    have 5 columns: data.feature_dim (4 here) drives only synth."""
+    spell, line_end = HAND_DIALECTS[dialect]
     cfg = tiny_config(tmp_path)
     out = tmp_path / "run"
     (out / "data").mkdir(parents=True)
@@ -721,8 +733,9 @@ def test_hand_supplied_feature_csvs_run_without_synth(tmp_path):
         features = centers[labels] + rng.normal(size=(rows, 5))
         lines = ["a,b,c,d,e" + (",label" if labelled else "")]
         for x, y in zip(features, labels):
-            lines.append(",".join(f"{v:.4f}" for v in x) + (f",{y}" if labelled else ""))
-        (out / "data" / name).write_text("\n".join(lines) + "\n")
+            cells = [f"{v:.4f}" for v in x] + ([str(y)] if labelled else [])
+            lines.append(",".join(map(spell, range(len(cells)), cells)))
+        (out / "data" / name).write_bytes((line_end.join(lines) + line_end).encode())
 
     for i in range(2):
         write(f"source_{i}_train.csv", 30)
@@ -734,6 +747,31 @@ def test_hand_supplied_feature_csvs_run_without_synth(tmp_path):
     assert not (out / "synth_manifest.json").exists()
     report = json.loads((out / "eval" / "report.json").read_text())
     assert [r["method"] for r in report["reports"]] == ["baseline", "m1", "m2"]
+    layout = OutputLayout(out)
+    outputs = [*layout.models_dir.iterdir(), *layout.expanded_dir.iterdir(), layout.report_json]
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(outputs)}
+
+
+@pytest.fixture(scope="module")
+def plain_hand_supplied_outputs(tmp_path_factory):
+    return run_hand_supplied_csvs(tmp_path_factory.mktemp("plain"), "plain")
+
+
+@pytest.mark.parametrize("dialect", list(HAND_DIALECTS))
+def test_hand_supplied_feature_csvs_run_without_synth(
+    tmp_path, dialect, plain_hand_supplied_outputs
+):
+    """The same values written in either dialect give the same files."""
+    outputs = run_hand_supplied_csvs(tmp_path, dialect)
+    assert list(outputs) == [
+        "eval/report.json",
+        "expanded/training_log.ndjson",
+        "expanded/updated_0.model",
+        "expanded/updated_1.model",
+        "models/original_0.model",
+        "models/original_1.model",
+    ]
+    assert outputs == plain_hand_supplied_outputs
 
 
 def test_evaluate_without_test_sets_is_an_io_error(tmp_path):

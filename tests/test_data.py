@@ -195,6 +195,20 @@ def test_load_csv_memory_follows_the_file_size(tmp_path, traced_peak):
     assert peak < 1 << 20
 
 
+def test_load_csv_holds_one_block_of_python_floats_at_a_time(tmp_path, traced_peak):
+    ds = data.DomainDataset(
+        "tall", np.random.default_rng(0).normal(size=(2000, 64)), np.zeros(2000, np.int64)
+    )
+    path = tmp_path / "tall.csv"
+    data.write_csv(ds, path)
+    peak, back = traced_peak(lambda: data.load_csv(path))
+    assert back.features.tobytes() == ds.features.tobytes()
+    # The parsed blocks and their concatenation, about 2.2 MB; one orjson call
+    # for the whole 2.5 MB file would hold 128 000 Python floats and the
+    # file's text at once, about 9.3 MB.
+    assert peak < 3 * ds.features.nbytes
+
+
 def test_write_csv_failure_keeps_the_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "domain.csv"
     data.write_csv(data.DomainDataset("old", np.zeros((2, 2)), np.array([0, 1])), path)
@@ -312,6 +326,149 @@ def test_csv_reloads_drawn_finite_floats_bit_for_bit(tmp_path_factory, ds):
     assert back.labelled == ds.labelled
     if ds.labelled:
         assert back.labels.tobytes() == ds.labels.tobytes()
+
+
+# load_csv against numpy's reader: write_csv's output, which load_csv parses
+# with orjson, and every cell, quoting, padding and line end that must send a
+# file to numpy's reader instead or be refused with numpy's message.
+_DIALECT = dict(delimiter=",", quotechar='"', comments=None)
+_HAND_CELLS = [
+    "-0", "1E+05", ".5", "5.", "+1", "01", "1e400", "true", "null", "[1]",
+    str(2**64), str(2**64 + 1), "1" + "0" * 30, "3.0", "1e0", str(2**63), "1e-0", "-1",
+]
+# write_csv's edge values, with integer-valued floats among them.
+_EDGE_FLOATS = _FINITE | st.sampled_from([1.0, -7.0, 2.0**53, 1e16, 123456789.0])
+# Decimals of 1-25 digits with exponents up to 3 digits, in JSON's grammar.
+_JSON_DECIMALS = st.from_regex(
+    r"-?(0|[1-9][0-9]{0,12})(\.[0-9]{1,12})?([eE][+-]?[0-9]{1,3})?", fullmatch=True
+)
+
+
+def _outcome(path):
+    """load_csv's dataset for path, or its InputError's text."""
+    try:
+        return data.load_csv(path)
+    except InputError as exc:
+        return str(exc)
+
+
+def assert_reads_as_numpy_does(path):
+    """load_csv reads path to the bits, dtypes and shapes that numpy's reader
+    and a direct np.loadtxt give, or raises numpy's reader's InputError text."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(data, "_orjson_body", lambda *args: None)
+        want = _outcome(path)
+    got = _outcome(path)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    with path.open() as handle:
+        handle.readline()
+        direct = np.loadtxt(handle, ndmin=2, **_DIALECT)
+    n = got.dim
+    features = np.ascontiguousarray(direct[:, :n])
+    for ds in (got, want):
+        assert ds.features.dtype == features.dtype and ds.features.shape == features.shape
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.labelled == want.labelled
+    if want.labelled:
+        with path.open() as handle:
+            handle.readline()
+            labels = np.loadtxt(handle, dtype=np.int64, ndmin=1, usecols=[n], **_DIALECT)
+        for ds in (got, want):
+            assert ds.labels.dtype == labels.dtype and ds.labels.tobytes() == labels.tobytes()
+
+
+@st.composite
+def edited_csvs(draw):
+    """write_csv's text for 1-6 rows of 1-5 edge-valued features, with or
+    without labels up to 2**63 - 1, and the edits made to it: cells replaced by
+    hand-written or drawn decimals, quoted or padded cells, ragged rows, blank
+    lines and CRLF line ends."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    features = draw(hnp.arrays(np.float64, (rows, cols), elements=_EDGE_FLOATS))
+    labels = draw(st.none() | hnp.arrays(np.int64, rows, elements=st.integers(0, 2**63 - 1)))
+    return data.DomainDataset("drawn", features, labels), draw(st.lists(
+        st.tuples(
+            st.sampled_from(["cell", "quote", "pad", "drop", "extra", "blank", "crlf"]),
+            st.integers(0, rows - 1),
+            st.integers(0, cols),
+            st.sampled_from(_HAND_CELLS) | _JSON_DECIMALS,
+        ),
+        max_size=3,
+    ))
+
+
+def apply_edits(text, edits):
+    lines = [line.split(",") for line in text.splitlines()]
+    end, blank_after = "\n", set()
+    for kind, row, col, cell in edits:
+        cells = lines[row + 1]
+        col = min(col, len(cells) - 1)
+        if kind == "cell":
+            cells[col] = cell
+        elif kind == "quote":
+            cells[col] = f'"{cells[col]}"'
+        elif kind == "pad":
+            cells[col] = f" {cells[col]}  "
+        elif kind == "drop" and len(cells) > 1:
+            cells.pop()
+        elif kind == "extra":
+            cells.append(cell)
+        elif kind == "blank":
+            blank_after.add(row + 1)
+        elif kind == "crlf":
+            end = "\r\n"
+    out = []
+    for i, cells in enumerate(lines):
+        out.append(",".join(cells))
+        if i in blank_after:
+            out.append("")
+    return end.join(out) + end
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(case=edited_csvs())
+def test_load_csv_reads_every_file_as_numpy_does(tmp_path_factory, case):
+    ds, edits = case
+    path = tmp_path_factory.getbasetemp() / "edited.csv"
+    data.write_csv(ds, path)
+    if not edits:
+        # write_csv's output takes the orjson path.
+        assert data._orjson_body(path, ds.dim + ds.labelled, ds.labelled) is not None
+    path.write_bytes(apply_edits(path.read_text(), edits).encode())
+    assert_reads_as_numpy_does(path)
+
+
+@pytest.mark.parametrize("cell", _HAND_CELLS)
+@pytest.mark.parametrize("column", ["feature", "label"])
+def test_load_csv_reads_a_hand_written_cell_as_numpy_does(tmp_path, cell, column):
+    path = tmp_path / "hand.csv"
+    row = f"{cell},1.5,0" if column == "feature" else f"2.5,1.5,{cell}"
+    write_lines(path, ["f0,f1,label", "0.5,-0.0,4", row, "5e-324,1e16,9223372036854775807"])
+    assert_reads_as_numpy_does(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b'f0,f1,label\n"1.5",-2.0,"3"\n4.0,5.0,0\n',
+        b"f0,f1,label\n1.5, -2.0,3\n4.0,5.0,0\n",
+        b"f0,f1,label\r\n1.5,-2.0,3\r\n4.0,5.0,0\r\n",
+        b"f0,f1,label\r1.5,-2.0,3\n4.0,5.0,0\n",
+        b"f0,f1,label\n1.5,-2.0,3\n\n4.0,5.0,0\n",
+        b"f0,f1,label\n1.5,-2.0,3\n4.0,0\n",
+        b"f0,f1,label\n1.5,-2.0,3\n4.0,5.0,0",
+    ],
+    ids=[
+        "quoted", "padded", "crlf", "header ended by CR", "blank line", "ragged",
+        "no final line end",
+    ],
+)
+def test_load_csv_reads_each_dialect_as_numpy_does(tmp_path, text):
+    path = tmp_path / "dialect.csv"
+    path.write_bytes(text)
+    assert_reads_as_numpy_does(path)
 
 # ---------------------------------------------------------------------------
 # split
