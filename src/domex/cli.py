@@ -33,7 +33,6 @@ from .data import (
     generate_domains,
     load_csv,
     split,
-    standardize,
     write_atomic,
     write_csv,
 )
@@ -81,8 +80,6 @@ def cmd_synth(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) ->
     outputs = []
     for ds in domains:
         train, test = split(ds, cfg.data)
-        if cfg.data.standardize:
-            train, (test,) = standardize(train, [test])
         test_part = (layout.domain_csv(ds.name, "test"), test)
         if ds.name == "new":
             # The new domain's train rows are written once, without labels.

@@ -24,7 +24,6 @@ from .fusion import FUSION_METHODS
 # What a JSON value must be to fill a field of each scalar type. Ints pass
 # for floats unconverted, so a manifest echoes the config as written.
 _SCALAR_TYPES = {
-    bool: ("true or false", lambda v: isinstance(v, bool)),
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     float: (
         "a finite number",

@@ -95,7 +95,6 @@ class DataConfig:
     # means, making the benchmark's difficulty grading a lottery.
     plane_signal_fraction: float = 0.5
     train_fraction: float = 0.70
-    standardize: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -485,29 +484,6 @@ def generate_domains(
         )
         domains.append(DomainDataset(name, features, np.concatenate(labels)))
     return domains
-
-
-def standardize(
-    train: DomainDataset, others: list[DomainDataset] | tuple[DomainDataset, ...] = ()
-) -> tuple[DomainDataset, list[DomainDataset]]:
-    """Z-score train and others with train's per-feature mean and population
-    standard deviation; zero-variance features are mapped to 0. An overflow
-    is a ConfigError: the std squares the features, so it overflows at
-    scales far below float64's."""
-    message = (
-        "data.standardize overflows on these features; lower data.mean_scale, "
-        "data.noise_std or the shift sigmas"
-    )
-    mean = _refuse_overflow(train.features.mean(axis=0), message)
-    std = _refuse_overflow(train.features.std(axis=0), message)
-    safe_std = np.where(std == 0.0, 1.0, std)
-
-    def apply(ds: DomainDataset) -> DomainDataset:
-        z = _refuse_overflow((ds.features - mean) / safe_std, message)
-        z[:, std == 0.0] = 0.0
-        return DomainDataset(ds.name, z, ds.labels)
-
-    return apply(train), [apply(ds) for ds in others]
 
 
 def benchmark_shifts(cfg: DataConfig) -> tuple[list[DomainShift], DomainShift]:

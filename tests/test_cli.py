@@ -120,14 +120,6 @@ def test_synth_single_source_is_a_config_error(tmp_path):
     assert run("synth", "--config", cfg, "--out", tmp_path / "run") == cli.EXIT_CONFIG
 
 
-def test_synth_can_standardize(tmp_path):
-    cfg = tiny_config(tmp_path, data={"standardize": True})
-    out = tmp_path / "run"
-    assert run("synth", "--config", cfg, "--out", out) == 0
-    train = data.load_csv(out / "data" / "source_0_train.csv")
-    assert np.max(np.abs(train.features.mean(axis=0))) <= 1e-9
-
-
 # ---------------------------------------------------------------------------
 # pretrain
 
@@ -1141,10 +1133,8 @@ def test_pretrain_refuses_a_bad_knob_by_name_and_value(tmp_path, capsys, key, va
         ({"mean_scale": 1e308}, "data.mean_scale 1e+308"),
         ({"noise_std": 1e308}, "data.noise_std 1e+308"),
         ({"noise_std": 1e307, "source_shift_sigmas": [0.5, 1e3]}, "the features of domain"),
-        # Finite features, but their std squares them and overflows.
-        ({"new_shift_sigma": 1e300, "standardize": True}, "data.standardize"),
     ],
-    ids=["mean scale", "noise", "shift", "standardize"],
+    ids=["mean scale", "noise", "shift"],
 )
 def test_synth_refuses_scales_whose_features_overflow(tmp_path, capsys, bad_data, named):
     cfg = tiny_config(tmp_path, data=bad_data)

@@ -1,4 +1,4 @@
-"""CSV ingestion, splits, the synthetic domain generator, and standardization."""
+"""CSV ingestion, splits and the synthetic domain generator."""
 
 import math
 import os
@@ -610,44 +610,3 @@ def test_rebalance_means_keeps_zero_means_zero():
     out = data._rebalance_means(np.zeros((3, 4)), u, v, 0.5)
     assert not np.isnan(out).any()
     assert np.array_equal(out, np.zeros((3, 4)))
-
-
-# ---------------------------------------------------------------------------
-# standardization
-
-
-def test_standardize_two_pass_oracle_and_constants():
-    rng = np.random.default_rng(14)
-    features = rng.normal(loc=3.0, scale=2.0, size=(40, 4))
-    features[:, 2] = 7.5  # constant column
-    train = data.DomainDataset("train", features)
-    other = data.DomainDataset("other", rng.normal(size=(10, 4)))
-
-    std_train, (std_other,) = data.standardize(train, [other])
-    assert np.all(std_train.features[:, 2] == 0.0)
-    assert np.all(std_other.features[:, 2] == 0.0)
-    assert np.max(np.abs(std_train.features[:, 0].mean())) <= 1e-12
-
-    # two-pass oracle: the population mean and deviation of train
-    mean = features.sum(axis=0) / len(features)
-    std = np.sqrt(((features - mean) ** 2).sum(axis=0) / len(features))
-    for ds, std_ds in ((train, std_train), (other, std_other)):
-        expected = (ds.features[:, [0, 1, 3]] - mean[[0, 1, 3]]) / std[[0, 1, 3]]
-        assert np.max(np.abs(std_ds.features[:, [0, 1, 3]] - expected)) <= 1e-12
-
-
-def test_standardize_is_idempotent_on_its_own_output():
-    rng = np.random.default_rng(15)
-    train = data.DomainDataset("train", rng.normal(size=(25, 3)))
-    once, _ = data.standardize(train)
-    twice, _ = data.standardize(once)
-    assert np.max(np.abs(once.features.mean(axis=0))) <= 1e-12
-    assert np.max(np.abs(twice.features - once.features)) <= 1e-9
-
-
-def test_standardize_keeps_labels():
-    # mean (2, 3) and population deviation (1, 1)
-    ds = data.DomainDataset("d", np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1]))
-    out, _ = data.standardize(ds)
-    assert np.array_equal(out.features, np.array([[-1.0, -1.0], [1.0, 1.0]]))
-    assert out.labels.tolist() == [0, 1]

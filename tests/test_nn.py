@@ -668,6 +668,45 @@ def test_fit_classifier_zero_epochs_is_identity():
     assert np.array_equal(trained.theta, before.theta)
 
 
+def test_fit_classifier_matches_a_per_batch_replay_bit_for_bit():
+    """Each epoch draws one permutation; each batch of it, the last one
+    ragged (37 rows in batches of 8), takes one forward, loss, backward and
+    momentum step."""
+    rows, batch_size, epochs = 37, 8, 3
+    rng = np.random.default_rng(19)
+    model = nn.init_mlp(5, [6], 3, rng)
+    x = rng.normal(size=(rows, 5))
+    y = rng.integers(0, 3, size=rows)
+
+    fitted = nn.fit_classifier(
+        model, x, y, epochs, batch_size, nn.OptimizerState(0.05, 0.9), np.random.default_rng(7)
+    )
+
+    replayed, opt, order_rng = model, nn.OptimizerState(0.05, 0.9), np.random.default_rng(7)
+    for _ in range(epochs):
+        order = order_rng.permutation(rows)
+        for start in range(0, rows, batch_size):
+            take = order[start : start + batch_size]
+            logits, cache = nn.forward_logits(replayed, x[take])
+            gradient = nn.cross_entropy(logits, y[take])[1]()
+            replayed = nn.sgd_step(replayed, nn.backward(replayed, cache, gradient), opt)
+    assert not np.array_equal(fitted.theta, model.theta)
+    assert same_bits(fitted.theta, replayed.theta)
+
+
+def test_fit_classifier_holds_one_model_at_a_time(traced_peak):
+    """Beyond the caller's model, pretrain holds the momentum buffer, a
+    step's gradient, the model it steps from and the new vector; each step
+    drops the model before it, across epochs too."""
+    rng = np.random.default_rng(20)
+    model = nn.init_mlp(64, [1000], 10, rng)
+    x = rng.normal(size=(128, 64))
+    y = rng.integers(0, 10, size=128)
+    opt = nn.OptimizerState(0.05, 0.9)
+    peak, _ = traced_peak(lambda: nn.fit_classifier(model, x, y, 3, 16, opt, rng))
+    assert peak <= 4.5 * model.theta.nbytes
+
+
 @pytest.mark.parametrize("n_labels", [5, 20])
 def test_fit_classifier_refuses_labels_that_do_not_match_the_rows(n_labels):
     """Too few labels used to end in an IndexError; too many trained on the

@@ -50,7 +50,6 @@ def test_every_function_runs_in_one_pass_of_the_cli(tmp_path):
             "samples_per_class": 8,
             "source_rotations_deg": [10.0, 50.0],
             "source_shift_sigmas": [0.5, 1.5],
-            "standardize": True,
         },
         "model": {"hidden_units": [4]},
         "pretrain": {"epochs": 2},
