@@ -73,7 +73,7 @@ def _load_labelled(
     return sets
 
 
-def cmd_synth(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -> int:
+def cmd_synth(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -> None:
     new_transform = benchmark_shifts(cfg.data)[1]
     domains = generate_domains(cfg.data, cfg.data.num_sources, new_transform)
 
@@ -92,10 +92,9 @@ def cmd_synth(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) ->
             outputs.append(path)
     write_manifest(layout, "synth", cfg, config_paths, outputs)
     print(f"synth: {len(domains)} domains under {layout.data_dir}")
-    return EXIT_OK
 
 
-def cmd_pretrain(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -> int:
+def cmd_pretrain(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -> None:
     seeds = np.random.SeedSequence(cfg.pretrain.seed).spawn(cfg.data.num_sources)
 
     csv_paths = [layout.domain_csv(f"source_{i}", "train") for i in range(cfg.data.num_sources)]
@@ -130,10 +129,9 @@ def cmd_pretrain(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path])
         outputs.append(path)
     write_manifest(layout, "pretrain", cfg, inputs, outputs)
     print(f"pretrain: {cfg.data.num_sources} source models under {layout.models_dir}")
-    return EXIT_OK
 
 
-def cmd_expand(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -> int:
+def cmd_expand(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -> None:
     # Source-free by construction: inputs are the source models plus the
     # unlabelled new-domain features, nothing else.
     model_paths = [layout.original_model(i) for i in range(cfg.data.num_sources)]
@@ -161,7 +159,6 @@ def cmd_expand(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -
         f"expand: {len(ensemble.updated)} updated models after "
         f"{cfg.expansion.epochs} rounds under {layout.expanded_dir}"
     )
-    return EXIT_OK
 
 
 def _load_models(paths: list[Path], cfg: RunConfig) -> list[nn.MlpModel]:
@@ -181,7 +178,7 @@ def _load_models(paths: list[Path], cfg: RunConfig) -> list[nn.MlpModel]:
     return models
 
 
-def cmd_evaluate(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -> int:
+def cmd_evaluate(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -> None:
     model_paths = [
         role(i)
         for i in range(cfg.data.num_sources)
@@ -210,10 +207,9 @@ def cmd_evaluate(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path])
     inputs = config_paths + model_paths + csv_paths
     write_manifest(layout, "evaluate", cfg, inputs, [layout.report_json, layout.results_table])
     print(table)
-    return EXIT_OK
 
 
-def cmd_gradcheck(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -> int:
+def cmd_gradcheck(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -> None:
     results = checks.run_gradient_suite(tuple(cfg.gradcheck.seeds))
     all_passed = all(r.passed for r in results)
     payload = {
@@ -230,11 +226,10 @@ def cmd_gradcheck(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]
     )
     if not all_passed:
         raise NumericError("analytic gradients disagree with finite differences")
-    return EXIT_OK
 
 
 class Stage(NamedTuple):
-    run: Callable[[RunConfig, OutputLayout, list[Path]], int]
+    run: Callable[[RunConfig, OutputLayout, list[Path]], None]
     help: str
     # The config section whose seed --seed overrides; None: no --seed flag.
     seeded_section: str | None = None
@@ -281,7 +276,8 @@ def main(argv: list[str] | None = None) -> int:
         # logits and saved parameters report it as one NumericError. Set once
         # per stage: a per-call errstate costs about 5% of gradcheck.
         with np.errstate(over="ignore", invalid="ignore"):
-            return stage.run(cfg, layout, [args.config] if args.config else [])
+            stage.run(cfg, layout, [args.config] if args.config else [])
+        return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -27,6 +27,13 @@ from .errors import ConfigError, InputError
 LABEL_COLUMN = "label"
 # numpy refuses an array of more than intp's largest value in bytes.
 MAX_FLOAT64S = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+# split's share of each domain's samples on the train side.
+TRAIN_FRACTION = 0.70
+# Share of each synthesized class mean's energy placed inside the rotation
+# plane. Without this, how much a rotation hurts would depend on where the
+# random plane happens to fall relative to the random means, making the
+# benchmark's difficulty grading a lottery.
+PLANE_SIGNAL_FRACTION = 0.5
 
 
 @dataclass
@@ -73,7 +80,7 @@ class DomainDataset:
 
 @dataclass
 class DataConfig:
-    """Synthetic benchmark knobs plus the split policy.
+    """Synthetic benchmark knobs plus the split's seed.
 
     The one owner of each knob and its default: the config's data section,
     make_benchmark, generate_domains and split all read this class. Knobs
@@ -84,38 +91,20 @@ class DataConfig:
     feature_dim: int = 10
     samples_per_class: int = 200
     mean_scale: float = 1.5
-    noise_std: float = 1.0
     source_rotations_deg: list[float] = field(default_factory=lambda: [15.0, 55.0, 85.0])
     source_shift_sigmas: list[float] = field(default_factory=lambda: [0.5, 1.25, 2.0])
-    new_rotation_deg: float = 0.0
-    new_shift_sigma: float = 1.0
-    # Share of each synthesized class mean's energy placed inside the
-    # rotation plane. Without this, how much a rotation hurts would depend
-    # on where the random plane happens to fall relative to the random
-    # means, making the benchmark's difficulty grading a lottery.
-    plane_signal_fraction: float = 0.5
-    train_fraction: float = 0.70
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError(
-                f"train_fraction must lie in (0, 1), got {self.train_fraction}"
-            )
         if len(self.source_rotations_deg) != len(self.source_shift_sigmas):
             raise ConfigError("rotation and shift lists must have equal length")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        if not 0.0 <= self.plane_signal_fraction <= 1.0:
-            raise ConfigError(
-                f"plane_signal_fraction must be in [0, 1], got "
-                f"{self.plane_signal_fraction}"
-            )
         # Every domain rotates inside a 2-D plane of the feature space.
         if self.feature_dim < 2:
             raise ConfigError(f"feature_dim must be >= 2, got {self.feature_dim}")
-        # split's arithmetic: every class needs two samples, and the train
-        # side's ceil(train_fraction * N) must leave one of N for the test side.
+        # split's arithmetic: every class needs two samples, so N >= 4 and the
+        # train side's ceil(TRAIN_FRACTION * N) leaves one of N for the test side.
         if self.samples_per_class < 2:
             raise ConfigError(f"samples_per_class must be >= 2, got {self.samples_per_class}")
         n = self.num_classes * self.samples_per_class
@@ -128,13 +117,6 @@ class DataConfig:
                 f"rows per domain needs more than numpy's limit of {MAX_FLOAT64S} "
                 "float64s in one array"
             )
-        if math.ceil(self.train_fraction * n) >= n:
-            raise ConfigError(
-                f"train_fraction {self.train_fraction} of {n} samples per domain "
-                "leaves the test split empty"
-            )
-        if self.noise_std <= 0:
-            raise ConfigError(f"noise_std must be > 0, got {self.noise_std}")
         # By the sign bit: numpy's normal refuses a scale of -0.0 too.
         if math.copysign(1.0, self.mean_scale) < 0:
             raise ConfigError(f"mean_scale must be >= 0, got {self.mean_scale}")
@@ -149,7 +131,7 @@ class DataConfig:
         return len(self.source_rotations_deg)
 
 
-# split reads a DataConfig's train_fraction and seed.
+# split reads a DataConfig's seed.
 SplitSpec = DataConfig
 
 
@@ -332,11 +314,11 @@ def write_csv(ds: DomainDataset, path: str | Path) -> None:
 def split(ds: DomainDataset, spec: DataConfig) -> tuple[DomainDataset, DomainDataset]:
     """Deterministic stratified split of a labelled dataset into train/test.
 
-    The train side gets ceil(train_fraction * N) samples overall; per-class
+    The train side gets ceil(TRAIN_FRACTION * N) samples overall; per-class
     counts are allocated by largest remainder so every class lands within one
     sample of its proportional share.
     """
-    target_train = math.ceil(spec.train_fraction * ds.n)
+    target_train = math.ceil(TRAIN_FRACTION * ds.n)
     rng = default_rng(spec.seed)
 
     # Not np.unique: it loads numpy.ma on first use.
@@ -424,14 +406,6 @@ def _apply_shift(
     return out + shift.translation
 
 
-def _refuse_overflow(values: np.ndarray, message: str) -> np.ndarray:
-    """values, once all are finite. Synthesized values overflow float64 only
-    when the config's scales are too large, so the error is a ConfigError."""
-    if not np.isfinite(values).all():
-        raise ConfigError(message)
-    return values
-
-
 def generate_domains(
     cfg: DataConfig,
     num_source_domains: int,
@@ -461,8 +435,11 @@ def generate_domains(
     )
     basis = np.linalg.qr(structure_rng.standard_normal((cfg.feature_dim, 2)))[0]
     u, v = basis[:, 0], basis[:, 1]
-    means = _rebalance_means(means, u, v, cfg.plane_signal_fraction)
-    _refuse_overflow(means, f"data.mean_scale {cfg.mean_scale} overflows the class means")
+    means = _rebalance_means(means, u, v, PLANE_SIGNAL_FRACTION)
+    # Rotations keep norms and every shift is at most a finite sigma long, so
+    # finite means leave the features finite.
+    if not np.isfinite(means).all():
+        raise ConfigError(f"data.mean_scale {cfg.mean_scale} overflows the class means")
 
     names = [f"source_{i}" for i in range(num_source_domains)] + ["new"]
     all_transforms = transforms + [new_domain_transform]
@@ -472,16 +449,9 @@ def generate_domains(
         blocks, labels = [], []
         for c in range(cfg.num_classes):
             noise = rng.standard_normal((cfg.samples_per_class, cfg.feature_dim))
-            noise = _refuse_overflow(
-                cfg.noise_std * noise, f"data.noise_std {cfg.noise_std} overflows the noise"
-            )
             blocks.append(means[c] + noise)
             labels.append(np.full(cfg.samples_per_class, c, dtype=np.int64))
-        features = _refuse_overflow(
-            _apply_shift(np.vstack(blocks), shift, u, v),
-            f"the features of domain {name!r} overflow; lower data.mean_scale, "
-            "data.noise_std or the domain's shift",
-        )
+        features = _apply_shift(np.vstack(blocks), shift, u, v)
         domains.append(DomainDataset(name, features, np.concatenate(labels)))
     return domains
 
@@ -504,13 +474,11 @@ def benchmark_shifts(cfg: DataConfig) -> tuple[list[DomainShift], DomainShift]:
     pair = np.linalg.qr(rng.standard_normal((cfg.feature_dim, 2)))[0]
     source_dir, new_dir = pair[:, 0], pair[:, 1]
     source_transforms = [
-        DomainShift(rot, source_dir * sig * cfg.noise_std)
+        DomainShift(rot, source_dir * sig)
         for rot, sig in zip(cfg.source_rotations_deg, cfg.source_shift_sigmas)
     ]
-    new_transform = DomainShift(
-        cfg.new_rotation_deg, new_dir * cfg.new_shift_sigma * cfg.noise_std
-    )
-    return source_transforms, new_transform
+    # The new domain is not rotated, and is shifted 1 sigma.
+    return source_transforms, DomainShift(0.0, new_dir)
 
 
 def make_benchmark(seed: int = 0, **knobs) -> tuple[DataConfig, DomainShift]:

@@ -15,16 +15,19 @@ Beside the three claims it checks the paper's target: with entropy weights,
 m1 and m2 raise the expanded domain's accuracy, the unweighted mean over the
 sources and the new domain, above the unexpanded ensemble's.
 
-Every claim is checked on seeds 0-9 and again on held-out seeds 10-19.
+Every claim is checked on seeds 0-9 and again on held-out seeds 10-19, and
+README's table of the medians is checked against them byte for byte.
 """
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from domex import config, data, expansion, fusion, nn
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 SEED_SETS = {"seeds 0-9": range(10), "held-out seeds 10-19": range(10, 20)}
 UNIFORM_WEIGHT_TEMPERATURE = 1e9
 _compute_weights = expansion.compute_weights
@@ -167,3 +170,47 @@ def test_expansion_raises_the_expanded_domain_accuracy(runs, seed_set):
     }
     print(f"{seed_set}: median expanded-domain gain", {k: round(v, 2) for k, v in gains.items()})
     assert gains["entropy", "m1"] > 0 and gains["entropy", "m2"] > 0
+
+
+# README's claims table: its columns, then its rows as (weights, seed set).
+CLAIMS_COLUMNS = (
+    "weights",
+    "seeds",
+    "m1 new-domain gain",
+    "worst source drop, m1 / m2",
+    "expanded-domain gain, m1 / m2",
+    "disagreement, originals -> updated",
+)
+CLAIMS_ROWS = [
+    ("entropy", "seeds 0-9"),
+    ("uniform", "seeds 0-9"),
+    ("entropy", "held-out seeds 10-19"),
+    ("uniform", "held-out seeds 10-19"),
+    ("inverted", "seeds 0-9"),
+    ("inverted", "held-out seeds 10-19"),
+]
+
+
+def test_readme_claims_table_is_the_measured_medians(runs):
+    lines = [f"| {' | '.join(CLAIMS_COLUMNS)} |", "|---" * len(CLAIMS_COLUMNS) + "|"]
+    for variant, seed_set in CLAIMS_ROWS:
+        seeds = SEED_SETS[seed_set]
+        picked = [runs[seed] for seed in seeds]
+
+        def pair(key):
+            return [median(r[variant][key][method] for r in picked) for method in ("m1", "m2")]
+
+        cells = [
+            variant,
+            f"{seeds[0]}-{seeds[-1]}",
+            f"{median(r[variant]['m1_gain'] for r in picked):+.2f} pts",
+            "{:.2f} / {:.2f} pts".format(*pair("worst_drop")),
+            "{:+.2f} / {:+.2f} pts".format(*pair("expanded_gain")),
+            "{:.3f} -> {:.3f}".format(
+                median(r["disagreement_before"] for r in picked),
+                median(r[variant]["disagreement_after"] for r in picked),
+            ),
+        ]
+        lines.append(f"| {' | '.join(cells)} |")
+    block = README.read_text().split("The medians it measures:\n\n", 1)[1].split("\n\n", 1)[0]
+    assert "\n".join(lines) == block

@@ -46,7 +46,8 @@ def test_partial_config_keeps_other_defaults(tmp_path):
         {"evaluate": {"methods": ["bogus"]}},
         {"gradcheck": {"seeds": []}},
         {"model": {"hidden_units": [0]}},
-        {"data": {"train_fraction": 1.5}},
+        # Deleted keys are refused as unknown, even at their old defaults.
+        {"data": {"train_fraction": 0.70}},
         {"expansion": {"epochs": 2.5}},
         {"pretrain": {"batch_size": 1.5}},
         {"data": {"num_classes": 2.0}},
@@ -58,7 +59,7 @@ def test_partial_config_keeps_other_defaults(tmp_path):
         {"expansion": {"entropy_at_alignment_temperature": True}},
         {"evaluate": {"methods": ["m1", "m1", "baseline"]}},
         {"data": {"source_shift_sigmas": [0.5, 1.25]}},
-        {"data": {"noise_std": 0.0}},
+        {"data": {"noise_std": 1.0}},
         {"data": {"source_rotations_deg": [15.0], "source_shift_sigmas": [0.5]}},
         {"data": {"feature_dim": 1}},
         {"data": {"mean_scale": -1.0}},
@@ -91,7 +92,7 @@ def test_data_config_matches_benchmark_defaults():
     assert synth.mean_scale == 1.5
     assert synth.num_sources == 3
     assert np.linalg.norm(new_t.translation) > 0
-    assert data.SplitSpec().train_fraction == 0.70
+    assert data.TRAIN_FRACTION == 0.70
 
 
 def test_output_layout_paths(tmp_path):

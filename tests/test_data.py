@@ -509,8 +509,6 @@ def test_split_rejects_degenerate_inputs():
     one = data.DomainDataset("d", np.zeros((1, 2)), np.array([0]))
     with pytest.raises(InputError, match="nonempty"):
         data.split(one, data.SplitSpec())
-    with pytest.raises(ConfigError):
-        data.SplitSpec(train_fraction=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -542,13 +540,12 @@ def test_generate_domains_rejects_bad_setups():
 
 
 def test_identity_transforms_leave_domains_interchangeable():
-    cfg, new_t = data.make_benchmark(
+    cfg, _ = data.make_benchmark(
         seed=6,
         source_rotations_deg=[0.0, 0.0, 0.0],
         source_shift_sigmas=[0.0, 0.0, 0.0],
-        new_shift_sigma=0.0,
     )
-    domains = data.generate_domains(cfg, 3, new_t)
+    domains = data.generate_domains(cfg, 3, data.DomainShift(0.0, np.zeros(cfg.feature_dim)))
     model = quick_fit(domains[0], hidden=16, epochs=10, rng=np.random.default_rng(7))
     accs = [model_accuracy(model, ds) for ds in domains]
     # identical distributions: at N=1000 per domain the spread stays inside 3%
@@ -556,7 +553,7 @@ def test_identity_transforms_leave_domains_interchangeable():
 
 
 def test_runaway_source_domain_earns_the_largest_weight():
-    cfg, new_t = data.make_benchmark(
+    cfg, _ = data.make_benchmark(
         seed=10,
         num_classes=3,
         feature_dim=6,
@@ -564,9 +561,8 @@ def test_runaway_source_domain_earns_the_largest_weight():
         source_rotations_deg=[0.0, 0.0, 0.0],
         # as far off as +5 sigma on every one of the 6 coordinates
         source_shift_sigmas=[0.0, 0.0, 5.0 * math.sqrt(6.0)],
-        new_shift_sigma=0.0,
     )
-    domains = data.generate_domains(cfg, 3, new_t)
+    domains = data.generate_domains(cfg, 3, data.DomainShift(0.0, np.zeros(cfg.feature_dim)))
     rng = np.random.default_rng(11)
     originals = [quick_fit(ds, hidden=16, epochs=10, rng=rng) for ds in domains[:3]]
 
@@ -584,12 +580,13 @@ def test_benchmark_shift_geometry():
     sigmas = (0.5, 1.25, 2.0)
     unit = translations[0] / np.linalg.norm(translations[0])
     for vec, sigma in zip(translations, sigmas):
-        assert abs(np.linalg.norm(vec) - sigma * cfg.noise_std) <= 1e-12
+        assert abs(np.linalg.norm(vec) - sigma) <= 1e-12
         # all source shifts line up along one direction
         assert abs(float(np.dot(vec, unit)) - np.linalg.norm(vec)) <= 1e-9
-    # while the new domain moves off at a right angle
+    # while the new domain moves 1 sigma off at a right angle, unrotated
     assert abs(float(np.dot(new_t.translation, unit))) <= 1e-9
-    assert abs(np.linalg.norm(new_t.translation) - cfg.noise_std) <= 1e-12
+    assert abs(np.linalg.norm(new_t.translation) - 1.0) <= 1e-12
+    assert new_t.rotation_deg == 0.0
 
 
 @pytest.mark.parametrize("dim, kept", [(2, math.sqrt(0.5)), (3, 1.0), (10, 1.0)])
