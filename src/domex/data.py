@@ -14,6 +14,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 import orjson
@@ -279,16 +280,21 @@ def load_csv(path: str | Path) -> DomainDataset:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def write_atomic(path: str | Path, content: str | bytes) -> None:
-    """Write content, text as UTF-8, to path through a sibling `<path>.tmp`
-    that then replaces path, so a failed write leaves any earlier file at path
-    as it was. Makes path's directory first. Every file the pipeline writes
-    goes through here."""
+def write_atomic(path: str | Path, content: str | bytes | Iterable[bytes]) -> None:
+    """Write content to path through a sibling `<path>.tmp` that then replaces
+    path, so a failed write, even one that fails midway through content,
+    leaves any earlier file at path as it was and no `.tmp` behind. content is
+    text, written as UTF-8, bytes, or an iterable of bytes-like chunks written
+    in turn, so no caller builds a whole file image. Makes path's directory
+    first. Every file the pipeline writes goes through here."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
+    if isinstance(content, str):
+        content = content.encode()
     try:
-        tmp.write_bytes(content.encode() if isinstance(content, str) else content)
+        with tmp.open("wb") as handle:
+            handle.writelines([content] if isinstance(content, bytes) else content)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -298,17 +304,30 @@ def write_atomic(path: str | Path, content: str | bytes) -> None:
 def write_csv(ds: DomainDataset, path: str | Path) -> None:
     """Write a dataset as CSV, with a label column if it is labelled. Every
     feature is written as the shortest decimal that reads back to the same
-    float64 (orjson's Ryu formatter), so a reload is bit-identical. orjson
-    formats the whole matrix as nested JSON lists in one call, whose rows are
-    then the CSV's rows."""
+    float64 (orjson's Ryu formatter), so a reload is bit-identical. The rows
+    are streamed in blocks of at most about _ORJSON_BLOCK_BYTES of text: each
+    block is one orjson call on a slice of rows, whose nested lists are then
+    the CSV's rows, so the text held at once does not grow with the file."""
     header = [f"f{i}" for i in range(ds.dim)]
-    # orjson refuses arrays that are not C-contiguous.
-    nested = orjson.dumps(np.ascontiguousarray(ds.features), option=orjson.OPT_SERIALIZE_NUMPY)
-    rows = nested[2:-2].split(b"],[")
     if ds.labelled:
         header.append(LABEL_COLUMN)
-        rows = [b"%b,%d" % (row, label) for row, label in zip(rows, ds.labels.tolist())]
-    write_atomic(path, b"\n".join([",".join(header).encode(), *rows]) + b"\n")
+    # Rows per block at orjson's widest cell, 25 bytes with its comma
+    # (-2.2250738585072014e-308,); the + 1 lets a file without features divide.
+    step = max(1, _ORJSON_BLOCK_BYTES // (25 * ds.dim + 1))
+
+    def blocks():
+        yield ",".join(header).encode() + b"\n"
+        for start in range(0, ds.n, step):
+            # orjson refuses arrays that are not C-contiguous.
+            cells = np.ascontiguousarray(ds.features[start : start + step])
+            rows = orjson.dumps(cells, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+            if ds.labelled:
+                labels = ds.labels[start : start + step].tolist()
+                rows = [b"%b,%d" % (row, label) for row, label in zip(rows, labels)]
+            rows.append(b"")  # the block's last line end
+            yield b"\n".join(rows)
+
+    write_atomic(path, blocks())
 
 
 def split(ds: DomainDataset, spec: DataConfig) -> tuple[DomainDataset, DomainDataset]:

@@ -275,12 +275,22 @@ def backward(model: MlpModel, cache: list[np.ndarray], dlogits: np.ndarray) -> n
 
 
 def sgd_step(model: MlpModel, grads: np.ndarray, opt: OptimizerState) -> MlpModel:
-    """One descent step; returns a new model, mutating only opt's momentum buffer."""
+    """One descent step; returns a new model whose theta is grads' buffer.
+
+    grads is consumed: the new parameters theta - lr * step are built in it,
+    with the same operations and so the same bits as that formula, and the
+    step allocates no parameter vector. model is never written; opt's
+    momentum buffer is updated in place. grads must be a writable C-contiguous
+    float64 vector of theta's shape, which backward's result always is.
+    """
     # A scalar or (1,) grads would broadcast into the momentum buffer.
     if grads.shape != model.theta.shape:
         raise InputError(
             f"gradient shape {grads.shape} does not match parameters {model.theta.shape}"
         )
+    # The new model's layers are views into grads, so it must be a plain buffer.
+    if grads.dtype != np.float64 or not (grads.flags.c_contiguous and grads.flags.writeable):
+        raise InputError("gradient must be a writable C-contiguous float64 array")
     step = grads
     if opt.momentum > 0:
         # Starting from zeros, not a copy of grads, keeps the first step
@@ -290,9 +300,9 @@ def sgd_step(model: MlpModel, grads: np.ndarray, opt: OptimizerState) -> MlpMode
         opt.velocity *= opt.momentum
         opt.velocity += grads
         step = opt.velocity
-    new_theta = step * opt.learning_rate
-    np.subtract(model.theta, new_theta, out=new_theta)
-    return model._with_theta(new_theta)
+    np.multiply(step, opt.learning_rate, out=grads)
+    np.subtract(model.theta, grads, out=grads)
+    return model._with_theta(grads)
 
 
 def finite_diff_gradient(
@@ -362,8 +372,8 @@ def save_model(model: MlpModel, path: str | Path) -> None:
     if not np.isfinite(model.theta).all():
         raise NumericError(f"refusing to save {path}: model parameters are not finite")
     head = json.dumps({"dims": model.dims}, separators=(",", ":")).encode() + b"\n"
-    # One copy of theta: the join reads it through the buffer protocol.
-    write_atomic(path, b"".join((head, memoryview(model.theta.astype("<f8", copy=False)))))
+    # Two chunks, the second read through the buffer protocol: no file image.
+    write_atomic(path, (head, memoryview(model.theta.astype("<f8", copy=False))))
 
 
 def load_model(path: str | Path) -> MlpModel:

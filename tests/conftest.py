@@ -1,6 +1,7 @@
 """Shared test tooling: every memory test measures with traced_peak, every
-hand-built one-layer model comes from linear_model, and every CSV cell's
-digits are read with significant_digits."""
+hand-built one-layer model comes from linear_model, every CSV cell's
+digits are read with significant_digits, and every write that fails midway
+comes from failing_midstream."""
 
 import tracemalloc
 
@@ -55,3 +56,24 @@ def significant_digits():
     """significant_digits(text) -> the digits of a float literal, without its
     sign, point, exponent and leading or trailing zeros."""
     return _significant_digits
+
+
+def _failing_midstream(write_atomic, error):
+    """write_atomic, fed a chunk stream that raises error after the first of
+    the chunks its caller passes, once that chunk is written."""
+
+    def write(path, chunks):
+        def first_then_error():
+            yield next(iter(chunks))
+            raise error
+
+        write_atomic(path, first_then_error())
+
+    return write
+
+
+@pytest.fixture
+def failing_midstream():
+    """failing_midstream(write_atomic, error) -> a stand-in for write_atomic
+    whose write fails with error after the first chunk."""
+    return _failing_midstream

@@ -497,9 +497,9 @@ def test_expand_identical_sources_log_zero_bias(tmp_path):
 
 
 def test_expand_holds_each_model_once_per_role(tmp_path, traced_peak):
-    """expand holds m originals, m updated models and a step's gradient and
-    new vector; a load's file bytes, a step's activations and a saved file's
-    image stay within the other two theta sizes of the budget."""
+    """expand holds m originals, m updated models and a step's gradient, in
+    which the step builds the new vector; a load's file bytes and a step's
+    activations stay within the other three theta sizes of the budget."""
     m, dim, classes = 3, 64, 10
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({
@@ -1198,6 +1198,37 @@ def test_expanded_models_do_not_depend_on_the_blas_thread_count(tmp_path):
         )
     assert len(digests[0]) == 3 + 4  # 3 original, 3 updated models and the log
     assert digests[0] == digests[1]
+
+
+# The same at the benchmark's wide shape, 256 features into the default 1000
+# hidden units, on 140-row train and new sets: every CSV spans several of
+# write_csv's blocks, and one product over a whole set, in place of 64-row
+# chunks, would give other bits under 2 threads here.
+def test_a_wide_run_does_not_depend_on_the_blas_thread_count(tmp_path):
+    cfg = tiny_config(
+        tmp_path,
+        data={"feature_dim": 256, "num_classes": 10, "samples_per_class": 20, "mean_scale": 0.3},
+        model={"hidden_units": [1000]},
+        pretrain={"epochs": 1},
+        expansion={"epochs": 1},
+        gradcheck={"seeds": [0]},
+    )
+    script = (
+        "import sys\n"
+        "from domex import cli\n"
+        "for stage in ('synth', 'pretrain', 'expand', 'evaluate', 'gradcheck'):\n"
+        "    if cli.main([stage, '--out', sys.argv[1], '--config', sys.argv[2]]):\n"
+        "        sys.exit(stage + ' failed')\n"
+    )
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        run_python(script, out, cfg, OPENBLAS_NUM_THREADS=threads)
+        written.append(digests(out))
+    # 6 CSVs, 2 original and 2 updated models, the training log, 2 evaluation
+    # files, the gradcheck report and 5 manifests
+    assert len(written[0]) == 19
+    assert written[0] == written[1]
 
 
 # The import is every invocation's start-up: it loads numpy.random, which four

@@ -3,9 +3,9 @@
 import math
 import os
 import warnings
-from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -209,27 +209,23 @@ def test_load_csv_holds_one_block_of_python_floats_at_a_time(tmp_path, traced_pe
     assert peak < 3 * ds.features.nbytes
 
 
-def test_write_csv_failure_keeps_the_previous_file(tmp_path, monkeypatch):
+def test_write_csv_failure_keeps_the_previous_file(tmp_path, monkeypatch, failing_midstream):
     path = tmp_path / "domain.csv"
     data.write_csv(data.DomainDataset("old", np.zeros((2, 2)), np.array([0, 1])), path)
     before = path.read_bytes()
     newer = data.DomainDataset("new", np.ones((3, 2)), np.array([1, 0, 1]))
 
-    def half_written(self, content):
-        with open(self, "wb") as handle:
-            handle.write(content[: len(content) // 2])
-        raise OSError("no space left on device")
-
     def failed_replace(src, dst):
         raise OSError("replace failed")
 
-    for target, name, failure in (
-        (Path, "write_bytes", half_written),
-        (os, "replace", failed_replace),
+    for target, name, failure, error in (
+        (data, "write_atomic", failing_midstream(data.write_atomic, OSError("disk full")), OSError),
+        (data, "write_atomic", failing_midstream(data.write_atomic, ValueError("bad")), ValueError),
+        (os, "replace", failed_replace, OSError),
     ):
         with monkeypatch.context() as patched:
             patched.setattr(target, name, failure)
-            with pytest.raises(OSError):
+            with pytest.raises(error):
                 data.write_csv(newer, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["domain.csv"]
@@ -326,6 +322,76 @@ def test_csv_reloads_drawn_finite_floats_bit_for_bit(tmp_path_factory, ds):
     assert back.labelled == ds.labelled
     if ds.labelled:
         assert back.labels.tobytes() == ds.labels.tobytes()
+
+
+def one_call_text(ds):
+    """The CSV text of ds from one orjson call on its whole feature matrix."""
+    header = [f"f{i}" for i in range(ds.dim)] + (["label"] if ds.labelled else [])
+    matrix = np.ascontiguousarray(ds.features)
+    rows = orjson.dumps(matrix, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+    if ds.labelled:
+        rows = [b"%b,%d" % (row, label) for row, label in zip(rows, ds.labels.tolist())]
+    return b"\n".join([",".join(header).encode(), *rows]) + b"\n"
+
+
+def block_rows(dim):
+    """write_csv's rows per block: as many as fit in _ORJSON_BLOCK_BYTES at 25
+    bytes a cell, orjson's widest float64 and its comma, and at least one."""
+    return max(1, data._ORJSON_BLOCK_BYTES // (25 * dim + 1))
+
+
+# The row counts at a block's edges, as functions of its row count k.
+_BLOCK_EDGES = {
+    "1 row": lambda k: 1,
+    "k - 1 rows": lambda k: max(k - 1, 1),
+    "k rows": lambda k: k,
+    "k + 1 rows": lambda k: k + 1,
+    "2k + 1 rows": lambda k: 2 * k + 1,
+}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(draws=st.data())
+@pytest.mark.parametrize("edge", _BLOCK_EDGES)
+@pytest.mark.parametrize("cols", [1, 3, 256, 5000])  # one 5000-feature row is wider than a block
+def test_write_csv_streams_the_one_call_text_in_blocks(tmp_path_factory, cols, edge, draws):
+    """The file is the text of one orjson call on the whole matrix, written as
+    the header and then one chunk per block of whole rows. Cells are drawn
+    finite, with -0.0, 5e-324 or 1.7976931348623157e308 wherever no other
+    was drawn; labels are int64 or absent."""
+    k = block_rows(cols)
+    rows = _BLOCK_EDGES[edge](k)
+    fill = st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308])
+    features = draws.draw(hnp.arrays(np.float64, (rows, cols), elements=_FINITE, fill=fill))
+    labels = draws.draw(st.none() | hnp.arrays(
+        np.int64, rows, elements=st.integers(0, 2**63 - 1), fill=st.just(2**63 - 1)
+    ))
+    ds = data.DomainDataset("drawn", features, labels)
+    path = tmp_path_factory.getbasetemp() / "streamed.csv"
+    chunks, write_atomic = [], data.write_atomic
+
+    def recorded(path, content):
+        chunks[:] = [bytes(chunk) for chunk in content]
+        write_atomic(path, chunks)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(data, "write_atomic", recorded)
+        data.write_csv(ds, path)
+    assert path.read_bytes() == one_call_text(ds)
+    assert [chunk.count(b"\n") for chunk in chunks] == [1] + [
+        min(k, rows - start) for start in range(0, rows, k)
+    ]
+    assert all(chunk.endswith(b"\n") for chunk in chunks)
+
+
+@pytest.mark.parametrize("n", [525, 5000])
+def test_write_csv_memory_does_not_grow_with_the_rows(tmp_path, traced_peak, n):
+    """About 0.2 MB at 256 features for 525 and 5000 rows alike; one orjson
+    call on the whole matrix took 12 and 109 MB."""
+    rng = np.random.default_rng(n)
+    ds = data.DomainDataset("tall", rng.normal(size=(n, 256)), rng.integers(0, 10, size=n))
+    peak, _ = traced_peak(lambda: data.write_csv(ds, tmp_path / "tall.csv"))
+    assert peak < 1 << 20
 
 
 # load_csv against numpy's reader: write_csv's output, which load_csv parses

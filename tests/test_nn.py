@@ -6,7 +6,6 @@ import math
 import os
 import re
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,9 +269,9 @@ def test_sgd_momentum_accumulates(linear_model):
     # v1 = g, v2 = mu*v1 + g; two steps move by lr*(v1+v2).
     model = linear_model([0.0], weights=[[1.0]])
     opt = nn.OptimizerState(learning_rate=0.1, momentum=0.5)
-    grads = np.array([1.0, 0.0])
-    model = nn.sgd_step(model, grads, opt)
-    model = nn.sgd_step(model, grads, opt)
+    # sgd_step builds the new theta in its gradient: each step gets a fresh one.
+    model = nn.sgd_step(model, np.array([1.0, 0.0]), opt)
+    model = nn.sgd_step(model, np.array([1.0, 0.0]), opt)
     assert abs(model.layers[0].weights[0, 0] - (1.0 - 0.1 * (1.0 + 1.5))) <= 1e-15
 
 
@@ -282,6 +281,25 @@ def test_sgd_step_rejects_a_gradient_that_would_broadcast():
     for grads in (np.ones(1), np.ones(())):
         with pytest.raises(InputError, match="gradient shape"):
             nn.sgd_step(model, grads, nn.OptimizerState(0.1, momentum=0.9))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda theta: np.ones_like(theta, dtype=np.float32),
+        lambda theta: np.ones_like(theta, dtype=np.int64),
+        lambda theta: np.ones(2 * theta.size)[::2],
+        lambda theta: np.frombuffer(np.ones_like(theta).tobytes()),
+    ],
+    ids=["float32", "int64", "strided", "read-only"],
+)
+def test_sgd_step_refuses_a_gradient_it_cannot_build_theta_in(make):
+    """The new model's layers are views into the gradient's buffer."""
+    model = nn.init_mlp(2, [3], 2, np.random.default_rng(9))
+    theta, grads = model.theta.copy(), make(model.theta)
+    with pytest.raises(InputError, match="^gradient must be a writable C-contiguous float64 array$"):
+        nn.sgd_step(model, grads, nn.OptimizerState(0.1, momentum=0.9))
+    assert same_bits(model.theta, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +379,12 @@ def test_training_step_leaves_its_inputs_alone():
     gradient = grads.copy()
     opt = nn.OptimizerState(learning_rate=0.05, momentum=0.9)
     stepped = nn.sgd_step(model, grads, opt)
-    assert same_bits(grads, gradient) and same_bits(model.theta, theta)
-    # the velocity's documented update, and nothing shared with the new model
+    assert same_bits(model.theta, theta)
+    # the velocity's documented update; the new theta is built in the
+    # gradient's buffer, and shares nothing with the model or the velocity
     assert same_bits(opt.velocity, np.zeros_like(theta) * 0.9 + gradient)
+    assert stepped.theta is grads
+    assert same_bits(stepped.theta, theta - 0.05 * opt.velocity)
     assert not np.shares_memory(stepped.theta, opt.velocity)
     assert not np.shares_memory(stepped.theta, model.theta)
 
@@ -425,13 +446,15 @@ def test_backward_allocates_the_gradient_one_delta_and_one_mask(traced_peak):
     assert peak <= 1.1 * budget
 
 
-def test_sgd_step_allocates_one_parameter_vector(traced_peak):
+def test_sgd_step_allocates_no_parameter_vector(traced_peak):
     model, _, cache, dlogits = default_step_setup()
     grads = nn.backward(model, cache, dlogits)
+    expected = model.theta - 0.1 * grads
     opt = nn.OptimizerState(learning_rate=0.1)
     peak, stepped = traced_peak(lambda: nn.sgd_step(model, grads, opt))
-    assert same_bits(stepped.theta, model.theta - 0.1 * grads)
-    assert peak <= 1.1 * model.theta.nbytes
+    assert same_bits(stepped.theta, expected)
+    # The new model's layer views and objects, not a second theta.
+    assert peak <= 0.05 * model.theta.nbytes
 
 
 def test_results_survive_the_next_forward_and_backward():
@@ -695,16 +718,17 @@ def test_fit_classifier_matches_a_per_batch_replay_bit_for_bit():
 
 
 def test_fit_classifier_holds_one_model_at_a_time(traced_peak):
-    """Beyond the caller's model, pretrain holds the momentum buffer, a
-    step's gradient, the model it steps from and the new vector; each step
-    drops the model before it, across epochs too."""
+    """Beyond the caller's model, pretrain holds the momentum buffer, the
+    model a step starts from and that step's gradient, in which the step
+    builds the new vector; each step drops the model before it, across
+    epochs too."""
     rng = np.random.default_rng(20)
     model = nn.init_mlp(64, [1000], 10, rng)
     x = rng.normal(size=(128, 64))
     y = rng.integers(0, 10, size=128)
     opt = nn.OptimizerState(0.05, 0.9)
     peak, _ = traced_peak(lambda: nn.fit_classifier(model, x, y, 3, 16, opt, rng))
-    assert peak <= 4.5 * model.theta.nbytes
+    assert peak <= 4.0 * model.theta.nbytes
 
 
 @pytest.mark.parametrize("n_labels", [5, 20])
@@ -739,11 +763,12 @@ def test_model_save_load_round_trip(tmp_path):
     assert path.read_bytes() == again.read_bytes()
 
 
-def test_save_model_copies_theta_once(tmp_path, traced_peak):
+def test_save_model_builds_no_file_image(tmp_path, traced_peak):
     model = default_step_setup()[0]
     peak, _ = traced_peak(lambda: nn.save_model(model, tmp_path / "net.model"))
-    # the file image: the header line and one copy of theta
-    assert peak <= 1.1 * model.theta.nbytes + 4096
+    # the finiteness check's mask, one byte a parameter, and the header line;
+    # theta is written from its own buffer
+    assert peak <= model.theta.size + 4096
 
 
 def model_file(dims, values):
@@ -843,27 +868,23 @@ def test_save_model_refuses_non_finite_parameters(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_save_model_failure_keeps_the_previous_file(tmp_path, monkeypatch):
+def test_save_model_failure_keeps_the_previous_file(tmp_path, monkeypatch, failing_midstream):
     path = tmp_path / "net.model"
     nn.save_model(nn.init_mlp(2, [3], 2, np.random.default_rng(20)), path)
     before = path.read_bytes()
     newer = nn.init_mlp(2, [3], 2, np.random.default_rng(21))
 
-    def half_written(self, content):
-        with open(self, "wb") as handle:
-            handle.write(content[: len(content) // 2])
-        raise OSError("no space left on device")
-
     def failed_replace(src, dst):
         raise OSError("replace failed")
 
-    for target, name, failure in (
-        (Path, "write_bytes", half_written),
-        (os, "replace", failed_replace),
+    for target, name, failure, error in (
+        (nn, "write_atomic", failing_midstream(nn.write_atomic, OSError("disk full")), OSError),
+        (nn, "write_atomic", failing_midstream(nn.write_atomic, ValueError("bad")), ValueError),
+        (os, "replace", failed_replace, OSError),
     ):
         with monkeypatch.context() as patched:
             patched.setattr(target, name, failure)
-            with pytest.raises(OSError):
+            with pytest.raises(error):
                 nn.save_model(newer, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["net.model"]
