@@ -74,10 +74,6 @@ class DomainDataset:
     def labelled(self) -> bool:
         return self.labels is not None
 
-    def take(self, indices: np.ndarray) -> "DomainDataset":
-        labels = None if self.labels is None else self.labels[indices]
-        return DomainDataset(self.name, self.features[indices], labels)
-
 
 @dataclass
 class DataConfig:
@@ -280,21 +276,22 @@ def load_csv(path: str | Path) -> DomainDataset:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def write_atomic(path: str | Path, content: str | bytes | Iterable[bytes]) -> None:
+def write_atomic(path: str | Path, content: str | Iterable[bytes]) -> None:
     """Write content to path through a sibling `<path>.tmp` that then replaces
     path, so a failed write, even one that fails midway through content,
     leaves any earlier file at path as it was and no `.tmp` behind. content is
-    text, written as UTF-8, bytes, or an iterable of bytes-like chunks written
-    in turn, so no caller builds a whole file image. Makes path's directory
-    first. Every file the pipeline writes goes through here."""
+    text (JSON and tables), written as UTF-8, or an iterable of bytes-like
+    chunks (CSVs and models) written in turn, so no caller builds a whole file
+    image. Makes path's directory first. Every file the pipeline writes goes
+    through here."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     if isinstance(content, str):
-        content = content.encode()
+        content = [content.encode()]
     try:
         with tmp.open("wb") as handle:
-            handle.writelines([content] if isinstance(content, bytes) else content)
+            handle.writelines(content)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -333,39 +330,30 @@ def write_csv(ds: DomainDataset, path: str | Path) -> None:
 def split(ds: DomainDataset, spec: DataConfig) -> tuple[DomainDataset, DomainDataset]:
     """Deterministic stratified split of a labelled dataset into train/test.
 
-    The train side gets ceil(TRAIN_FRACTION * N) samples overall; per-class
-    counts are allocated by largest remainder so every class lands within one
-    sample of its proportional share.
+    Classes 0..C-1 must hold equally many rows each, as generate_domains draws
+    them. Of the ceil(TRAIN_FRACTION * N) train rows, with base, extra = divmod
+    of that by C, class c gives base + (c < extra), picked by one permutation
+    per class in class order. Both sides keep the dataset's row order.
     """
-    target_train = math.ceil(TRAIN_FRACTION * ds.n)
+    counts = np.bincount(ds.labels)
+    if counts.min() != counts.max():
+        raise InputError(
+            f"split needs equally many rows in each class 0..{counts.size - 1}, "
+            f"got {counts.tolist()}"
+        )
+    base, extra = divmod(math.ceil(TRAIN_FRACTION * ds.n), counts.size)
     rng = default_rng(spec.seed)
-
-    # Not np.unique: it loads numpy.ma on first use.
-    classes = sorted(set(ds.labels.tolist()))
-    strata = {c: np.flatnonzero(ds.labels == c) for c in classes}
-
-    shares = {c: target_train * idx.size / ds.n for c, idx in strata.items()}
-    quotas = {c: math.floor(s) for c, s in shares.items()}
-    leftover = target_train - sum(quotas.values())
-    # Hand out the leftover units by largest fractional remainder,
-    # breaking ties on the lower class index.
-    order = sorted(shares, key=lambda c: (-(shares[c] - quotas[c]), c))
-    for c in order:
-        if leftover == 0:
-            break
-        if quotas[c] < strata[c].size:
-            quotas[c] += 1
-            leftover -= 1
-
     train_idx, test_idx = [], []
-    for c in classes:
-        shuffled = rng.permutation(strata[c])
-        k = quotas[c]
+    for c in range(counts.size):
+        shuffled = rng.permutation(np.flatnonzero(ds.labels == c))
+        k = base + (c < extra)
         train_idx.append(shuffled[:k])
         test_idx.append(shuffled[k:])
-    train_indices = np.sort(np.concatenate(train_idx))
-    test_indices = np.sort(np.concatenate(test_idx))
-    return ds.take(train_indices), ds.take(test_indices)
+    train, test = (np.sort(np.concatenate(side)) for side in (train_idx, test_idx))
+    return (
+        DomainDataset(ds.name, ds.features[train], ds.labels[train]),
+        DomainDataset(ds.name, ds.features[test], ds.labels[test]),
+    )
 
 
 @dataclass
@@ -464,14 +452,11 @@ def generate_domains(
     all_transforms = transforms + [new_domain_transform]
     domains = []
     for name, shift, seed in zip(names, all_transforms, domain_seeds):
-        rng = default_rng(seed)
-        blocks, labels = [], []
-        for c in range(cfg.num_classes):
-            noise = rng.standard_normal((cfg.samples_per_class, cfg.feature_dim))
-            blocks.append(means[c] + noise)
-            labels.append(np.full(cfg.samples_per_class, c, dtype=np.int64))
-        features = _apply_shift(np.vstack(blocks), shift, u, v)
-        domains.append(DomainDataset(name, features, np.concatenate(labels)))
+        labels = np.repeat(np.arange(cfg.num_classes, dtype=np.int64), cfg.samples_per_class)
+        # One draw fills in C order: the bits of one draw per class in turn.
+        features = default_rng(seed).standard_normal((labels.size, cfg.feature_dim))
+        features += means[labels]
+        domains.append(DomainDataset(name, _apply_shift(features, shift, u, v), labels))
     return domains
 
 

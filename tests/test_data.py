@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -52,13 +53,6 @@ def test_dataset_refuses_float_and_bool_labels_naming_the_dtype():
     for labels in (np.array([0.0, 1.0]), np.array([False, True])):
         with pytest.raises(InputError, match=f"integers, got dtype {labels.dtype}$"):
             data.DomainDataset("d", np.zeros((2, 2)), labels)
-
-
-def test_dataset_take_keeps_alignment():
-    ds = data.DomainDataset("d", np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]))
-    sub = ds.take(np.array([2, 1]))
-    assert np.array_equal(sub.features, np.array([[4.0, 5.0], [2.0, 3.0]]))
-    assert sub.labels.tolist() == [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -550,11 +544,49 @@ def test_split_seventy_thirty_single_class():
 
 def test_split_is_deterministic():
     rng = np.random.default_rng(2)
-    ds = data.DomainDataset("d", rng.normal(size=(30, 3)), rng.integers(0, 3, size=30))
-    a_train, a_test = data.split(ds, data.SplitSpec(seed=9))
-    b_train, b_test = data.split(ds, data.SplitSpec(seed=9))
-    assert np.array_equal(a_train.features, b_train.features)
-    assert np.array_equal(a_test.labels, b_test.labels)
+    labels = rng.permutation(np.repeat(np.arange(3), 10))
+    ds = data.DomainDataset("d", rng.normal(size=(30, 3)), labels)
+    first = data.split(ds, data.SplitSpec(seed=9))
+    again = data.split(ds, data.SplitSpec(seed=9))
+    for a, b in zip(first, again):
+        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.labels, b.labels)
+
+
+@pytest.mark.parametrize(
+    "labels, counts",
+    [([0, 0, 0, 1, 1], "[3, 2]"), ([0, 0, 2, 2], "[2, 0, 2]")],
+    ids=["unequal", "missing_class"],
+)
+def test_split_refuses_unequal_class_counts(labels, counts):
+    ds = data.DomainDataset("d", np.zeros((len(labels), 2)), np.array(labels))
+    with pytest.raises(InputError, match=f"equally many rows .* got {re.escape(counts)}$"):
+        data.split(ds, data.SplitSpec())
+
+
+@pytest.mark.parametrize(
+    "num_classes, samples_per_class", [(5, 200), (10, 75), (2, 2), (3, 7), (3, 5)],
+    ids=lambda v: str(v),
+)
+def test_split_train_counts_follow_the_closed_form(num_classes, samples_per_class):
+    n = num_classes * samples_per_class
+    labels = np.random.default_rng(1).permutation(
+        np.repeat(np.arange(num_classes), samples_per_class)
+    )
+    # Column 0 is the row's index, column 1 its label.
+    ds = data.DomainDataset("d", np.column_stack([np.arange(n), labels]), labels)
+    train, test = data.split(ds, data.SplitSpec(seed=3))
+    base, extra = divmod(math.ceil(data.TRAIN_FRACTION * n), num_classes)
+    assert np.bincount(train.labels, minlength=num_classes).tolist() == [
+        base + (c < extra) for c in range(num_classes)
+    ]
+    assert train.n == math.ceil(0.7 * n)
+    rows = [side.features[:, 0].astype(int) for side in (train, test)]
+    assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(n))
+    for side, side_rows in zip((train, test), rows):
+        assert np.all(np.diff(side_rows) > 0)
+        assert np.array_equal(side.labels, labels[side_rows])
+        assert np.array_equal(side.features[:, 1], side.labels)
 
 
 def test_split_stratifies_both_classes():
@@ -593,6 +625,40 @@ def test_generate_domains_counts_names_reproducibility():
     for a, b in zip(domains, again):
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
+
+
+@pytest.mark.parametrize(
+    "num_classes, samples_per_class, feature_dim", [(5, 200, 10), (10, 75, 256), (3, 8, 2)],
+    ids=lambda v: str(v),
+)
+def test_generate_domains_matches_a_per_class_replay_bit_for_bit(
+    num_classes, samples_per_class, feature_dim
+):
+    """One draw per domain gives the bits of one standard_normal((S, d)) draw
+    per class in class order, stacked and then shifted."""
+    cfg, new_t = data.make_benchmark(
+        seed=4, num_classes=num_classes, samples_per_class=samples_per_class,
+        feature_dim=feature_dim,
+    )
+    domains = data.generate_domains(cfg, cfg.num_sources, new_t)
+
+    structure_seed, *domain_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.num_sources + 2)
+    structure_rng = np.random.default_rng(structure_seed)
+    means = structure_rng.normal(0.0, cfg.mean_scale, size=(num_classes, feature_dim))
+    basis = np.linalg.qr(structure_rng.standard_normal((feature_dim, 2)))[0]
+    u, v = basis[:, 0], basis[:, 1]
+    means = data._rebalance_means(means, u, v, data.PLANE_SIGNAL_FRACTION)
+    shifts = data.benchmark_shifts(cfg)[0] + [new_t]
+    for ds, shift, seed in zip(domains, shifts, domain_seeds, strict=True):
+        rng = np.random.default_rng(seed)
+        blocks = [
+            means[c] + rng.standard_normal((samples_per_class, feature_dim))
+            for c in range(num_classes)
+        ]
+        features = data._apply_shift(np.vstack(blocks), shift, u, v)
+        assert np.array_equal(ds.features.view(np.uint64), features.view(np.uint64))
+        assert ds.labels.dtype == np.int64
+        assert ds.labels.tolist() == sorted(list(range(num_classes)) * samples_per_class)
 
 
 def test_generate_domains_rejects_bad_setups():
