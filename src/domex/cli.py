@@ -97,7 +97,7 @@ def cmd_synth(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) ->
 def cmd_pretrain(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -> None:
     seeds = np.random.SeedSequence(cfg.pretrain.seed).spawn(cfg.data.num_sources)
 
-    csv_paths = [layout.domain_csv(f"source_{i}", "train") for i in range(cfg.data.num_sources)]
+    csv_paths = [layout.domain_csv(name, "train") for name in _domain_names(cfg)[:-1]]
     inputs, outputs = list(config_paths) + csv_paths, []
     train_sets = _load_labelled(csv_paths, cfg, csv_paths[0], None)
     # Every source domain must cover the same classes; the whole method
@@ -284,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (NumericError, FloatingPointError) as exc:
+    except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError:

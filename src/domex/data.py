@@ -371,10 +371,11 @@ def _rebalance_means(
 
     The part in the rotation plane span{u, v} gets sqrt(fraction) of the norm
     and the part in its orthogonal complement sqrt(1 - fraction), each along
-    its own direction. A mean with no in-plane part falls back to u; one with
-    no residual keeps only its in-plane share. So norms are preserved when
-    feature_dim >= 3, but at feature_dim 2, where the plane is the whole
-    space, each shrinks to sqrt(fraction) of itself. A zero mean stays zero.
+    its own direction. A part below 1e-12 of the mean's norm counts as none:
+    a mean with no in-plane part falls back to u; one with no residual keeps
+    only its in-plane share. So norms are preserved when feature_dim >= 3, but
+    at feature_dim 2, where the plane is the whole space, each shrinks to
+    sqrt(fraction) of itself. A zero mean stays zero.
     """
     out = np.empty_like(means)
     for c, mu in enumerate(means):
@@ -383,8 +384,8 @@ def _rebalance_means(
         residual = mu - in_plane
         in_norm = np.linalg.norm(in_plane)
         res_norm = np.linalg.norm(residual)
-        e_in = in_plane / in_norm if in_norm > 1e-12 else u
-        e_res = residual / res_norm if res_norm > 1e-12 else np.zeros_like(mu)
+        e_in = in_plane / in_norm if in_norm > 1e-12 * norm else u
+        e_res = residual / res_norm if res_norm > 1e-12 * norm else np.zeros_like(mu)
         out[c] = norm * (
             math.sqrt(fraction) * e_in + math.sqrt(1.0 - fraction) * e_res
         )

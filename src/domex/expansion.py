@@ -85,9 +85,8 @@ def check_sgd_knobs(knobs) -> None:
 
 @dataclass
 class WeightVector:
-    """Per-model mean entropies and the weights derived from them."""
+    """Per-model weights, derived from the models' mean entropies."""
 
-    entropies: np.ndarray
     weights: np.ndarray
 
 
@@ -141,8 +140,7 @@ def compute_weights(entropies: np.ndarray, weight_temperature: float) -> WeightV
     models feel more alignment pressure. At a small weight_temperature the
     softmax saturates and weights may round to exactly 0 or 1.
     """
-    entropies = np.asarray(entropies, dtype=np.float64)
-    return WeightVector(entropies, softmax_temperature(entropies, weight_temperature))
+    return WeightVector(softmax_temperature(entropies, weight_temperature))
 
 
 def weighted_loss(
@@ -248,7 +246,6 @@ def expand(
     (round, model) with keys round, model_index, mean_L_org, mean_L_bias (the
     batch means of the loss terms seen during its epoch), E_i and w_i.
     """
-    new_data = np.asarray(new_data, dtype=np.float64)
     n = new_data.shape[0]
     rng = np.random.default_rng(hp.seed)
     # Each model's target stack is built from these (N, C) arrays on the

@@ -37,7 +37,6 @@ class PredictionBatch:
 
     @classmethod
     def from_scores(cls, scores: np.ndarray) -> "PredictionBatch":
-        scores = np.asarray(scores, dtype=np.float64)
         # np.argmax returns the first maximum, i.e. the lowest class index.
         return cls(scores, scores.argmax(axis=1))
 

@@ -137,13 +137,11 @@ def init_mlp(
     return MlpModel(dims, np.concatenate(parts))
 
 
-def _as_batch(batch: np.ndarray, input_dim: int) -> np.ndarray:
-    batch = np.asarray(batch, dtype=np.float64)
+def _check_batch(batch: np.ndarray, input_dim: int) -> None:
     if batch.ndim != 2 or batch.shape[1] != input_dim:
         raise InputError(
             f"batch must have shape (N, {input_dim}), got {batch.shape}"
         )
-    return batch
 
 
 def forward_logits(model: MlpModel, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -155,7 +153,8 @@ def forward_logits(model: MlpModel, batch: np.ndarray) -> tuple[np.ndarray, list
     is added and ReLU applied to it in place, which gives the same bits as
     np.maximum(act @ W.T + b, 0.0).
     """
-    cache, last = [_as_batch(batch, model.input_dim)], len(model.layers) - 1
+    _check_batch(batch, model.input_dim)
+    cache, last = [batch], len(model.layers) - 1
     for idx, layer in enumerate(model.layers):
         act = cache[idx] @ layer.weights.T
         act += layer.bias
@@ -173,7 +172,7 @@ def chunked_logits(model: MlpModel, data: np.ndarray) -> np.ndarray:
     The set's size does not change the size of any intermediate array, and
     each row's logits are those of a forward on its chunk alone.
     """
-    data = _as_batch(data, model.input_dim)
+    _check_batch(data, model.input_dim)
     logits = np.empty((data.shape[0], model.num_classes))
     for start in range(0, data.shape[0], CHUNK_ROWS):
         stop = start + CHUNK_ROWS
@@ -197,14 +196,13 @@ def softmax_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
     """
     if temperature <= 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
-    scaled = np.asarray(logits, dtype=np.float64) / temperature
+    scaled = logits / temperature
     scaled = scaled - scaled.max(axis=-1, keepdims=True)
     exps = np.exp(scaled)
     return exps / exps.sum(axis=-1, keepdims=True)
 
 
-def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    labels = np.asarray(labels)
+def _check_labels(labels: np.ndarray, num_classes: int) -> None:
     # numpy would index with bool labels as a mask, not as classes 0 and 1.
     if labels.dtype.kind not in "iu":
         raise InputError(f"labels must be integers, got dtype {labels.dtype}")
@@ -212,7 +210,6 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
         raise InputError(f"labels must be 1-D, got shape {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise InputError(f"labels must lie in [0, {num_classes})")
-    return labels
 
 
 def cross_entropy(
@@ -224,8 +221,7 @@ def cross_entropy(
     only when called, so a caller that needs the value alone pays for no
     gradient.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = _check_labels(labels, logits.shape[-1])
+    _check_labels(labels, logits.shape[-1])
     n = logits.shape[0]
     if n != labels.shape[0]:  # one label would broadcast to every row
         raise InputError("logits and labels disagree on batch size")
@@ -259,7 +255,6 @@ def backward(model: MlpModel, cache: list[np.ndarray], dlogits: np.ndarray) -> n
     into delta, which by then is a new array, as the last layer is linear:
     dlogits is never written.
     """
-    dlogits = np.asarray(dlogits, dtype=np.float64)
     grads = np.empty_like(model.theta)
     grad_layers = _layer_views(grads, model.dims)
     delta, last = dlogits, len(model.layers) - 1
@@ -348,8 +343,8 @@ def fit_classifier(
     rng: np.random.Generator,
 ) -> MlpModel:
     """Mini-batch cross-entropy SGD; returns the trained model."""
-    features = _as_batch(features, model.input_dim)
-    labels = _check_labels(labels, model.num_classes)
+    _check_batch(features, model.input_dim)
+    _check_labels(labels, model.num_classes)
     n = features.shape[0]
     if n == 0:
         raise InputError("cannot fit on an empty dataset")

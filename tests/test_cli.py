@@ -154,23 +154,9 @@ def separable_config(tmp_path, **overrides):
     return tiny_config(tmp_path, **merged)
 
 
-def test_pretrain_reaches_high_accuracy_on_separable_domains(tmp_path):
-    out = tmp_path / "run"
-    separable_sources(OutputLayout(out))
-    cfg = separable_config(tmp_path)
-    assert run("pretrain", "--config", cfg, "--out", out) == 0
-
-    for i in range(2):
-        model = nn.load_model(OutputLayout(out).original_model(i))
-        train = data.load_csv(out / "data" / f"source_{i}_train.csv")
-        logits, _ = nn.forward_logits(model, train.features)
-        acc = float(np.mean(np.argmax(logits, axis=1) == train.labels))
-        assert acc >= 0.99
-
-
-def test_pretrain_logs_train_accuracy_at_info_level(tmp_path, capsys):
-    # Pretrain reports no train accuracy and has no log level: the fit is
-    # read back from the saved models, and stderr stays empty.
+def test_pretrain_fits_separable_sources_exactly_and_writes_nothing_to_stderr(tmp_path, capsys):
+    # Pretrain reports no train accuracy: the fit is read back from the saved
+    # models, and stderr stays empty.
     out = tmp_path / "run"
     separable_sources(OutputLayout(out))
     cfg = separable_config(tmp_path)

@@ -733,6 +733,18 @@ def test_rebalance_means_keeps_norms_only_beside_the_plane(dim, kept):
     np.testing.assert_allclose(ratios, kept, rtol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [2, 10])
+@pytest.mark.parametrize("scale", [1e-6, 1e-13])
+def test_rebalance_means_scales_with_the_means(dim, scale):
+    """The plane/residual split does not depend on mean_scale's absolute
+    size: a tiny scale must not push every mean onto u."""
+    rng = np.random.default_rng(15)
+    u, v = np.linalg.qr(rng.standard_normal((dim, 2)))[0].T
+    means = rng.normal(0.0, 1.5, size=(5, dim))
+    out = data._rebalance_means(scale * means, u, v, 0.5) / scale
+    np.testing.assert_allclose(out, data._rebalance_means(means, u, v, 0.5), rtol=1e-9)
+
+
 def test_rebalance_means_keeps_zero_means_zero():
     """mean_scale 0 draws all-zero means: each falls back to u, times a zero norm."""
     u, v = np.eye(4)[:2]
