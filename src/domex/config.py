@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
@@ -22,14 +22,14 @@ from .fusion import FUSION_METHODS
 
 
 # What a JSON value must be to fill a field of each scalar type. Ints pass
-# for floats unconverted, so a manifest echoes the config as written.
+# for floats unconverted, so a manifest echoes the config as written. The
+# float test converts nothing: nan, ±inf and an int beyond float64's range
+# all fail the comparison.
 _SCALAR_TYPES = {
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     float: (
         "a finite number",
-        lambda v: isinstance(v, (int, float))
-        and not isinstance(v, bool)
-        and math.isfinite(v),
+        lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
     ),
     str: ("a string", lambda v: isinstance(v, str)),
 }
@@ -147,7 +147,7 @@ def load_config(path: str | Path | None) -> RunConfig:
         return RunConfig()
     try:
         raw = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return _from_mapping(RunConfig, raw)
 
@@ -157,9 +157,6 @@ class OutputLayout:
     """Canonical file locations inside one run directory."""
 
     root: Path
-
-    def __post_init__(self):
-        self.root = Path(self.root)
 
     @property
     def data_dir(self) -> Path:
@@ -224,7 +221,6 @@ def write_manifest(
     """Record what a stage consumed and produced, digesting every output."""
 
     def rel(p: Path) -> str:
-        p = Path(p)
         try:
             return p.resolve().relative_to(layout.root.resolve()).as_posix()
         except ValueError:

@@ -46,7 +46,7 @@ class DomainDataset:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = np.ascontiguousarray(self.features, dtype=np.float64)
         if self.features.ndim != 2 or self.features.shape[0] == 0:
             raise InputError(
                 f"features must be a nonempty (N, d) matrix, got {self.features.shape}"
@@ -54,12 +54,12 @@ class DomainDataset:
         if not np.isfinite(self.features).all():
             raise InputError(f"dataset {self.name!r} contains non-finite features")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels)
+            self.labels = np.ascontiguousarray(self.labels)
             if self.labels.dtype.kind not in "iu":
                 raise InputError(f"labels must be integers, got dtype {self.labels.dtype}")
             if self.labels.shape != (self.features.shape[0],):
                 raise InputError("labels must align one-to-one with feature rows")
-            if self.labels.size and self.labels.min() < 0:
+            if self.labels.min() < 0:
                 raise InputError("labels must be nonnegative class indices")
 
     @property
@@ -132,8 +132,8 @@ class DataConfig:
 SplitSpec = DataConfig
 
 
-# numpy's reader, told the dialect csv.reader read: comma-separated cells,
-# optionally double-quoted, and no comment syntax.
+# numpy's reader's dialect: comma-separated cells, optionally double-quoted,
+# and no comment syntax.
 _CSV_DIALECT = dict(delimiter=",", quotechar='"', comments=None)
 # The row numbers in numpy's errors count the lines after the header (no blank
 # line reaches numpy): from 0 when a cell does not parse, from 1 when a row
@@ -265,13 +265,8 @@ def load_csv(path: str | Path) -> DomainDataset:
         raise
     except ValueError as exc:  # numpy's, on a malformed row
         raise _located(exc, path, len(header), n_features) from exc
-    features, labels = parsed
     try:
-        return DomainDataset(
-            path.stem,
-            np.ascontiguousarray(features),
-            None if labels is None else np.ascontiguousarray(labels),
-        )
+        return DomainDataset(path.stem, *parsed)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -315,8 +310,8 @@ def write_csv(ds: DomainDataset, path: str | Path) -> None:
     def blocks():
         yield ",".join(header).encode() + b"\n"
         for start in range(0, ds.n, step):
-            # orjson refuses arrays that are not C-contiguous.
-            cells = np.ascontiguousarray(ds.features[start : start + step])
+            # DomainDataset's features are C-contiguous, as orjson requires.
+            cells = ds.features[start : start + step]
             rows = orjson.dumps(cells, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
             if ds.labelled:
                 labels = ds.labels[start : start + step].tolist()
@@ -404,16 +399,6 @@ def _rotation_matrix(dim: int, u: np.ndarray, v: np.ndarray, angle_deg: float) -
     )
 
 
-def _apply_shift(
-    samples: np.ndarray, shift: DomainShift, u: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    d = samples.shape[1]
-    out = samples
-    if shift.rotation_deg != 0.0:
-        out = out @ _rotation_matrix(d, u, v, shift.rotation_deg).T
-    return out + shift.translation
-
-
 def generate_domains(
     cfg: DataConfig,
     num_source_domains: int,
@@ -457,7 +442,9 @@ def generate_domains(
         # One draw fills in C order: the bits of one draw per class in turn.
         features = default_rng(seed).standard_normal((labels.size, cfg.feature_dim))
         features += means[labels]
-        domains.append(DomainDataset(name, _apply_shift(features, shift, u, v), labels))
+        if shift.rotation_deg != 0.0:
+            features = features @ _rotation_matrix(cfg.feature_dim, u, v, shift.rotation_deg).T
+        domains.append(DomainDataset(name, features + shift.translation, labels))
     return domains
 
 

@@ -64,8 +64,8 @@ class MlpModel:
     which emits raw logits.
 
     Args:
-        dims: two or more positive integer widths, the input's first and the
-            class count last; kept as plain ints.
+        dims: a list of two or more positive int widths, the input's first
+            and the class count last, as init_mlp builds and JSON reads it.
         theta: every layer's weights (row-major) then bias, layer by layer;
             copied as float64.
 
@@ -77,13 +77,12 @@ class MlpModel:
     layers: list[DenseLayer] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.dims, (list, tuple, np.ndarray)) or len(self.dims) < 2:
+        if not isinstance(self.dims, list) or len(self.dims) < 2:
             raise InputError(f"dims must list two or more widths, got {self.dims!r}")
         for k, width in enumerate(self.dims):
             # bool is an int: unchecked, JSON's true would read as 1.
-            if isinstance(width, bool) or not isinstance(width, (int, np.integer)) or width < 1:
+            if isinstance(width, bool) or not isinstance(width, int) or width < 1:
                 raise InputError(f"dims[{k}] must be a positive integer, got {width!r}")
-        self.dims = [int(width) for width in self.dims]
         self.theta = np.array(self.theta, dtype=np.float64)
         need = sum(n_out * (n_in + 1) for n_in, n_out in zip(self.dims, self.dims[1:]))
         if need != self.theta.size:
@@ -379,7 +378,7 @@ def load_model(path: str | Path) -> MlpModel:
     end = raw.find(b"\n")  # -1 without a line end; json refuses the empty header
     try:
         header = json.loads(raw[: max(end, 0)].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError, int digit limit
         raise InputError(f"line 1: {path}: the header line is not JSON in UTF-8: {exc}") from exc
     if not isinstance(header, dict) or "dims" not in header:
         raise InputError(f"{path}: the header line is not a JSON object with the key dims")

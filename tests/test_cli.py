@@ -393,6 +393,20 @@ def test_expand_refuses_a_model_file_in_the_older_json_format(tmp_path, capsys):
         assert "rerun" not in err
 
 
+def test_expand_refuses_a_dims_width_past_pythons_digit_limit(tmp_path, capsys):
+    """json.loads raises a plain ValueError, not a JSONDecodeError, on an
+    integer of more than 4300 digits."""
+    cfg, out = pipeline_through_pretrain(tmp_path)
+    path = OutputLayout(out).original_model(0)
+    body = path.read_bytes().split(b"\n", 1)[1]
+    path.write_bytes(b'{"dims":[' + b"9" * 5000 + b",3]}\n" + body)
+    capsys.readouterr()
+    assert run("expand", "--config", cfg, "--out", out) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line 1: {path}: the header line is not JSON in UTF-8: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "dims, named",
     [
@@ -881,7 +895,7 @@ def test_negative_seeds_are_a_one_line_config_error(tmp_path, capsys, stage, ove
     [
         ("synth", None, cli.EXIT_CONFIG),
         ("pretrain", "data/source_0_train.csv", cli.EXIT_IO),
-        ("expand", OutputLayout("").original_model(0), cli.EXIT_IO),
+        ("expand", OutputLayout(Path()).original_model(0), cli.EXIT_IO),
     ],
     ids=["config", "data csv", "model file"],
 )

@@ -8,6 +8,7 @@ import io
 import json
 import shutil
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -63,6 +64,8 @@ def run_stages(stages, out, config=None):
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(case=st.sampled_from(CASES))
 @example(case=(("data", "mean_scale"), -0.0))
+# An integer beyond float64's range; float() would raise OverflowError on it.
+@example(case=(("data", "mean_scale"), 10**400))
 def test_one_drawn_config_value_ends_in_a_documented_exit(tmp_path_factory, case):
     (section, key), value = case
     raw = json.loads(json.dumps(BASE))
@@ -78,8 +81,8 @@ DOWNSTREAM = {
     "data/source_0_train.csv": ["pretrain", "expand", "evaluate"],
     "data/new_unlabelled.csv": ["expand", "evaluate"],
     "data/new_test.csv": ["evaluate"],
-    OutputLayout("").original_model(0).as_posix(): ["expand", "evaluate"],
-    OutputLayout("").updated_model(1).as_posix(): ["evaluate"],
+    OutputLayout(Path()).original_model(0).as_posix(): ["expand", "evaluate"],
+    OutputLayout(Path()).updated_model(1).as_posix(): ["evaluate"],
 }
 
 

@@ -68,6 +68,10 @@ def test_partial_config_keeps_other_defaults(tmp_path):
         {"expansion": {"seed": -1}},
         {"gradcheck": {"seeds": [0, -1]}},
         {"gradcheck": {"seeds": [0, 1, 0]}},
+        # Integers beyond float64's range, in each kind of real-valued field.
+        {"data": {"mean_scale": 10**400}},
+        {"expansion": {"lam": -(10**400)}},
+        {"data": {"source_rotations_deg": [15.0, 55.0, 10**400]}},
     ],
 )
 def test_bad_configs_are_rejected(tmp_path, raw):
@@ -81,6 +85,15 @@ def test_config_must_be_json(tmp_path):
     path = tmp_path / "nope.json"
     path.write_text("{oops")
     with pytest.raises(ConfigError):
+        config.load_config(path)
+
+
+def test_an_integer_past_pythons_digit_limit_is_invalid_json(tmp_path):
+    """json.loads raises a plain ValueError, not a JSONDecodeError, on an
+    integer of more than 4300 digits."""
+    path = tmp_path / "long.json"
+    path.write_text('{"data": {"seed": 1' + "0" * 5000 + "}}")
+    with pytest.raises(ConfigError, match="^config is not valid JSON: "):
         config.load_config(path)
 
 

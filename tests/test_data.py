@@ -48,6 +48,18 @@ def test_dataset_validation():
         data.DomainDataset("d", np.zeros((2, 2)), np.array([0, -1]))
 
 
+def test_dataset_hands_out_c_contiguous_arrays():
+    """load_csv, write_csv and the engine take a dataset's arrays as they are;
+    DomainDataset copies any other layout into C order, keeping the bits."""
+    features = np.asfortranarray(np.random.default_rng(0).normal(size=(5, 3)))
+    labels = np.arange(10, dtype=np.int64)[::2]
+    assert not features.flags.c_contiguous and not labels.flags.c_contiguous
+    ds = data.DomainDataset("d", features, labels)
+    assert ds.features.flags.c_contiguous and ds.labels.flags.c_contiguous
+    assert ds.features.tobytes() == features.tobytes()
+    assert ds.labels.tobytes() == labels.tobytes()
+
+
 def test_dataset_refuses_float_and_bool_labels_naming_the_dtype():
     # even integral floats: the engine indexes with labels as it is given them
     for labels in (np.array([0.0, 1.0]), np.array([False, True])):
@@ -239,6 +251,11 @@ def test_csv_round_trip_is_exact(tmp_path):
     bare = tmp_path / "bare.csv"
     data.write_csv(data.DomainDataset("bare", ds.features), bare)
     assert not data.load_csv(bare).labelled
+
+    # A Fortran-ordered matrix writes the bytes of its C-ordered copy.
+    fortran = tmp_path / "fortran.csv"
+    data.write_csv(data.DomainDataset("round", np.asfortranarray(ds.features), ds.labels), fortran)
+    assert fortran.read_bytes() == path.read_bytes()
 
 
 def test_csv_writes_extreme_values_as_shortest_round_trip_digits(tmp_path, significant_digits):
@@ -635,7 +652,7 @@ def test_generate_domains_matches_a_per_class_replay_bit_for_bit(
     num_classes, samples_per_class, feature_dim
 ):
     """One draw per domain gives the bits of one standard_normal((S, d)) draw
-    per class in class order, stacked and then shifted."""
+    per class in class order, stacked and then shifted as (x @ R.T) + t."""
     cfg, new_t = data.make_benchmark(
         seed=4, num_classes=num_classes, samples_per_class=samples_per_class,
         feature_dim=feature_dim,
@@ -655,7 +672,10 @@ def test_generate_domains_matches_a_per_class_replay_bit_for_bit(
             means[c] + rng.standard_normal((samples_per_class, feature_dim))
             for c in range(num_classes)
         ]
-        features = data._apply_shift(np.vstack(blocks), shift, u, v)
+        features = np.vstack(blocks)
+        if shift.rotation_deg != 0.0:
+            features = features @ data._rotation_matrix(feature_dim, u, v, shift.rotation_deg).T
+        features = features + shift.translation
         assert np.array_equal(ds.features.view(np.uint64), features.view(np.uint64))
         assert ds.labels.dtype == np.int64
         assert ds.labels.tolist() == sorted(list(range(num_classes)) * samples_per_class)

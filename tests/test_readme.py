@@ -76,7 +76,7 @@ def test_output_layout_names_the_model_files_as_the_code_does():
     """Each model file's line in the Output layout block spells its name as
     OutputLayout does, with the index as {i}."""
     block = code_block("## Output layout", "")
-    layout = config.OutputLayout("run")
+    layout = config.OutputLayout(Path("run"))
     for path in (layout.original_model(0), layout.updated_model(0)):
         name = path.name.replace("0", "{i}", 1)
         line = re.search(rf"^  {path.parent.name}/ .*$", block, re.M).group(0)
