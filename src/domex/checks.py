@@ -7,6 +7,7 @@ absolute floor, since relative error is meaningless near zero.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,7 +105,7 @@ def check_seed(seed: int) -> list[CheckResult]:
     ]
 
 
-def run_gradient_suite(seeds: tuple[int, ...]) -> list[CheckResult]:
+def run_gradient_suite(seeds: Sequence[int]) -> list[CheckResult]:
     """Check every trained loss over the given seeds; returns all results,
     loss by loss."""
     return [result for per_loss in zip(*map(check_seed, seeds)) for result in per_loss]

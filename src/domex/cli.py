@@ -44,10 +44,6 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 
-def _domain_names(cfg: RunConfig) -> list[str]:
-    return [f"source_{i}" for i in range(cfg.data.num_sources)] + ["new"]
-
-
 def _check_features(path: Path, ds: DomainDataset, ref: Path, width: int) -> None:
     """Refuse the CSV at path unless its feature count is width, ref's."""
     if ds.dim != width:
@@ -80,14 +76,13 @@ def cmd_synth(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) ->
     outputs = []
     for ds in domains:
         train, test = split(ds, cfg.data)
-        test_part = (layout.domain_csv(ds.name, "test"), test)
         if ds.name == "new":
             # The new domain's train rows are written once, without labels.
-            unlabelled = DomainDataset("new_unlabelled", train.features)
-            parts = [test_part, (layout.new_unlabelled_csv, unlabelled)]
+            parts = [("test", test), ("unlabelled", DomainDataset(ds.name, train.features))]
         else:
-            parts = [(layout.domain_csv(ds.name, "train"), train), test_part]
-        for path, part_ds in parts:
+            parts = [("train", train), ("test", test)]
+        for part, part_ds in parts:
+            path = layout.domain_csv(ds.name, part)
             write_csv(part_ds, path)
             outputs.append(path)
     write_manifest(layout, "synth", cfg, config_paths, outputs)
@@ -97,7 +92,7 @@ def cmd_synth(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) ->
 def cmd_pretrain(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -> None:
     seeds = np.random.SeedSequence(cfg.pretrain.seed).spawn(cfg.data.num_sources)
 
-    csv_paths = [layout.domain_csv(name, "train") for name in _domain_names(cfg)[:-1]]
+    csv_paths = [layout.domain_csv(name, "train") for name in cfg.data.domain_names[:-1]]
     inputs, outputs = list(config_paths) + csv_paths, []
     train_sets = _load_labelled(csv_paths, cfg, csv_paths[0], None)
     # Every source domain must cover the same classes; the whole method
@@ -136,8 +131,9 @@ def cmd_expand(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -
     # unlabelled new-domain features, nothing else.
     model_paths = [layout.original_model(i) for i in range(cfg.data.num_sources)]
     originals = _load_models(model_paths, cfg)
-    new_data = load_csv(layout.new_unlabelled_csv)
-    _check_features(layout.new_unlabelled_csv, new_data, model_paths[0], originals[0].input_dim)
+    unlabelled_csv = layout.domain_csv("new", "unlabelled")
+    new_data = load_csv(unlabelled_csv)
+    _check_features(unlabelled_csv, new_data, model_paths[0], originals[0].input_dim)
 
     # Each updated model starts as its original object, not a copy: expand
     # replaces models and never writes into a theta.
@@ -149,11 +145,10 @@ def cmd_expand(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -
         path = layout.updated_model(i)
         nn.save_model(model, path)
         outputs.append(path)
-    log_lines = [json.dumps(record) for record in log]
-    write_atomic(layout.training_log, "\n".join(log_lines) + ("\n" if log_lines else ""))
+    write_atomic(layout.training_log, "".join(json.dumps(r) + "\n" for r in log))
     outputs.append(layout.training_log)
 
-    inputs = config_paths + model_paths + [layout.new_unlabelled_csv]
+    inputs = config_paths + model_paths + [unlabelled_csv]
     write_manifest(layout, "expand", cfg, inputs, outputs)
     print(
         f"expand: {len(ensemble.updated)} updated models after "
@@ -186,7 +181,7 @@ def cmd_evaluate(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path])
     ]
     models = _load_models(model_paths, cfg)
     originals, updated = models[0::2], models[1::2]
-    names = _domain_names(cfg)
+    names = cfg.data.domain_names
     csv_paths = [layout.domain_csv(name, "test") for name in names]
     labelled = _load_labelled(csv_paths, cfg, model_paths[0], models[0].input_dim)
     test_sets = dict(zip(names, labelled))
@@ -210,7 +205,7 @@ def cmd_evaluate(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path])
 
 
 def cmd_gradcheck(cfg: RunConfig, layout: OutputLayout, config_paths: list[Path]) -> None:
-    results = checks.run_gradient_suite(tuple(cfg.gradcheck.seeds))
+    results = checks.run_gradient_suite(cfg.gradcheck.seeds)
     all_passed = all(r.passed for r in results)
     payload = {
         "tolerance": checks.REL_TOL,

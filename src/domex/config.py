@@ -65,7 +65,7 @@ def _from_mapping(cls, raw, where: str = ""):
     kwargs = {key: _read(value, hints[key], prefix + key) for key, value in raw.items()}
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid {name}: {exc}") from exc
 
 
@@ -172,10 +172,6 @@ class OutputLayout:
 
     def domain_csv(self, domain: str, part: str) -> Path:
         return self.data_dir / f"{domain}_{part}.csv"
-
-    @property
-    def new_unlabelled_csv(self) -> Path:
-        return self.data_dir / "new_unlabelled.csv"
 
     def original_model(self, index: int) -> Path:
         return self.models_dir / f"original_{index}.model"

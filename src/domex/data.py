@@ -77,7 +77,7 @@ class DomainDataset:
 
 @dataclass
 class DataConfig:
-    """Synthetic benchmark knobs plus the split's seed.
+    """Synthetic benchmark knobs, the split's seed and the domain roster.
 
     The one owner of each knob and its default: the config's data section,
     make_benchmark, generate_domains and split all read this class. Knobs
@@ -126,6 +126,10 @@ class DataConfig:
     @property
     def num_sources(self) -> int:
         return len(self.source_rotations_deg)
+
+    @property
+    def domain_names(self) -> list[str]:
+        return [f"source_{i}" for i in range(self.num_sources)] + ["new"]
 
 
 # split reads a DataConfig's seed.
@@ -434,10 +438,9 @@ def generate_domains(
     if not np.isfinite(means).all():
         raise ConfigError(f"data.mean_scale {cfg.mean_scale} overflows the class means")
 
-    names = [f"source_{i}" for i in range(num_source_domains)] + ["new"]
     all_transforms = transforms + [new_domain_transform]
     domains = []
-    for name, shift, seed in zip(names, all_transforms, domain_seeds):
+    for name, shift, seed in zip(cfg.domain_names, all_transforms, domain_seeds):
         labels = np.repeat(np.arange(cfg.num_classes, dtype=np.int64), cfg.samples_per_class)
         # One draw fills in C order: the bits of one draw per class in turn.
         features = default_rng(seed).standard_normal((labels.size, cfg.feature_dim))

@@ -483,7 +483,7 @@ def test_expand_identical_sources_log_zero_bias(tmp_path):
         nn.save_model(model, layout.original_model(i))
     data.write_csv(
         data.DomainDataset("new_unlabelled", rng.normal(size=(16, 4))),
-        layout.new_unlabelled_csv,
+        layout.domain_csv("new", "unlabelled"),
     )
     cfg = tiny_config(tmp_path)
     assert run("expand", "--config", cfg, "--out", out) == 0
@@ -515,7 +515,7 @@ def test_expand_holds_each_model_once_per_role(tmp_path, traced_peak):
         nn.save_model(model, layout.original_model(i))
     data.write_csv(
         data.DomainDataset("new_unlabelled", rng.normal(size=(128, dim))),
-        layout.new_unlabelled_csv,
+        layout.domain_csv("new", "unlabelled"),
     )
     peak, code = traced_peak(lambda: run("expand", "--config", cfg, "--out", layout.root))
     assert code == 0
@@ -609,7 +609,7 @@ def test_evaluate_needs_no_unlabelled_data_and_saturated_weights_run(
         tmp_path, expansion={"weight_temperature": weight_temperature}
     )
     assert run("expand", "--config", cfg, "--out", out) == 0
-    OutputLayout(out).new_unlabelled_csv.unlink()
+    OutputLayout(out).domain_csv("new", "unlabelled").unlink()
     assert run("evaluate", "--config", cfg, "--out", out) == 0
     manifest = json.loads((out / "evaluate_manifest.json").read_text())
     assert not any(p.endswith("new_unlabelled.csv") for p in manifest["inputs"])
@@ -688,7 +688,7 @@ def test_a_stage_names_the_csv_and_model_whose_widths_differ(tmp_path, capsys, s
     """Models pretrained on 4 features, given a CSV with 5."""
     cfg, out = pipeline_through_pretrain(tmp_path)
     layout = OutputLayout(out)
-    csv = layout.new_unlabelled_csv
+    csv = layout.domain_csv("new", "unlabelled")
     if stage == "evaluate":
         assert run("expand", "--config", cfg, "--out", out) == 0
         csv = layout.domain_csv("new", "test")

@@ -113,7 +113,7 @@ def test_output_layout_paths(tmp_path):
     assert layout.domain_csv("source_0", "train").name == "source_0_train.csv"
     assert layout.original_model(2).name == "original_2.model"
     assert layout.updated_model(0).parent.name == "expanded"
-    assert layout.new_unlabelled_csv.parent == layout.data_dir
+    assert layout.domain_csv("new", "unlabelled") == layout.data_dir / "new_unlabelled.csv"
     assert layout.manifest("synth").name == "synth_manifest.json"
 
 

@@ -644,6 +644,17 @@ def test_generate_domains_counts_names_reproducibility():
         assert np.array_equal(a.labels, b.labels)
 
 
+@pytest.mark.parametrize("num_sources", [2, 8])
+def test_domain_names_list_the_sources_then_new(num_sources):
+    cfg, new_t = data.make_benchmark(
+        num_classes=2, feature_dim=2, samples_per_class=2,
+        source_rotations_deg=[10.0] * num_sources, source_shift_sigmas=[1.0] * num_sources,
+    )
+    domains = data.generate_domains(cfg, num_sources, new_t)
+    assert cfg.domain_names == [d.name for d in domains]
+    assert cfg.domain_names == [f"source_{i}" for i in range(num_sources)] + ["new"]
+
+
 @pytest.mark.parametrize(
     "num_classes, samples_per_class, feature_dim", [(5, 200, 10), (10, 75, 256), (3, 8, 2)],
     ids=lambda v: str(v),

@@ -1,5 +1,6 @@
 """The README's config block, library example, code names, Requires line,
-model file names, model header line and feature cell format agree with the code."""
+model and data file names, model header line and feature cell format agree
+with the code."""
 
 import dataclasses
 import importlib
@@ -81,6 +82,38 @@ def test_output_layout_names_the_model_files_as_the_code_does():
         name = path.name.replace("0", "{i}", 1)
         line = re.search(rf"^  {path.parent.name}/ .*$", block, re.M).group(0)
         assert name in re.split(r"[\s,]+", line)
+
+
+def brace_expand(word):
+    """The words a shell's {a,b} brace expansion gives; {i} stays as it is."""
+    group = re.search(r"\{([^{}]*,[^{}]*)\}", word)
+    if group is None:
+        return [word]
+    head, tail = word[: group.start()], word[group.end() :]
+    return [w for alt in group.group(1).split(",") for w in brace_expand(head + alt + tail)]
+
+
+def test_output_layout_names_each_csv_that_synth_writes(tmp_path):
+    """The data/ entry of the Output layout block states OutputLayout's one
+    naming rule and, brace-expanded, names each CSV that synth writes, with a
+    source's index as {i}."""
+    block = code_block("## Output layout", "")
+    entry = re.search(r"^  data/ .*\n(?: {4,}\S.*\n)*", block, re.M).group(0)
+    named = {w for token in re.findall(r"\S+?\.csv", entry) for w in brace_expand(token)}
+    layout = config.OutputLayout(tmp_path / "run")
+    assert layout.domain_csv("{domain}", "{part}").name in named
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"data": {"samples_per_class": 4}}))
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(layout.root)]) == 0
+    written = {re.sub(r"^source_\d+", "source_{i}", p.name) for p in layout.data_dir.iterdir()}
+    spelled = {
+        layout.domain_csv(domain, part).name
+        for domain, parts in [("source_{i}", ["train", "test"]), ("new", ["test", "unlabelled"])]
+        for part in parts
+    }
+    assert written == spelled
+    assert spelled <= named
 
 
 def test_model_header_line_is_what_save_model_writes_for_the_default_model(tmp_path):
